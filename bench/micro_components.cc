@@ -248,7 +248,7 @@ main(int argc, char **argv)
         w.endArray();
         w.endObject();
         writeTextFile(json_path, w.str() + "\n");
-        inform("wrote micro report: %s", json_path);
+        std::printf("wrote JSON report: %s\n", json_path);
     }
     return 0;
 }

@@ -18,8 +18,8 @@
  *   {
  *     "schema": "BENCH_perf/v1",
  *     "bench": "perf_smoke",
- *     "scale": ..., "threads": ..., "domains": ..., "engine": ...,
- *     "repeats": ..., "jobs": ...,
+ *     "scale": ..., "threads": ..., "domains": ..., "repeats": ...,
+ *     "jobs": ...,
  *     "wall_ms": ..., "wall_ms_best": ..., "jobs_per_sec": ...,
  *     "sim_completion_cycles_total": ...,  // determinism checksum
  *     "sim_instructions_total": ...,
@@ -34,7 +34,8 @@
  *   - wall_ms_best regresses by more than the tolerance (default 15%,
  *     override with IRONHIDE_PERF_TOLERANCE, e.g. 0.25), or
  *   - the determinism checksum differs (a stats-purity break, gated
- *     with zero tolerance).
+ *     with zero tolerance; a baseline without a numeric
+ *     sim_completion_cycles_total is a fatal error, never a pass).
  *
  * `--no-slower-than <path>` gates against a *sibling* report from the
  * same machine and commit instead of the committed baseline: this run's
@@ -62,7 +63,6 @@
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
-#include "harness/weave.hh"
 #include "sim/log.hh"
 
 using namespace ih;
@@ -130,10 +130,9 @@ flagPath(int argc, char **argv, const char *flag)
  * in the job UI without digging through artifacts.
  */
 void
-appendStepSummary(const std::string &engine, unsigned domains,
-                  double wall_ms_best, double base_wall, double delta_ms,
-                  double delta_pct, double tolerance, bool checksum_ok,
-                  int rc, bool wall_gated)
+appendStepSummary(unsigned domains, double wall_ms_best, double base_wall,
+                  double delta_ms, double delta_pct, double tolerance,
+                  bool checksum_ok, int rc)
 {
     const char *summary = std::getenv("GITHUB_STEP_SUMMARY");
     if (!summary || !*summary)
@@ -143,32 +142,21 @@ appendStepSummary(const std::string &engine, unsigned domains,
         warn("cannot append to GITHUB_STEP_SUMMARY '%s'", summary);
         return;
     }
-    // The engine and domains count label the leg: the serial, the
-    // IRONHIDE_DOMAINS=N and the IRONHIDE_ENGINE=weave gate runs all
-    // land in the same step summary (the weave label carries its
-    // worker count), and each leg's wall history is what decides when
-    // its gate gets promoted from advisory (see ROADMAP.md). A
-    // checksum-only leg (weave vs the serial wall baseline) shows its
-    // wall time but dashes out the comparison columns.
-    std::fprintf(f,
-                 "### perf_smoke gate (engine=%s, domains=%u): %s\n\n"
-                 "| engine | domains | wall_ms_best | baseline | delta "
-                 "| tolerance | checksum |\n"
-                 "| --- | --- | --- | --- | --- | --- | --- |\n",
-                 engine.c_str(), domains, rc == 0 ? "pass" : "FAIL");
-    if (wall_gated) {
-        std::fprintf(f,
-                     "| %s | %u | %.1f ms | %.1f ms | %+.1f ms (%+.1f%%) "
-                     "| +%.0f%% | %s |\n\n",
-                     engine.c_str(), domains, wall_ms_best, base_wall,
-                     delta_ms, delta_pct, tolerance * 100.0,
-                     checksum_ok ? "ok" : "DRIFTED");
-    } else {
-        std::fprintf(f,
-                     "| %s | %u | %.1f ms | - | - | - | %s |\n\n",
-                     engine.c_str(), domains, wall_ms_best,
-                     checksum_ok ? "ok" : "DRIFTED");
-    }
+    // The domains count labels the leg: the serial and the
+    // IRONHIDE_DOMAINS=N gate runs land in the same step summary, and
+    // the parallel leg's wall history is what decides when its gate
+    // gets promoted from advisory (see ROADMAP.md).
+    std::fprintf(
+        f,
+        "### perf_smoke gate (domains=%u): %s\n\n"
+        "| domains | wall_ms_best | baseline | delta | tolerance "
+        "| checksum |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| %u | %.1f ms | %.1f ms | %+.1f ms (%+.1f%%) | +%.0f%% "
+        "| %s |\n\n",
+        domains, rc == 0 ? "pass" : "FAIL", domains, wall_ms_best,
+        base_wall, delta_ms, delta_pct, tolerance * 100.0,
+        checksum_ok ? "ok" : "DRIFTED");
     std::fclose(f);
 }
 
@@ -177,22 +165,10 @@ appendStepSummary(const std::string &engine, unsigned domains,
  * @return process exit code (0 pass, 1 fail).
  */
 int
-gateAgainstBaseline(const char *path, const std::string &engine,
-                    unsigned domains, double wall_ms_best,
-                    std::uint64_t completion_total)
+gateAgainstBaseline(const char *path, unsigned domains,
+                    double wall_ms_best, std::uint64_t completion_total)
 {
     const std::string base = readTextFile(path);
-    // The weave engine is a different timing model with its own
-    // checksum, maintained in the baseline as a separate field
-    // (weave_sim_completion_cycles_total, regenerated only for
-    // intentional weave-model changes). Its wall time has no committed
-    // reference — the baseline's wall_ms_best is a serial-engine
-    // number — so a weave leg gates the checksum only and reports wall
-    // time informationally.
-    const bool weave_leg = engine.compare(0, 5, "weave") == 0;
-    const char *checksum_key = weave_leg
-                                   ? "weave_sim_completion_cycles_total"
-                                   : "sim_completion_cycles_total";
     double base_wall = 0.0;
     if (!jsonNumberField(base, "wall_ms_best", base_wall) ||
         base_wall <= 0.0) {
@@ -203,44 +179,37 @@ gateAgainstBaseline(const char *path, const std::string &engine,
     const double delta_ms = wall_ms_best - base_wall;
     const double delta_pct = delta_ms / base_wall * 100.0;
 
+    // The checksum is the zero-tolerance half of the gate: a baseline
+    // that cannot supply it must stop the run, not pass it unchecked.
+    double base_checksum = 0.0;
+    if (!jsonNumberField(base, "sim_completion_cycles_total",
+                         base_checksum)) {
+        fatal("baseline '%s' has no numeric sim_completion_cycles_total",
+              path);
+    }
     int rc = 0;
     bool checksum_ok = true;
-    double base_checksum = 0.0;
-    if (!jsonNumberField(base, checksum_key, base_checksum)) {
-        if (weave_leg) {
-            fatal("baseline '%s' has no %s — add the field before "
-                  "gating a weave leg (see README \"Performance\")",
-                  path, checksum_key);
-        }
-    } else if (static_cast<std::uint64_t>(base_checksum) !=
-               completion_total) {
-        warn("perf gate: determinism checksum %llu != baseline %s %llu "
-             "— stats purity broke (regenerate the baseline only for "
-             "an intentional modeling change)",
+    if (static_cast<std::uint64_t>(base_checksum) != completion_total) {
+        warn("perf gate: determinism checksum %llu != baseline %llu — "
+             "stats purity broke (regenerate the baseline only for an "
+             "intentional modeling change)",
              static_cast<unsigned long long>(completion_total),
-             checksum_key,
              static_cast<unsigned long long>(base_checksum));
         checksum_ok = false;
         rc = 1;
     }
-    if (!weave_leg && wall_ms_best > limit) {
+    if (wall_ms_best > limit) {
         warn("perf gate: wall_ms_best %.1f exceeds %.1f (baseline %.1f "
              "+%.0f%%) — perf regression",
              wall_ms_best, limit, base_wall, tolerance * 100.0);
         rc = 1;
     }
-    if (weave_leg) {
-        std::printf("perf gate: %s (checksum-only; wall_ms_best %.1f, "
-                    "serial baseline %.1f not comparable)\n",
-                    rc == 0 ? "pass" : "FAIL", wall_ms_best, base_wall);
-    } else {
-        std::printf("perf gate: %s (wall_ms_best %.1f vs baseline %.1f: "
-                    "delta %+.1f ms / %+.1f%%, limit %.1f)\n",
-                    rc == 0 ? "pass" : "FAIL", wall_ms_best, base_wall,
-                    delta_ms, delta_pct, limit);
-    }
-    appendStepSummary(engine, domains, wall_ms_best, base_wall, delta_ms,
-                      delta_pct, tolerance, checksum_ok, rc, !weave_leg);
+    std::printf("perf gate: %s (wall_ms_best %.1f vs baseline %.1f: "
+                "delta %+.1f ms / %+.1f%%, limit %.1f)\n",
+                rc == 0 ? "pass" : "FAIL", wall_ms_best, base_wall,
+                delta_ms, delta_pct, limit);
+    appendStepSummary(domains, wall_ms_best, base_wall, delta_ms,
+                      delta_pct, tolerance, checksum_ok, rc);
     return rc;
 }
 
@@ -302,13 +271,6 @@ main(int argc, char **argv)
     // fails on any drift.
     const SysConfig cfg = benchConfig();
     const unsigned domains = effectiveDomains(cfg);
-    // The phase engine labels the leg: an IRONHIDE_ENGINE=weave run is
-    // a different timing model (different checksum), and its worker
-    // count — like domains — must move only wall time.
-    const std::string engine =
-        cfg.engine == EngineKind::WEAVE
-            ? strprintf("weave:%u", effectiveWeaveWorkers(cfg))
-            : "serial";
 
     const std::vector<SweepJob> jobs =
         SweepGrid()
@@ -341,33 +303,17 @@ main(int argc, char **argv)
     std::uint64_t completion_total = 0;
     std::uint64_t instructions_total = 0;
     std::map<std::string, std::uint64_t> per_arch;
-    // Weave pass profile, summed over the last repetition's runs: the
-    // serial capture share bounds bound-lane scaling (Amdahl).
-    double weave_capture_s = 0.0, weave_bound_s = 0.0, weave_weave_s = 0.0;
     for (const ExperimentResult &r : results) {
         completion_total += r.run.completion;
         instructions_total += r.run.instructions;
         per_arch[r.arch] += r.run.completion;
-        weave_capture_s += r.weaveCaptureSec;
-        weave_bound_s += r.weaveBoundSec;
-        weave_weave_s += r.weaveWeaveSec;
     }
-    const double weave_total_s =
-        weave_capture_s + weave_bound_s + weave_weave_s;
-    const double weave_capture_frac =
-        weave_total_s > 0.0 ? weave_capture_s / weave_total_s : 0.0;
-    // Max speedup over the whole weave phase loop if the bound pass
-    // were free: 1 / (serial fraction), serial = capture + weave.
-    const double weave_amdahl_max =
-        weave_bound_s > 0.0 ? weave_total_s / (weave_total_s - weave_bound_s)
-                            : 1.0;
 
     Table table({"metric", "value"});
     table.addRow({"jobs", strprintf("%zu", jobs.size())});
     table.addRow({"scale", Table::num(scale, 3)});
     table.addRow({"threads", strprintf("%u", threads)});
     table.addRow({"domains", strprintf("%u", domains)});
-    table.addRow({"engine", engine});
     table.addRow({"repeats", strprintf("%u", repeats)});
     table.addRow({"wall(ms) mean", Table::num(wall_ms, 1)});
     table.addRow({"wall(ms) best", Table::num(wall_ms_best, 1)});
@@ -376,21 +322,7 @@ main(int argc, char **argv)
     table.addRow({"sim cycles (checksum)",
                   strprintf("%llu", static_cast<unsigned long long>(
                                         completion_total))});
-    if (weave_total_s > 0.0) {
-        table.addRow({"weave capture frac",
-                      Table::num(weave_capture_frac, 3)});
-        table.addRow({"weave amdahl max", Table::num(weave_amdahl_max, 2)});
-    }
     table.print();
-    if (weave_total_s > 0.0) {
-        std::printf("\nWeave pass profile (last repetition): capture "
-                    "%.1f ms serial, bound %.1f ms\nparallel, weave "
-                    "%.1f ms serial — capture fraction %.1f%%, Amdahl "
-                    "speedup\nbound %.2fx over the phase loop.\n",
-                    weave_capture_s * 1e3, weave_bound_s * 1e3,
-                    weave_weave_s * 1e3, weave_capture_frac * 100.0,
-                    weave_amdahl_max);
-    }
 
     if (json_path) {
         JsonWriter w;
@@ -400,7 +332,6 @@ main(int argc, char **argv)
         w.key("scale").value(scale);
         w.key("threads").value(threads);
         w.key("domains").value(domains);
-        w.key("engine").value(engine);
         w.key("repeats").value(repeats);
         w.key("jobs").value(std::uint64_t{jobs.size()});
         w.key("wall_ms").value(wall_ms);
@@ -408,14 +339,6 @@ main(int argc, char **argv)
         w.key("jobs_per_sec").value(jobs.size() / (wall_ms / 1000.0));
         w.key("sim_completion_cycles_total").value(completion_total);
         w.key("sim_instructions_total").value(instructions_total);
-        if (weave_total_s > 0.0) {
-            // Weave legs only: serial runs keep the original schema.
-            w.key("weave_capture_ms").value(weave_capture_s * 1e3);
-            w.key("weave_bound_ms").value(weave_bound_s * 1e3);
-            w.key("weave_weave_ms").value(weave_weave_s * 1e3);
-            w.key("weave_capture_frac").value(weave_capture_frac);
-            w.key("weave_amdahl_max_speedup").value(weave_amdahl_max);
-        }
         w.key("per_arch").beginArray();
         for (const auto &[arch, cycles] : per_arch) {
             w.beginObject();
@@ -426,12 +349,12 @@ main(int argc, char **argv)
         w.endArray();
         w.endObject();
         writeTextFile(json_path, w.str() + "\n");
-        inform("wrote perf report: %s", json_path);
+        std::printf("wrote JSON report: %s\n", json_path);
     }
     int rc = 0;
     if (baseline_path)
-        rc |= gateAgainstBaseline(baseline_path, engine, domains,
-                                  wall_ms_best, completion_total);
+        rc |= gateAgainstBaseline(baseline_path, domains, wall_ms_best,
+                                  completion_total);
     if (sibling_path)
         rc |= gateAgainstSibling(sibling_path, wall_ms_best);
     return rc;

@@ -118,17 +118,6 @@ ALLOWLIST = [
         ),
     },
     {
-        "rule": "wall-clock",
-        "file": "src/cpu/exec_engine_weave.cc",
-        "contains": "std::chrono::steady_clock",
-        "why": (
-            "Host-profiling of the weave engine's serial capture pass "
-            "(the Amdahl bound on bound-lane scaling). The timings feed "
-            "ExecEngine::weaveProfile() wall-time diagnostics only; "
-            "simulated cycles, counters and checksums never read them."
-        ),
-    },
-    {
         "rule": "raw-parse",
         "file": "src/harness/journal.cc",
         "contains": "std::strtoull",
@@ -201,16 +190,6 @@ ALLOWLIST = [
         "why": (
             "Presence-only switch for deliberate golden regeneration; "
             "the value is never parsed."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "src/harness/weave.cc",
-        "contains": "IRONHIDE_ENGINE",
-        "why": (
-            "String-valued knob compared exactly against the two engine "
-            "spellings; any other value is fatal() — stricter than a "
-            "numeric parse."
         ),
     },
     {

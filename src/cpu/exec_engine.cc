@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-// WeavePool must be complete here: the engine constructor's unwind path
-// can destroy the (normally still-null) weavePool_ member.
-#include "harness/weave.hh"
 #include "sim/log.hh"
 
 namespace ih
@@ -24,11 +21,6 @@ ExecContext::accessShared(AddressSpace &space, VAddr va, MemOp op)
     // IPC traffic crosses clusters by design; give it machine scope so
     // the isolation checker does not flag it.
     const ClusterRange whole{0, engine_->mem_.numTiles()};
-    if (engine_->weave_) {
-        engine_->captureAccess(*this, space, va, op, whole);
-        engine_->statIpcAccesses_.inc();
-        return;
-    }
     const AccessResult r =
         engine_->mem_.access(core_, space, va, op, now_, whole);
     now_ = r.finish;
@@ -73,14 +65,6 @@ ExecEngine::ExecEngine(const SysConfig &cfg, MemorySystem &mem)
 
 PhaseResult
 ExecEngine::runPhase(Process &proc, SteppableTask &task, Cycle start)
-{
-    if (cfg_.engine == EngineKind::WEAVE)
-        return runPhaseWeave(proc, task, start);
-    return runPhaseSerial(proc, task, start);
-}
-
-PhaseResult
-ExecEngine::runPhaseSerial(Process &proc, SteppableTask &task, Cycle start)
 {
     const std::vector<CoreId> &cores = proc.cores();
     IH_ASSERT(!cores.empty(), "process '%s' has no cores assigned",

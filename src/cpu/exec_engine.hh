@@ -16,15 +16,6 @@
  * barrier). The interactive-application layer sequences phases according
  * to the active security architecture (serialized for temporal models,
  * pipelined across clusters for IRONHIDE).
- *
- * Two engines implement runPhase() (selected by SysConfig::engine):
- * the serial reference model above, and the bound-weave engine
- * (exec_engine_weave.cc) which runs the phase in fixed cycle quanta —
- * a serial capture of the workload's step/access stream, a
- * domain-parallel *bound* replay of private L1/TLB traffic, and a
- * serial *weave* barrier that replays shared-state events in canonical
- * (cycle, domain, seq) order. See docs/ARCHITECTURE.md, "The
- * two-engine contract".
  */
 
 #ifndef IH_CPU_EXEC_ENGINE_HH
@@ -42,8 +33,6 @@ namespace ih
 
 class ExecEngine;
 class SteppableTask;
-class WeavePool;
-struct WeavePhaseState;
 
 /** Per-thread view handed to workload step functions. */
 class ExecContext
@@ -130,36 +119,10 @@ class ExecEngine
 {
   public:
     ExecEngine(const SysConfig &cfg, MemorySystem &mem);
-    ~ExecEngine(); // out of line: WeavePool is only forward-declared here
-
-    /**
-     * Host wall time spent in each weave pass, accumulated over every
-     * weave phase this engine has run. The capture and weave passes are
-     * serial, so captureSec + weaveSec over the total is the Amdahl
-     * bound on bound-lane scaling. Host-side diagnostics only:
-     * simulated cycles, counters and checksums never read these.
-     */
-    struct WeaveProfile
-    {
-        double captureSec = 0.0; ///< serial capture pass
-        double boundSec = 0.0;   ///< parallel bound lanes (fork..join)
-        double weaveSec = 0.0;   ///< serial barrier merge + corrections
-
-        double total() const { return captureSec + boundSec + weaveSec; }
-        /** Serial-capture share of the phase wall time (0 if unused). */
-        double
-        captureFraction() const
-        {
-            const double t = total();
-            return t > 0.0 ? captureSec / t : 0.0;
-        }
-    };
 
     /**
      * Run @p task for @p proc starting at @p start: one thread per
      * assigned core (up to the requested thread count), min-time-first.
-     * Dispatches to the engine selected by SysConfig::engine (the
-     * serial reference model or the bound-weave engine).
      * @return completion info (all threads joined).
      */
     PhaseResult runPhase(Process &proc, SteppableTask &task, Cycle start);
@@ -168,7 +131,6 @@ class ExecEngine
     const SysConfig &config() const { return cfg_; }
     Core &core(CoreId id) { return *cores_[id]; }
     StatGroup &stats() { return stats_; }
-    const WeaveProfile &weaveProfile() const { return weaveProf_; }
 
     /** Cost charged per participant by ExecContext::sync(). */
     static constexpr Cycle SYNC_BASE = 30;
@@ -176,26 +138,6 @@ class ExecEngine
 
   private:
     friend class ExecContext;
-
-    /** Serial reference model (the original runPhase loop). */
-    PhaseResult runPhaseSerial(Process &proc, SteppableTask &task,
-                               Cycle start);
-
-    // --- Bound-weave engine (exec_engine_weave.cc) -----------------------
-
-    /** Bound-weave engine: quantized capture / bound / weave passes. */
-    PhaseResult runPhaseWeave(Process &proc, SteppableTask &task,
-                              Cycle start);
-
-    /** Capture-pass form of ExecContext::access — log, don't simulate. */
-    void captureAccess(ExecContext &ctx, AddressSpace &space, VAddr va,
-                       MemOp op, const ClusterRange &cluster);
-
-    /** One bound lane: replay domain @p d's private L1/TLB traffic. */
-    void boundLane(WeavePhaseState &st, std::size_t d);
-
-    /** Weave barrier: canonical merge + replay of shared-state events. */
-    void weaveMerge(WeavePhaseState &st);
 
     const SysConfig &cfg_;
     MemorySystem &mem_;
@@ -215,17 +157,6 @@ class ExecEngine
     std::vector<Cycle> coreFree_;
     std::vector<std::pair<Cycle, unsigned>> heap_;
     std::vector<ExecContext> ctxPool_;
-    /**
-     * Non-null exactly while a weave capture pass is in flight: the
-     * inline access paths branch on it to log records instead of
-     * simulating the hierarchy. Points at runPhaseWeave()'s stack
-     * state; cleared (exception-safely) before the bound lanes run.
-     */
-    WeavePhaseState *weave_ = nullptr;
-    /** Persistent bound-lane worker pool, created on first weave phase. */
-    std::unique_ptr<WeavePool> weavePool_;
-    /** Accumulated weave pass wall times (see WeaveProfile). */
-    WeaveProfile weaveProf_;
 };
 
 // ExecContext::access issues through the engine's MemorySystem, whose
@@ -235,10 +166,6 @@ class ExecEngine
 inline void
 ExecContext::access(AddressSpace &space, VAddr va, MemOp op)
 {
-    if (engine_->weave_) {
-        engine_->captureAccess(*this, space, va, op, proc_->cluster());
-        return;
-    }
     const AccessResult r = engine_->mem_.access(core_, space, va, op, now_,
                                                 proc_->cluster());
     now_ = r.finish;

@@ -10,7 +10,6 @@
 #include "core/ironhide.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
-#include "harness/weave.hh"
 #include "sim/log.hh"
 
 namespace ih
@@ -284,10 +283,6 @@ runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
     out.run = app.run(opts);
     if (out.decidedSplit == 0)
         out.decidedSplit = model->secureCoreCount();
-    const ExecEngine::WeaveProfile &wp = sys.engine().weaveProfile();
-    out.weaveCaptureSec = wp.captureSec;
-    out.weaveBoundSec = wp.boundSec;
-    out.weaveWeaveSec = wp.weaveSec;
     return out;
 }
 
@@ -301,7 +296,6 @@ SysConfig
 benchConfig()
 {
     SysConfig cfg;
-    applyWeaveEnv(cfg);
     cfg.validate();
     return cfg;
 }

@@ -419,7 +419,7 @@ const char *jsonReportPath(int argc, char **argv);
 
 /**
  * Bench plumbing: when argv carries "--json <path>", write the sweep
- * report there and inform() about it. Returns true when written.
+ * report there and print its path. Returns true when written.
  */
 bool maybeWriteJsonReport(int argc, char **argv,
                           const std::string &sweep_id,

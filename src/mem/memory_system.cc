@@ -219,7 +219,7 @@ MemorySystem::noteBlocked(ProcId proc, Cycle t)
 Cycle
 MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
                            const ClusterRange &cluster, CoreId home,
-                           ProcId proc, Domain domain, bool *l2_hit)
+                           ProcId proc, Domain domain, bool &l2_hit)
 {
     // ---- L2 home ----------------------------------------------------------
     t = net_.traverse(core, home, t, 1, cluster);
@@ -244,8 +244,7 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
         l2_line = l2s_[home]->findLine(pa);
         IH_ASSERT(l2_line, "L2 line vanished after insert");
     } else {
-        if (l2_hit)
-            *l2_hit = true;
+        l2_hit = true;
         // Another L1 may own the line dirty; fetch/forward it.
         if (l2_line->sharers != 0 &&
             !Directory::soleSharer(l2_line->sharers, core)) {
@@ -276,17 +275,6 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
     return t;
 }
 
-void
-MemorySystem::applyL1Victim(CoreId core, const CacheLine &victim, Cycle t)
-{
-    if (victim.dirty)
-        writebackVictim(victim, t);
-    // Keep the directory honest: drop the victim's sharer bit.
-    const CoreId vhome = homeOfPhys(victim.lineAddr);
-    if (CacheLine *vl = l2s_[vhome]->findLine(victim.lineAddr))
-        vl->sharers = Directory::removeSharer(vl->sharers, core);
-}
-
 AccessResult
 MemorySystem::accessMiss(CoreId core, AddressSpace &space,
                          const PageInfo &info, Addr pa, MemOp op, Cycle t,
@@ -297,12 +285,18 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
     const CoreId home = homeFromInfo(space, info, line_pa);
 
     t = missProtocol(core, pa, op, t, cluster, home, proc, space.domain(),
-                     &res.l2Hit);
+                     res.l2Hit);
 
     // ---- Fill L1 -----------------------------------------------------------
     const Eviction l1_ev = l1s_[core]->insert(pa, proc, space.domain());
-    if (l1_ev.happened)
-        applyL1Victim(core, l1_ev.victim, t);
+    if (l1_ev.happened) {
+        if (l1_ev.victim.dirty)
+            writebackVictim(l1_ev.victim, t);
+        // Keep the directory honest: drop the victim's sharer bit.
+        const CoreId vhome = homeOfPhys(l1_ev.victim.lineAddr);
+        if (CacheLine *vl = l2s_[vhome]->findLine(l1_ev.victim.lineAddr))
+            vl->sharers = Directory::removeSharer(vl->sharers, core);
+    }
     CacheLine *l1_line = l1s_[core]->findLine(pa);
     IH_ASSERT(l1_line, "L1 line vanished after insert");
     l1_line->writable = (op == MemOp::STORE);
@@ -312,44 +306,6 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
     t = net_.traverse(home, core, t, dataFlits_, cluster);
     res.finish = t;
     return res;
-}
-
-MemorySystem::CaptureProbe
-MemorySystem::captureAccess(CoreId core, AddressSpace &space, VAddr va)
-{
-    IH_ASSERT(core < l1s_.size(), "access from core %u out of range", core);
-    statAccesses_.inc();
-    const PageInfo &info = space.ensureMapped(va);
-    CaptureProbe p;
-    p.proc = space.proc();
-    p.domain = space.domain();
-    p.pa = info.ppage + (va & static_cast<VAddr>(cfg_.pageBytes - 1));
-    // Same check-before-TLB-fill discipline as accessSlow(): a blocked
-    // access leaves no trace beyond its counters and audit record; in
-    // particular the bound lane will charge the walk but install
-    // nothing.
-    if (!checker_.allows(p.domain, regionOf(p.pa))) {
-        p.blocked = true;
-        statBlockedAccesses_.inc();
-        return p;
-    }
-    noteHome(space, info);
-    statL1Accesses_.inc();
-    const Addr line_pa = p.pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    p.home = homeFromInfo(space, info, line_pa);
-    return p;
-}
-
-Cycle
-MemorySystem::weaveMiss(CoreId core, Addr pa, MemOp op, Cycle t,
-                        const ClusterRange &cluster, CoreId home,
-                        ProcId proc, Domain domain, const CacheLine *victim)
-{
-    t = missProtocol(core, pa, op, t, cluster, home, proc, domain,
-                     /*l2_hit=*/nullptr);
-    if (victim)
-        applyL1Victim(core, *victim, t);
-    return net_.traverse(home, core, t, dataFlits_, cluster);
 }
 
 AccessResult

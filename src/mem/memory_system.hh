@@ -188,80 +188,6 @@ class MemorySystem
                                  VAddr va, MemOp op, Cycle when,
                                  const ClusterRange &cluster);
 
-    // --- Bound-weave engine hooks ----------------------------------------
-    //
-    // The weave engine (src/cpu/exec_engine_weave.cc) splits access()
-    // into three passes: a serial *capture* (translation mapping +
-    // region check + aggregate counters, below), a parallel *bound*
-    // replay of each domain's private L1/TLB traffic against the
-    // per-core objects (driving Tlb/Cache directly — their per-object
-    // stats make lane work unobservable across worker counts), and a
-    // serial *weave* replay of the shared-state remnant (L2, directory,
-    // controllers, network) through the same missProtocol() /
-    // upgradeLine() machinery the serial engine uses. Nothing here is a
-    // second protocol implementation — the hooks only re-partition the
-    // existing one.
-
-    /** What the capture pass learns about one access. */
-    struct CaptureProbe
-    {
-        Addr pa = 0;       ///< translated physical address
-        CoreId home = 0;   ///< L2 home slice (valid unless blocked)
-        ProcId proc = 0;
-        Domain domain = Domain::INSECURE;
-        bool blocked = false; ///< rejected by the region check
-    };
-
-    /**
-     * Capture pass of one access: map the page, run the region check
-     * and charge the aggregate access counters (accesses, l1_accesses /
-     * blocked_accesses) exactly as the serial path would. Mutates only
-     * the address space, the homing maps and those counters — the
-     * TLB/L1 state transitions belong to the bound lanes.
-     */
-    CaptureProbe captureAccess(CoreId core, AddressSpace &space, VAddr va);
-
-    /**
-     * Weave replay of an L1 miss whose local half (TLB + L1 fill) a
-     * bound lane already performed: the missProtocol() journey from the
-     * post-L1-lookup time @p t, the deferred @p victim writeback (null
-     * when the fill evicted nothing), and the data response.
-     * @return completion time.
-     */
-    Cycle weaveMiss(CoreId core, Addr pa, MemOp op, Cycle t,
-                    const ClusterRange &cluster, CoreId home, ProcId proc,
-                    Domain domain, const CacheLine *victim);
-
-    /** Weave replay of a store hit on a non-writable line. */
-    Cycle
-    weaveUpgrade(CoreId core, Addr line_pa, CoreId home, Cycle t,
-                 const ClusterRange &cluster)
-    {
-        return upgradeLine(core, line_pa, home, t, cluster);
-    }
-
-    /** Weave replay of a blocked access: the audit record only (the
-     *  blocked_accesses counter was charged at capture). */
-    void
-    weaveBlocked(ProcId proc, Cycle t)
-    {
-        if (audit_)
-            noteBlocked(proc, t);
-    }
-
-    /**
-     * Fold the bound lanes' private-path tallies into the aggregate
-     * counters (called once per quantum, in domain order, so the totals
-     * match the serial engine's per-access increments).
-     */
-    void
-    applyWeaveLaneCounters(std::uint64_t tlb_misses,
-                           std::uint64_t l1_misses)
-    {
-        statTlbMisses_.inc(tlb_misses);
-        statL1Misses_.inc(l1_misses);
-    }
-
     // --- Security / reconfiguration operations --------------------------
 
     /** Install the value-type per-access region check. */
@@ -362,17 +288,12 @@ class MemorySystem
      * The shared-state journey of an L1 miss, from the post-L1-lookup
      * time @p t to the moment the home slice can send the data response:
      * request traverse, L2 lookup (controller fetch or dirty forward),
-     * store invalidations, sharer-bit update. Both engines' miss paths
-     * are this one function; @p l2_hit (optional) reports the L2 hit
-     * flag for AccessResult.
+     * store invalidations, sharer-bit update. Sets @p l2_hit on an L2
+     * hit and leaves it untouched otherwise.
      */
     Cycle missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
                        const ClusterRange &cluster, CoreId home,
-                       ProcId proc, Domain domain, bool *l2_hit);
-
-    /** L1-fill victim handling: dirty writeback at @p t plus the
-     *  directory sharer-bit drop. */
-    void applyL1Victim(CoreId core, const CacheLine &victim, Cycle t);
+                       ProcId proc, Domain domain, bool &l2_hit);
 
     /**
      * Common L1 stage of access()/accessSlow(): charge the L1 latency

@@ -26,49 +26,6 @@ Network::unloadedLatency(CoreId src, CoreId dst) const
            cfg_.hopLatency;
 }
 
-unsigned
-Network::routeDomainCrossings(CoreId src, CoreId dst,
-                              const ClusterRange &cluster) const
-{
-    if (src == dst)
-        return 0;
-    const Coord s = topo_.coordOf(src);
-    const Coord e = topo_.coordOf(dst);
-    const RouteOrder order = router_.selectOrder(src, s, cluster);
-    unsigned crossings = 0;
-    int x = s.x;
-    int y = s.y;
-    unsigned dom = cfg_.weaveDomainOf(src);
-    const auto visit = [&](int nx, int ny) {
-        const unsigned d =
-            cfg_.weaveDomainOf(topo_.tileAt(Coord{nx, ny}));
-        if (d != dom) {
-            ++crossings;
-            dom = d;
-        }
-    };
-    const auto walk_x = [&]() {
-        for (; x < e.x; ++x)
-            visit(x + 1, y);
-        for (; x > e.x; --x)
-            visit(x - 1, y);
-    };
-    const auto walk_y = [&]() {
-        for (; y < e.y; ++y)
-            visit(x, y + 1);
-        for (; y > e.y; --y)
-            visit(x, y - 1);
-    };
-    if (order == RouteOrder::XY) {
-        walk_x();
-        walk_y();
-    } else {
-        walk_y();
-        walk_x();
-    }
-    return crossings;
-}
-
 void
 Network::resetLinkState()
 {

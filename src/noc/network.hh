@@ -4,12 +4,10 @@
  *
  * The network charges a fixed per-hop latency plus contention: each
  * directed link keeps a next-free-time and packets reserve the links on
- * their path in order. Both phase engines keep the reservations in
- * (approximately) global time order, which makes this classic analytic
- * contention model consistent: the serial engine always advances the
- * globally earliest thread, and the weave engine replays each quantum's
- * traversals serially at the barrier in canonical captured-time order
- * (src/cpu/exec_engine_weave.cc).
+ * their path in order. Because the execution engine always advances the
+ * globally earliest thread, reservations are made in (approximately)
+ * global time order, which makes this classic analytic contention model
+ * consistent.
  *
  * The network also owns the isolation bookkeeping: every traversal is
  * checked against the active cluster map and any route that leaves its
@@ -83,17 +81,6 @@ class Network
 
     /** Latency (no state update) of a one-way traversal without load. */
     Cycle unloadedLatency(CoreId src, CoreId dst) const;
-
-    /**
-     * How many hops of the route the router would select from @p src
-     * to @p dst (under @p cluster's dimension-order rules) cross a
-     * weave-domain boundary (SysConfig::weaveDomainOf). Pure
-     * classification — no reservation or counter moves. Telemetry for
-     * the bound-weave engine: the share of boundary-crossing hops is
-     * the traffic fraction whose timing the weave barrier corrects.
-     */
-    unsigned routeDomainCrossings(CoreId src, CoreId dst,
-                                  const ClusterRange &cluster) const;
 
     /** Reset all link reservations (used between experiment phases). */
     void resetLinkState();

@@ -68,14 +68,6 @@ SysConfig::set(const std::string &key, const std::string &value)
                   value.c_str());
     }
     else if (key == "domains") domains = as_u();
-    else if (key == "engine") {
-        if (value == "serial") engine = EngineKind::SERIAL;
-        else if (value == "weave") engine = EngineKind::WEAVE;
-        else fatal("unknown engine '%s' (serial|weave)", value.c_str());
-    }
-    else if (key == "weaveDomains") weaveDomains = as_u();
-    else if (key == "weaveQuantum") weaveQuantum = as_cyc();
-    else if (key == "weaveWorkers") weaveWorkers = as_u();
     else
         fatal("unknown config key '%s'", key.c_str());
     return *this;
@@ -115,12 +107,6 @@ SysConfig::validate() const
         fatal("workScale must be positive");
     if (domains == 0 || domains > 256)
         fatal("domains must be in [1, 256] (got %u)", domains);
-    if (weaveDomains == 0 || weaveDomains > 64)
-        fatal("weaveDomains must be in [1, 64] (got %u)", weaveDomains);
-    if (weaveQuantum == 0)
-        fatal("weaveQuantum must be nonzero");
-    if (weaveWorkers > 256)
-        fatal("weaveWorkers must be in [0, 256] (got %u)", weaveWorkers);
 }
 
 SysConfig

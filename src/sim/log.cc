@@ -10,8 +10,6 @@ namespace ih
 namespace
 {
 
-LogLevel g_level = LogLevel::QUIET;
-
 /** Format @p fmt / @p ap into a string. */
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -39,18 +37,6 @@ emit(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -76,28 +62,6 @@ warn(const char *fmt, ...)
     va_list ap;
     va_start(ap, fmt);
     emit("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::INFO)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-trace(const char *fmt, ...)
-{
-    if (g_level < LogLevel::TRACE)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("trace", fmt, ap);
     va_end(ap);
 }
 

@@ -7,10 +7,6 @@
  *  - fatal():  the simulation cannot continue because of a user error
  *              (bad configuration, invalid arguments); exits with code 1.
  *  - warn():   something is questionable but the run continues.
- *  - inform(): plain status output.
- *
- * A process-global verbosity level gates inform()/trace output so tests
- * and benches stay quiet by default.
  */
 
 #ifndef IH_SIM_LOG_HH
@@ -22,20 +18,6 @@
 namespace ih
 {
 
-/** Verbosity levels for non-fatal output. */
-enum class LogLevel : int
-{
-    QUIET = 0,   ///< only warnings and errors
-    INFO = 1,    ///< inform() messages
-    TRACE = 2,   ///< per-event trace output
-};
-
-/** Set the global verbosity (default QUIET). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
 /** Abort with a message; for internal invariant violations. */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -46,12 +28,6 @@ LogLevel logLevel();
 
 /** Print a warning; never stops the run. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message when the log level allows. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a trace message when the log level allows. */
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

@@ -7,42 +7,6 @@
 namespace ih
 {
 
-Histogram::Histogram(unsigned num_buckets, double max)
-    : buckets_(num_buckets == 0 ? 1 : num_buckets, 0),
-      bucket_width_(max / static_cast<double>(buckets_.size()))
-{
-    IH_ASSERT(max > 0.0, "histogram max must be positive");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    sum_ += v;
-    if (v > max_seen_)
-        max_seen_ = v;
-    auto idx = static_cast<std::size_t>(v / bucket_width_);
-    if (idx >= buckets_.size())
-        idx = buckets_.size() - 1;
-    ++buckets_[idx];
-}
-
-double
-Histogram::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    count_ = 0;
-    sum_ = 0.0;
-    max_seen_ = 0.0;
-}
-
 Counter &
 StatGroup::counter(const std::string &name)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, ratio helpers,
- * histograms and geometric-mean aggregation. Components own a StatGroup
+ * Lightweight statistics package: named scalar counters, ratio helpers
+ * and geometric-mean aggregation. Components own a StatGroup
  * and register their counters there; the harness walks groups to print
  * per-run summaries.
  */
@@ -30,28 +30,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Fixed-bucket histogram over a [0, max) value range. */
-class Histogram
-{
-  public:
-    /** @param num_buckets bucket count; @param max upper bound of range. */
-    Histogram(unsigned num_buckets = 16, double max = 1024.0);
-
-    void sample(double v);
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double maxSeen() const { return max_seen_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    double bucket_width_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double max_seen_ = 0.0;
 };
 
 /**

@@ -1,11 +1,14 @@
 /**
  * @file
  * Execution-engine tests: phase semantics, min-time-first ordering,
- * thread-to-core multiplexing, compute/sync charging, IPC scoping, and
- * the TDM bandwidth-reservation alternative of the memory controller.
+ * thread-to-core multiplexing, compute/sync charging, IPC scoping,
+ * engine reuse after a throwing task, and the TDM bandwidth-reservation
+ * alternative of the memory controller.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "core/system.hh"
 #include "cpu/exec_engine.hh"
@@ -169,6 +172,38 @@ TEST(ExecEngine, CoreTracksRetirement)
     r.sys.engine().runPhase(p, task, 0);
     EXPECT_EQ(r.sys.engine().core(3).instructions(), 50u);
     EXPECT_EQ(r.sys.engine().core(3).busyUntil(), 50u);
+}
+
+TEST(ExecEngine, TaskExceptionLeavesEngineReusable)
+{
+    // A task throwing mid-phase must propagate out of runPhase and leave
+    // the engine's pooled per-phase state (contexts, runnable heap, core
+    // availability) ready for the next phase.
+    class ThrowingTask : public SteppableTask
+    {
+      public:
+        bool
+        step(ExecContext &ctx) override
+        {
+            if (++n_ > 5)
+                throw std::runtime_error("task boom");
+            ctx.load(0x1000ull * n_);
+            return true;
+        }
+
+      private:
+        unsigned n_ = 0;
+    };
+
+    Rig r;
+    Process &p = r.sys.createProcess("p", Domain::INSECURE, 4);
+    ThrowingTask bad;
+    EXPECT_THROW(r.sys.engine().runPhase(p, bad, 0), std::runtime_error);
+    ComputeTask ok(10, 7);
+    const PhaseResult res = r.sys.engine().runPhase(p, ok, 100);
+    EXPECT_EQ(res.steps, 40u);
+    EXPECT_EQ(res.finish, 170u);
+    EXPECT_EQ(res.instructions, 4u * 10 * 7);
 }
 
 TEST(ExecEngine, PipelineFlushCharges)

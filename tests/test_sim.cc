@@ -148,20 +148,6 @@ TEST(Stats, StatGroupGetOrCreate)
     EXPECT_EQ(g.value("a"), 0u);
 }
 
-TEST(Stats, HistogramMeanAndBuckets)
-{
-    Histogram h(4, 100.0);
-    h.sample(10.0);
-    h.sample(30.0);
-    h.sample(110.0); // clamps into the last bucket
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_NEAR(h.mean(), 50.0, 1e-9);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_NEAR(h.maxSeen(), 110.0, 1e-9);
-}
-
 TEST(Stats, GeomeanKnownValues)
 {
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
