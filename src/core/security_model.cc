@@ -21,8 +21,25 @@ archName(ArchKind k)
     return "unknown";
 }
 
+namespace
+{
+
+/** Controller ids 0 .. @p n - 1. */
+std::vector<McId>
+mcIds(unsigned n)
+{
+    std::vector<McId> out;
+    for (McId m = 0; m < n; ++m)
+        out.push_back(m);
+    return out;
+}
+
+} // namespace
+
 SecurityModel::SecurityModel(System &sys, std::string name)
-    : sys_(sys), name_(std::move(name)), purge_(sys)
+    : sys_(sys), name_(std::move(name)),
+      allTiles_(sys.prefixTiles(sys.numTiles())),
+      allMcs_(mcIds(sys.mem().numMcs())), purge_(sys)
 {
 }
 
@@ -42,24 +59,6 @@ SecurityModel::assignWholeMachine(const std::vector<Process *> &procs)
             p->setCores(sys_.suffixTiles(half));
         p->setCluster(whole);
     }
-}
-
-std::vector<CoreId>
-SecurityModel::allTiles() const
-{
-    std::vector<CoreId> out;
-    for (CoreId t = 0; t < sys_.numTiles(); ++t)
-        out.push_back(t);
-    return out;
-}
-
-std::vector<McId>
-SecurityModel::allMcs() const
-{
-    std::vector<McId> out;
-    for (McId m = 0; m < sys_.mem().numMcs(); ++m)
-        out.push_back(m);
-    return out;
 }
 
 std::unique_ptr<SecurityModel>

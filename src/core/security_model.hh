@@ -125,14 +125,16 @@ class SecurityModel
     /** Give every process every core with machine-wide scope. */
     void assignWholeMachine(const std::vector<Process *> &procs);
 
-    /** All tile ids. */
-    std::vector<CoreId> allTiles() const;
+    /** All tile ids, built once: MI6 purges them on every transition. */
+    const std::vector<CoreId> &allTiles() const { return allTiles_; }
 
-    /** All controller ids. */
-    std::vector<McId> allMcs() const;
+    /** All controller ids, built once. */
+    const std::vector<McId> &allMcs() const { return allMcs_; }
 
     System &sys_;
     std::string name_;
+    const std::vector<CoreId> allTiles_;
+    const std::vector<McId> allMcs_;
     PurgeEngine purge_;
     EnclaveTable enclaves_;
     Cycle reconfigOverhead_ = 0;

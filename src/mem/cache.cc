@@ -73,6 +73,8 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
         statEvictions_.inc();
         if (victim.dirty)
             statDirtyEvictions_.inc();
+    } else {
+        ++valid_; // a free way: the fill adds a line, an eviction doesn't
     }
 
     CacheLine &line = lineAt(set, way);
@@ -103,6 +105,7 @@ Cache::invalidateLine(Addr addr)
         if (line.valid && line.lineAddr == la) {
             CacheLine copy = line;
             line.valid = false;
+            --valid_;
             statInvalidations_.inc();
             return copy;
         }
@@ -110,22 +113,11 @@ Cache::invalidateLine(Addr addr)
     return std::nullopt;
 }
 
-unsigned
-Cache::flushAll(const std::function<void(const CacheLine &)> &on_dirty)
+void
+Cache::noteFlush(unsigned lines)
 {
-    unsigned flushed = 0;
-    for (auto &line : lines_) {
-        if (!line.valid)
-            continue;
-        ++flushed;
-        if (line.dirty && on_dirty)
-            on_dirty(line);
-        line.valid = false;
-    }
-    repl_->reset();
-    stats_.counter("flushes").inc();
-    stats_.counter("flushed_lines").inc(flushed);
-    return flushed;
+    stats_.lazyCounter(statFlushes_, "flushes").inc();
+    stats_.lazyCounter(statFlushedLines_, "flushed_lines").inc(lines);
 }
 
 unsigned
@@ -153,15 +145,6 @@ Cache::validLinesOfProc(ProcId proc) const
     for (const auto &line : lines_)
         n += (line.valid && line.ownerProc == proc) ? 1 : 0;
     return n;
-}
-
-void
-Cache::forEachLine(const std::function<void(CacheLine &)> &fn)
-{
-    for (auto &line : lines_) {
-        if (line.valid)
-            fn(line);
-    }
 }
 
 } // namespace ih

@@ -14,18 +14,25 @@
  * flushAll()/invalidateLine() really erase state, so locality loss after
  * a purge is an emergent property of the simulation rather than a
  * constant in a cost model.
+ *
+ * The cache keeps an occupancy count of its valid lines, updated at
+ * every validity change (fill, invalidateLine, flushAll), so a flush of
+ * an empty cache returns without scanning the tag array. Only this
+ * class writes CacheLine::valid; the mutable line pointers it hands out
+ * are for coherence metadata (dirty, writable, sharers).
  */
 
 #ifndef IH_MEM_CACHE_HH
 #define IH_MEM_CACHE_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/replacement.hh"
+#include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -153,15 +160,54 @@ class Cache
     std::optional<CacheLine> invalidateLine(Addr addr);
 
     /**
-     * Flush-and-invalidate the whole cache.
+     * Flush-and-invalidate the whole cache. Takes the dirty-line visitor
+     * as a template parameter, like Directory::forEachSharer, so the
+     * purge loop never type-erases. An empty cache counts the flush and
+     * returns without scanning.
      * @param on_dirty invoked for every dirty line written back.
      * @return number of lines that were valid.
      */
-    unsigned flushAll(const std::function<void(const CacheLine &)> &on_dirty
-                      = {});
+    template <typename Fn>
+    unsigned
+    flushAll(Fn &&on_dirty)
+    {
+        if (valid_ == 0) {
+            IH_DEBUG_ASSERT(validLines() == 0,
+                            "%s: occupancy 0 but %u lines valid",
+                            name_.c_str(), validLines());
+            noteFlush(0);
+            return 0;
+        }
+        unsigned flushed = 0;
+        for (auto &line : lines_) {
+            if (!line.valid)
+                continue;
+            ++flushed;
+            if (line.dirty)
+                on_dirty(std::as_const(line));
+            line.valid = false;
+        }
+        IH_DEBUG_ASSERT(flushed == valid_,
+                        "%s: occupancy %u but %u lines valid",
+                        name_.c_str(), valid_, flushed);
+        valid_ = 0;
+        noteFlush(flushed);
+        return flushed;
+    }
 
-    /** Count currently valid lines. */
+    /** flushAll() with no dirty-line visitor. */
+    unsigned
+    flushAll()
+    {
+        return flushAll([](const CacheLine &) {});
+    }
+
+    /** Count currently valid lines by scanning the tag array. */
     unsigned validLines() const;
+
+    /** The occupancy count: valid lines, kept without a scan. Always
+     *  equal to validLines(). */
+    unsigned occupancy() const { return valid_; }
 
     /** Count valid lines owned by @p domain. */
     unsigned validLinesOf(Domain domain) const;
@@ -174,8 +220,19 @@ class Cache
      */
     unsigned validLinesOfProc(ProcId proc) const;
 
-    /** Visit every valid line (mutable access, for remapping). */
-    void forEachLine(const std::function<void(CacheLine &)> &fn);
+    /**
+     * Visit every valid line, read-only: a visitor cannot clear a
+     * line's valid bit behind the occupancy count's back.
+     */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const auto &line : lines_) {
+            if (line.valid)
+                fn(line);
+        }
+    }
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -197,6 +254,9 @@ class Cache
   private:
     CacheLine &lineAt(unsigned set, unsigned way);
     const CacheLine &lineAt(unsigned set, unsigned way) const;
+
+    /** Count one flush that dropped @p lines valid lines. */
+    void noteFlush(unsigned lines);
 
     std::string name_;
     unsigned numSets_;
@@ -220,6 +280,11 @@ class Cache
     Counter &statEvictions_;
     Counter &statDirtyEvictions_;
     Counter &statInvalidations_;
+    // Flush counters bind on the first flush: a cache never flushed
+    // lists no flush entries at all.
+    Counter *statFlushes_ = nullptr;
+    Counter *statFlushedLines_ = nullptr;
+    unsigned valid_ = 0; ///< occupancy count (see occupancy())
 };
 
 } // namespace ih

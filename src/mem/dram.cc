@@ -41,7 +41,7 @@ Dram::closeAllRows()
 {
     for (auto &r : openRow_)
         r = -1;
-    stats_.counter("row_purges").inc();
+    stats_.lazyCounter(statRowPurges_, "row_purges").inc();
 }
 
 } // namespace ih

@@ -50,6 +50,9 @@ class Dram
     // Per-access counters bound once (StatGroup references are stable).
     Counter &statRowHits_;
     Counter &statRowMisses_;
+    /** Bound by the first closeAllRows(), so a channel never purged
+     *  lists no row_purges entry. */
+    Counter *statRowPurges_ = nullptr;
 };
 
 } // namespace ih

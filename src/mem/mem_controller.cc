@@ -88,8 +88,9 @@ MemController::drain(Cycle when)
     // interval per pending write.
     const Cycle cost = cfg_.mcDrainBase +
                        pendingWrites_ * cfg_.mcServiceInterval;
-    stats_.counter("drains").inc();
-    stats_.counter("drained_writes").inc(pendingWrites_);
+    stats_.lazyCounter(statDrains_, "drains").inc();
+    stats_.lazyCounter(statDrainedWrites_, "drained_writes")
+        .inc(pendingWrites_);
     pendingWrites_ = 0;
     dram_.closeAllRows();
     const Cycle done = std::max(when, nextFree_) + cost;

@@ -105,6 +105,10 @@ class MemController
     Counter &statWrites_;
     Counter &statQueueWaitCycles_;
     Counter &statTdmSlots_;
+    // Drain counters bind on the first drain: a controller never
+    // drained lists no drain entries.
+    Counter *statDrains_ = nullptr;
+    Counter *statDrainedWrites_ = nullptr;
 };
 
 } // namespace ih

@@ -384,9 +384,9 @@ MemorySystem::purgePrivate(const std::vector<CoreId> &cores, Cycle when)
                 cfg_.l1PurgePerLine +
             static_cast<Cycle>(tlb_entries) * cfg_.tlbPurgePerEntry;
         done = std::max(done, when + cost); // cores purge in parallel
-        stats_.counter("private_purges").inc();
+        stats_.lazyCounter(statPrivatePurges_, "private_purges").inc();
     }
-    stats_.counter("purge_cycles").inc(done - when);
+    stats_.lazyCounter(statPurgeCycles_, "purge_cycles").inc(done - when);
     return done;
 }
 
@@ -416,7 +416,7 @@ MemorySystem::rehomePages(AddressSpace &space,
         }
         auto &slice = l2s_[s];
         std::vector<Addr> to_drop;
-        slice->forEachLine([&](CacheLine &line) {
+        slice->forEachLine([&](const CacheLine &line) {
             if (line.ownerProc == space.proc())
                 to_drop.push_back(line.lineAddr);
         });

@@ -462,6 +462,10 @@ class MemorySystem
     Counter &statL1Writebacks_;
     Counter &statL2Evictions_;
     Counter &statBackInvalidations_;
+    // Purge counters bind on the first purge, so a machine never purged
+    // lists no purge entries.
+    Counter *statPrivatePurges_ = nullptr;
+    Counter *statPurgeCycles_ = nullptr;
 };
 
 } // namespace ih

@@ -46,13 +46,6 @@ LruPolicy::victim(unsigned set)
     return best;
 }
 
-void
-LruPolicy::reset()
-{
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    tick_ = 0;
-}
-
 namespace
 {
 
@@ -112,12 +105,6 @@ TreePlruPolicy::victim(unsigned set)
     return std::min(lo, assoc_ - 1);
 }
 
-void
-TreePlruPolicy::reset()
-{
-    std::fill(bits_.begin(), bits_.end(), 0);
-}
-
 RandomPolicy::RandomPolicy(unsigned num_sets, unsigned assoc,
                            std::uint64_t seed)
     : ReplacementPolicy(num_sets, assoc), rng_(seed)
@@ -134,11 +121,6 @@ RandomPolicy::victim(unsigned set)
 {
     IH_ASSERT(set < numSets_, "random victim out of range");
     return static_cast<unsigned>(rng_.nextRange(assoc_));
-}
-
-void
-RandomPolicy::reset()
-{
 }
 
 } // namespace ih

@@ -4,6 +4,15 @@
  * manages the metadata of every set of one cache; ways are identified by
  * (set, way) pairs. Policies are deliberately stateless about tags so the
  * cache model owns all tag/valid bookkeeping.
+ *
+ * A flush needs no policy reset. victim() runs only on a set whose ways
+ * are all valid, and a way becomes valid only through a fill, which
+ * touches it; so by the time a flushed set next picks a victim, every
+ * way's state was written after the flush. LRU compares those stamps,
+ * whose order does not depend on where the tick counter stands. In
+ * tree-PLRU the fills rewrite every node on a real way's path, and the
+ * nodes that lead only to padding ways are never written at all.
+ * Random keeps no per-way state.
  */
 
 #ifndef IH_MEM_REPLACEMENT_HH
@@ -35,9 +44,6 @@ class ReplacementPolicy
     /** Choose the victim way in @p set (all ways valid). */
     virtual unsigned victim(unsigned set) = 0;
 
-    /** Forget everything (e.g. after a purge). */
-    virtual void reset() = 0;
-
     virtual const char *name() const = 0;
 
     unsigned numSets() const { return numSets_; }
@@ -61,7 +67,6 @@ class LruPolicy : public ReplacementPolicy
 
     void touch(unsigned set, unsigned way) override;
     unsigned victim(unsigned set) override;
-    void reset() override;
     const char *name() const override { return "lru"; }
 
     /**
@@ -88,7 +93,6 @@ class TreePlruPolicy : public ReplacementPolicy
 
     void touch(unsigned set, unsigned way) override;
     unsigned victim(unsigned set) override;
-    void reset() override;
     const char *name() const override { return "plru"; }
 
   private:
@@ -104,7 +108,6 @@ class RandomPolicy : public ReplacementPolicy
 
     void touch(unsigned set, unsigned way) override;
     unsigned victim(unsigned set) override;
-    void reset() override;
     const char *name() const override { return "random"; }
 
   private:

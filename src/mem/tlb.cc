@@ -1,5 +1,7 @@
 #include "mem/tlb.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace ih
@@ -54,6 +56,7 @@ Tlb::insert(VAddr vaddr, Addr ppage, ProcId proc, Domain domain)
     for (unsigned w = 0; w < ways_; ++w) {
         if (!set[w].valid) {
             slot = &set[w];
+            ++valid_;
             break;
         }
     }
@@ -82,12 +85,24 @@ unsigned
 Tlb::flushAll()
 {
     unsigned n = 0;
-    for (auto &e : entries_) {
-        n += e.valid ? 1 : 0;
-        e.valid = false;
+    if (valid_ == 0) {
+        IH_DEBUG_ASSERT(std::none_of(entries_.begin(), entries_.end(),
+                                     [](const TlbEntry &e) {
+                                         return e.valid;
+                                     }),
+                        "%s: occupancy 0 but entries valid",
+                        stats_.name().c_str());
+    } else {
+        for (auto &e : entries_) {
+            n += e.valid ? 1 : 0;
+            e.valid = false;
+        }
+        IH_DEBUG_ASSERT(n == valid_, "%s: occupancy %u but %u entries valid",
+                        stats_.name().c_str(), valid_, n);
+        valid_ = 0;
     }
-    stats_.counter("flushes").inc();
-    stats_.counter("flushed_entries").inc(n);
+    stats_.lazyCounter(statFlushes_, "flushes").inc();
+    stats_.lazyCounter(statFlushedEntries_, "flushed_entries").inc(n);
     return n;
 }
 
@@ -101,7 +116,8 @@ Tlb::flushProc(ProcId proc)
             ++n;
         }
     }
-    stats_.counter("flushed_entries").inc(n);
+    valid_ -= n;
+    stats_.lazyCounter(statFlushedEntries_, "flushed_entries").inc(n);
     return n;
 }
 

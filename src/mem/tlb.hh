@@ -13,6 +13,10 @@
  * entry without scanning the set at all. The predictor is purely an
  * implementation shortcut — hit/miss outcomes, LRU order and every
  * counter are identical with it disabled.
+ *
+ * Like Cache, the TLB keeps an occupancy count of its valid entries
+ * (updated by insert, flushAll and flushProc), so flushing an empty TLB
+ * counts the flush and returns without scanning.
  */
 
 #ifndef IH_MEM_TLB_HH
@@ -112,6 +116,9 @@ class Tlb
     /** Count valid entries belonging to @p domain. */
     unsigned validEntriesOf(Domain domain) const;
 
+    /** The occupancy count: valid entries, kept without a scan. */
+    unsigned occupancy() const { return valid_; }
+
     unsigned capacity() const { return static_cast<unsigned>(
         entries_.size()); }
     unsigned ways() const { return ways_; }
@@ -167,6 +174,11 @@ class Tlb
     Counter &statMisses_;
     Counter &statFills_;
     Counter &statEvictions_;
+    // Flush counters bind on first use: a TLB never flushed lists no
+    // flush entries at all.
+    Counter *statFlushes_ = nullptr;
+    Counter *statFlushedEntries_ = nullptr;
+    unsigned valid_ = 0; ///< occupancy count (see occupancy())
 };
 
 } // namespace ih

@@ -44,6 +44,20 @@ class StatGroup
     /** Get-or-create a counter with @p name. */
     Counter &counter(const std::string &name);
 
+    /**
+     * counter(@p name), bound into @p slot by the first call so later
+     * calls skip the lookup. For event counters (flushes, drains, ...)
+     * that must stay out of the group until their event first fires:
+     * binding them at construction would list a zero entry.
+     */
+    Counter &
+    lazyCounter(Counter *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &counter(name);
+        return *slot;
+    }
+
     /** Value of a counter, zero when absent. */
     std::uint64_t value(const std::string &name) const;
 

@@ -161,6 +161,22 @@ TEST(MemorySystem, PurgeIsParallelAcrossCores)
     // Re-purge (caches empty but the dummy-buffer cost is geometric).
     const Cycle all = r.mem.purgePrivate({0, 1, 2, 3, 4, 5}, 0);
     EXPECT_EQ(one, all); // max, not sum
+
+    // An empty L1 or TLB skips its scan but still counts the flush, so
+    // the counter maps match a scanning purge. Core 1 never ran and was
+    // purged once; core 6 was never purged and lists no flush entry.
+    const StatGroup &l1 = r.mem.l1(1).stats();
+    EXPECT_EQ(l1.value("flushes"), 1u);
+    EXPECT_EQ(l1.counters().count("flushed_lines"), 1u);
+    EXPECT_EQ(l1.value("flushed_lines"), 0u);
+    const StatGroup &tlb = r.mem.tlb(1).stats();
+    EXPECT_EQ(tlb.value("flushes"), 1u);
+    EXPECT_EQ(tlb.counters().count("flushed_entries"), 1u);
+    EXPECT_EQ(tlb.value("flushed_entries"), 0u);
+    EXPECT_EQ(r.mem.l1(0).stats().value("flushes"), 2u);
+    EXPECT_EQ(r.mem.l1(6).stats().counters().count("flushes"), 0u);
+    EXPECT_EQ(r.mem.tlb(6).stats().counters().count("flushes"), 0u);
+    EXPECT_EQ(r.mem.stats().value("private_purges"), 7u);
 }
 
 TEST(MemorySystem, PurgedTlbMissesAgain)

@@ -148,6 +148,19 @@ TEST(Stats, StatGroupGetOrCreate)
     EXPECT_EQ(g.value("a"), 0u);
 }
 
+TEST(Stats, LazyCounterBindsOnFirstUse)
+{
+    StatGroup g("test");
+    Counter *slot = nullptr;
+    EXPECT_TRUE(g.counters().empty()); // nothing listed before the event
+    g.lazyCounter(slot, "events").inc(0);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(g.counters().count("events"), 1u); // a zero entry, listed
+    g.lazyCounter(slot, "events").inc(2);
+    EXPECT_EQ(slot, &g.counter("events"));
+    EXPECT_EQ(g.value("events"), 2u);
+}
+
 TEST(Stats, GeomeanKnownValues)
 {
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);

@@ -179,6 +179,15 @@ class RefFullyAssocTlb
         }
     }
 
+    unsigned
+    validCount() const
+    {
+        unsigned n = 0;
+        for (const auto &e : entries_)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
     std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 
   private:
@@ -201,7 +210,9 @@ TEST(Tlb, WaysEqualEntriesMatchesFullyAssociativeReference)
     // Both the explicit single-set config (ways == entries) and the
     // default (ways = 0) must reproduce the seed's fully associative
     // hit/miss/eviction behaviour on a randomized mixed-proc workload,
-    // way predictor and all.
+    // way predictor and all. The occupancy count must track the
+    // reference's valid entries after every step: a count that drifts
+    // low would let a purge skip a TLB that still holds translations.
     for (unsigned ways : {0u, 16u}) {
         Tlb tlb("t", 16, 4096, ways);
         RefFullyAssocTlb ref(16, 4096);
@@ -210,7 +221,7 @@ TEST(Tlb, WaysEqualEntriesMatchesFullyAssociativeReference)
             // Occasional flushes (purge behaviour) so stale way
             // predictions across invalidation/refill are exercised too.
             if (i % 2929 == 2928) {
-                tlb.flushAll();
+                EXPECT_EQ(tlb.flushAll(), ref.validCount()) << "i=" << i;
                 ref.flushAll();
             } else if (i % 977 == 976) {
                 const ProcId victim =
@@ -218,6 +229,7 @@ TEST(Tlb, WaysEqualEntriesMatchesFullyAssociativeReference)
                 tlb.flushProc(victim);
                 ref.flushProc(victim);
             }
+            ASSERT_EQ(tlb.occupancy(), ref.validCount()) << "i=" << i;
             const ProcId proc = 1 + static_cast<ProcId>(rng.nextRange(3));
             const VAddr va = rng.nextRange(24) * 4096 + rng.nextRange(4096);
             const bool ref_hit = ref.lookup(va, proc);
@@ -228,6 +240,7 @@ TEST(Tlb, WaysEqualEntriesMatchesFullyAssociativeReference)
                 tlb.insert(va, 0xA0000 + (va & ~VAddr(4095)), proc,
                            Domain::SECURE);
             }
+            ASSERT_EQ(tlb.occupancy(), ref.validCount()) << "i=" << i;
         }
         EXPECT_EQ(tlb.hits(), ref.hits_);
         EXPECT_EQ(tlb.misses(), ref.misses_);
