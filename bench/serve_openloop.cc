@@ -56,7 +56,7 @@ const ArchKind kArchs[] = {ArchKind::INSECURE, ArchKind::SGX_LIKE,
 constexpr std::size_t kNumArchs = 4;
 
 LoadLadderOptions
-ladderOptions(const std::vector<AppSpec> &apps)
+ladderOptions()
 {
     LoadLadderOptions opts;
     opts.maxSteps = maxLoadSteps();
@@ -80,50 +80,18 @@ ladderOptions(const std::vector<AppSpec> &apps)
             fatal("unknown IRONHIDE_SERVE_CALIB '%s' (pinned|per-arch)",
                   calib);
     }
-    (void)apps;
     return opts;
 }
 
 std::string
-serveToJson(const std::vector<std::string> &payloads,
-            const PayloadOutcome &out)
+serveToJson(const PayloadOutcome &out)
 {
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("BENCH_serve/v1");
-    w.key("sweep").value("serve_openloop");
-    w.key("jobs").value(std::uint64_t{kNumArchs});
-    if (out.sharded()) {
-        w.key("shard").value(out.shard.str());
-        w.key("shard_jobs").value(std::uint64_t{out.shardJobs()});
-    }
-    w.key("complete").value(out.complete());
-    const std::vector<std::size_t> failed = out.failedCells();
-    if (!failed.empty()) {
-        w.key("failed_cells").beginArray();
-        for (const std::size_t i : failed)
-            w.value(std::uint64_t{i});
-        w.endArray();
-    }
-
-    w.key("results").beginArray();
-    for (std::size_t i = 0; i < kNumArchs; ++i) {
-        const CellOutcome &c = out.cells[i];
-        if (c.status == CellStatus::SKIPPED)
-            continue;
-        w.beginObject();
-        w.key("job").value(std::uint64_t{i});
+    const auto identify = [](JsonWriter &w, std::size_t i) {
         w.key("arch").value(archName(kArchs[i]));
-        w.key("status").value(cellStatusName(c.status, c.attempts));
-        if (c.attempts > 1)
-            w.key("attempts").value(c.attempts);
-        if (!c.ok()) {
-            w.key("error").value(c.error);
-            w.endObject();
-            continue;
-        }
+    };
+    const auto body = [&out](JsonWriter &w, std::size_t i) {
         LoadLadderResult ladder;
-        const bool ok = deserializeLadder(payloads[i], ladder);
+        const bool ok = deserializeLadder(out.payloads[i], ladder);
         IH_ASSERT(ok, "validated ladder payload failed to decode");
         w.key("stop_reason").value(ladder.stopReason);
         w.key("steps").beginArray();
@@ -148,11 +116,9 @@ serveToJson(const std::vector<std::string> &payloads,
             w.endObject();
         }
         w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
+    };
+    return sweepReportJson("BENCH_serve/v1", "serve_openloop", out,
+                           identify, body);
 }
 
 } // namespace
@@ -168,7 +134,7 @@ main(int argc, char **argv)
                          nApps) &&
         nApps > 0)
         apps.resize(nApps);
-    const LoadLadderOptions base = ladderOptions(apps);
+    const LoadLadderOptions base = ladderOptions();
 
     printBanner("Open-loop serving: latency under enclave churn",
                 "Poisson session arrivals on a long-lived machine; "
@@ -176,10 +142,6 @@ main(int argc, char **argv)
                 "architecture.");
     std::printf("sessions/rung %" PRIu64 ", rung bound %u, apps %zu\n\n",
                 base.serve.sessions, base.maxSteps, apps.size());
-
-    jsonReportPath(argc, argv); // fail-fast probe before the runs
-    const SweepRunOptions opts = sweepRunFromArgs(argc, argv);
-    const FaultPlan faults = FaultPlan::fromEnv();
 
     // One job per architecture. The IRONHIDE ladder binds each app's
     // preferred split once (the paper's heuristic) and rebinds the
@@ -210,33 +172,9 @@ main(int argc, char **argv)
         return serializeLadder(r);
     };
 
-    PayloadOutcome out;
-    try {
-        out = runFaultTolerantPayloadSweep("serve_openloop", kNumArchs,
-                                           runJob, validate, perturb,
-                                           opts, faults);
-    } catch (const JournalError &e) {
-        fatal("%s", e.what());
-    }
-
-    if (out.sharded())
-        std::printf("shard %s: %zu of %zu jobs\n", out.shard.str().c_str(),
-                    out.shardJobs(), kNumArchs);
-    if (!opts.journalPath.empty())
-        std::printf("resume: %zu of %zu jobs already complete\n",
-                    out.resumed, out.shardJobs());
-    for (const std::size_t i : out.failedCells()) {
-        const CellOutcome &c = out.cells[i];
-        std::printf("%s job %zu (%s): %s [%u attempt%s]\n",
-                    c.status == CellStatus::TIMEOUT ? "TIMEOUT"
-                                                    : "FAILED",
-                    i, archName(kArchs[i]), c.error.c_str(), c.attempts,
-                    c.attempts == 1 ? "" : "s");
-    }
-    if (!out.complete())
-        std::printf("sweep degraded: %zu of %zu cells failed; the table "
-                    "covers the survivors only\n",
-                    out.failedCells().size(), out.shardJobs());
+    const PayloadOutcome out = runBenchPayloadSweep(
+        argc, argv, "serve_openloop", kNumArchs, runJob, validate, perturb,
+        [](std::size_t i) { return std::string(archName(kArchs[i])); });
 
     Table table({"arch", "offered/s", "goodput/s", "p50(us)", "p99(us)",
                  "p999(us)", "maxq", "reconfigs", "purges", "stop"});
@@ -265,7 +203,7 @@ main(int argc, char **argv)
     table.print();
 
     if (const char *path = jsonReportPath(argc, argv)) {
-        writeTextFile(path, serveToJson(out.payloads, out) + "\n");
+        writeTextFile(path, serveToJson(out) + "\n");
         std::printf("wrote JSON report: %s\n", path);
     }
     return out.exitCode();

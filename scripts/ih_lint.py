@@ -119,53 +119,6 @@ ALLOWLIST = [
     },
     {
         "rule": "raw-parse",
-        "file": "src/harness/journal.cc",
-        "contains": "std::strtoull",
-        "why": (
-            "ihres1 wire-format codec: end-pointer checked, full-string "
-            "consumption required, round-trip and damage-rejection pinned "
-            "by tests/test_faults.cc."
-        ),
-    },
-    {
-        "rule": "raw-parse",
-        "file": "src/harness/journal.cc",
-        "contains": "std::strtod",
-        "why": (
-            "ihres1 wire-format codec (%.17g doubles): end-pointer "
-            "checked, exact round-trip pinned by tests/test_faults.cc."
-        ),
-    },
-    {
-        "rule": "raw-parse",
-        "file": "src/harness/serve.cc",
-        "contains": "std::strtoull",
-        "why": (
-            "ihserve1 wire-format codec: end-pointer checked, damage "
-            "rejection pinned by tests/test_serve.cc."
-        ),
-    },
-    {
-        "rule": "raw-parse",
-        "file": "src/harness/serve.cc",
-        "contains": "std::strtod",
-        "why": (
-            "ihserve1 wire-format codec: end-pointer checked, damage "
-            "rejection pinned by tests/test_serve.cc."
-        ),
-    },
-    {
-        "rule": "raw-parse",
-        "file": "src/harness/isolate.cc",
-        "contains": "std::strtoull",
-        "why": (
-            "IH_FAULT_INJECT plan parser: end-pointer checked, malformed "
-            "plans are fatal(), accept/reject matrix pinned by "
-            "tests/test_faults.cc."
-        ),
-    },
-    {
-        "rule": "raw-parse",
         "file": "src/sim/config.cc",
         "contains": "std::strtoull",
         "why": (

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "harness/journal.hh"
+#include "harness/report.hh"
 #include "sim/log.hh"
 
 namespace ih
@@ -22,39 +23,6 @@ namespace ih
 // --------------------------------------------------------------------------
 // Fault injection
 // --------------------------------------------------------------------------
-
-namespace
-{
-
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-bool
-parseDec(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-} // namespace
 
 FaultPlan
 FaultPlan::parse(const std::string &spec)
@@ -65,7 +33,7 @@ FaultPlan::parse(const std::string &spec)
             continue;
         const std::vector<std::string> t = splitOn(one, ':');
         std::uint64_t job = 0;
-        if (t.size() < 3 || t[0] != "job" || !parseDec(t[1], job))
+        if (t.size() < 3 || t[0] != "job" || !parseU64(t[1], job))
             throw std::runtime_error("bad fault spec '" + one +
                                      "' (want job:<id>:<fault>)");
         FaultSpec f;
@@ -78,7 +46,7 @@ FaultPlan::parse(const std::string &spec)
         } else if (t.size() == 3 && t[2] == "nondet") {
             f.kind = FaultKind::NONDET;
         } else if (t.size() == 4 && t[2] == "hang_ms" &&
-                   parseDec(t[3], f.ms)) {
+                   parseU64(t[3], f.ms)) {
             f.kind = FaultKind::HANG_MS;
         } else {
             throw std::runtime_error("unknown fault '" + one + "'");
@@ -211,7 +179,7 @@ struct Child
 std::vector<RawIsolatedCell>
 superviseRawJobs(const std::vector<std::size_t> &jobIds,
                  const std::function<std::string(std::size_t)> &fn,
-                 const std::function<bool(const std::string &)> &validate,
+                 const PayloadJournal::Validator &validate,
                  const std::function<std::string(const std::string &)>
                      &perturb,
                  const IsolateConfig &cfg, const FaultPlan &faults,
@@ -379,49 +347,6 @@ superviseRawJobs(const std::vector<std::size_t> &jobIds,
             }
         }
     }
-    return cells;
-}
-
-std::vector<IsolatedCell>
-superviseJobs(const std::vector<std::size_t> &jobIds,
-              const std::function<ExperimentResult(std::size_t)> &fn,
-              const IsolateConfig &cfg, const FaultPlan &faults,
-              const std::function<void(std::size_t idx,
-                                       const IsolatedCell &)> &onDone)
-{
-    std::vector<IsolatedCell> cells(jobIds.size());
-    // The raw supervisor invokes its onDone exactly once per cell, so
-    // filling the typed vector there covers every input.
-    superviseRawJobs(
-        jobIds,
-        [&fn](std::size_t job) { return serializeResult(fn(job)); },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            return deserializeResult(payload, r);
-        },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            const bool ok = deserializeResult(payload, r);
-            IH_ASSERT(ok, "NONDET perturbation of an undecodable payload");
-            r.run.instructions += 1;
-            return serializeResult(r);
-        },
-        cfg, faults,
-        [&](std::size_t idx, const RawIsolatedCell &raw) {
-            IsolatedCell &cell = cells[idx];
-            cell.ok = raw.ok;
-            cell.timedOut = raw.timedOut;
-            cell.attempts = raw.attempts;
-            cell.error = raw.error;
-            if (raw.ok) {
-                const bool ok =
-                    deserializeResult(raw.payload, cell.result);
-                IH_ASSERT(ok,
-                          "validated payload failed to decode");
-            }
-            if (onDone)
-                onDone(idx, cell);
-        });
     return cells;
 }
 

@@ -2,15 +2,15 @@
  * @file
  * Crash/hang isolation for sweep jobs + deterministic fault injection.
  *
- * superviseJobs() is an opt-in (--isolate) supervisor: each job runs
+ * superviseRawJobs() is an opt-in (--isolate) supervisor: each job runs
  * in a forked child with a per-job wall timeout and bounded retries,
  * so a segfault, abort or hang marks that one cell FAILED/TIMEOUT
  * instead of killing the whole sweep — the failure mode preemptible
  * fleets and long grids actually hit. The supervisor itself is
  * single-threaded (children are the concurrency), so forking is safe
- * regardless of what the jobs allocate; a child ships its result back
- * through a pipe in the journal wire format and the parent checksums
- * it. Determinism is a gated invariant, not a hope: when a retry
+ * regardless of what the jobs allocate; a child ships its payload back
+ * through a pipe and the parent validates and checksums it.
+ * Determinism is a gated invariant, not a hope: when a retry
  * produces a payload whose checksum differs from any complete payload
  * an earlier attempt produced, the cell is FAILED with a determinism
  * violation — a flaky pass is worse than an honest failure.
@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
+#include "harness/journal.hh"
 
 namespace ih
 {
@@ -99,16 +99,6 @@ struct IsolateConfig
     unsigned retries = 1;        ///< extra attempts after a failure
 };
 
-/** Terminal outcome of one supervised cell. */
-struct IsolatedCell
-{
-    bool ok = false;
-    bool timedOut = false;
-    unsigned attempts = 0;
-    std::string error;              ///< deterministic failure text
-    ExperimentResult result;        ///< valid when ok
-};
-
 /** Terminal outcome of one supervised raw-payload cell. */
 struct RawIsolatedCell
 {
@@ -120,45 +110,29 @@ struct RawIsolatedCell
 };
 
 /**
- * The raw-payload supervisor underneath superviseJobs(): @p fn returns
- * job i's serialized payload, @p validate says whether a drained pipe
- * buffer is one complete well-formed payload, and @p perturb builds
- * the complete-but-wrong payload the NONDET fault emits on attempt 1.
- * A perturbed payload MUST still pass @p validate — an undecodable
- * perturbation would never have its checksum recorded, and the
- * determinism gate NONDET exists to trip would stay silent. Same
- * fork/pipe/poll machinery, timeout, retry and retry-checksum
- * semantics (and the same single-threaded-caller requirement) as
- * superviseJobs(). Drivers with their own payload schema (the serving
- * bench's load ladders) isolate through this directly.
+ * Run @p fn(jobIds[i]) for every i, each attempt in a forked child
+ * under @p cfg's timeout/retry policy, applying @p faults by job id.
+ * @p fn returns job i's payload, @p validate says whether a drained
+ * pipe buffer is one complete well-formed payload, and @p perturb
+ * builds the complete-but-wrong payload the NONDET fault emits on
+ * attempt 1. A perturbed payload MUST still pass @p validate — an
+ * undecodable perturbation would never have its checksum recorded, and
+ * the determinism gate NONDET exists to trip would stay silent.
+ * Returns one RawIsolatedCell per input, in input order. @p onDone
+ * fires in the supervisor thread as each cell reaches a terminal state
+ * (for journaling), in completion order. Must be called from a process
+ * that is not running other threads (the sweep layer guarantees this:
+ * --isolate replaces the thread pool, children are the parallelism).
  */
 std::vector<RawIsolatedCell>
 superviseRawJobs(const std::vector<std::size_t> &jobIds,
                  const std::function<std::string(std::size_t)> &fn,
-                 const std::function<bool(const std::string &)> &validate,
+                 const PayloadJournal::Validator &validate,
                  const std::function<std::string(const std::string &)>
                      &perturb,
                  const IsolateConfig &cfg, const FaultPlan &faults,
                  const std::function<void(std::size_t idx,
                                           const RawIsolatedCell &)> &onDone);
-
-/**
- * Run @p fn(jobIds[i]) for every i, each attempt in a forked child
- * under @p cfg's timeout/retry policy, applying @p faults by job id.
- * Returns one IsolatedCell per input, in input order. @p onDone fires
- * in the supervisor thread as each cell reaches a terminal state (for
- * journaling), in completion order. Must be called from a process
- * that is not running other threads (the sweep layer guarantees this:
- * --isolate replaces the thread pool, children are the parallelism).
- * This is superviseRawJobs() instantiated with the experiment wire
- * format.
- */
-std::vector<IsolatedCell>
-superviseJobs(const std::vector<std::size_t> &jobIds,
-              const std::function<ExperimentResult(std::size_t)> &fn,
-              const IsolateConfig &cfg, const FaultPlan &faults,
-              const std::function<void(std::size_t idx,
-                                       const IsolatedCell &)> &onDone);
 
 } // namespace ih
 

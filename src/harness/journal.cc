@@ -1,10 +1,6 @@
 #include "harness/journal.hh"
 
-#include <cerrno>
 #include <cinttypes>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include <unistd.h>
@@ -31,54 +27,6 @@ namespace
 /** Bump when the field list below changes. */
 constexpr const char *kPayloadMagic = "ihres1";
 constexpr std::size_t kPayloadFields = 17; // magic + 16 fields
-
-std::string
-fmtDouble(double v)
-{
-    return strprintf("%.17g", v); // round-trips through strtod exactly
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-std::vector<std::string>
-splitPipe(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == '|') {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
 
 } // namespace
 
@@ -119,7 +67,7 @@ serializeResult(const ExperimentResult &r)
 bool
 deserializeResult(const std::string &payload, ExperimentResult &r)
 {
-    const std::vector<std::string> f = splitPipe(payload);
+    const std::vector<std::string> f = splitOn(payload, '|');
     if (f.size() != kPayloadFields || f[0] != kPayloadMagic)
         return false;
 
@@ -281,7 +229,7 @@ PayloadJournal::open()
                 reason = "checksum mismatch";
             } else if (job >= jobs_ || !shard_.owns(job)) {
                 reason = "job id outside this sweep/shard";
-            } else if (!validate_(job, payload)) {
+            } else if (!validate_(payload)) {
                 reason = "undecodable payload";
             }
             if (!reason.empty()) {
@@ -342,41 +290,6 @@ PayloadJournal::append(std::size_t job, const std::string &payload,
     if (std::fwrite(line.data(), 1, line.size(), f_) != line.size() ||
         std::fflush(f_) != 0 || ::fsync(::fileno(f_)) != 0)
         fatal("journal '%s': durable append failed", path_.c_str());
-}
-
-// --------------------------------------------------------------------------
-// SweepJournal
-// --------------------------------------------------------------------------
-
-SweepJournal::SweepJournal(std::string path, std::string sweep_id,
-                           std::size_t jobs, ShardSpec shard)
-    : raw_(std::move(path), std::move(sweep_id), jobs, shard,
-           [](std::size_t, const std::string &payload) {
-               ExperimentResult r;
-               return deserializeResult(payload, r);
-           })
-{
-}
-
-std::map<std::size_t, SweepJournal::Entry>
-SweepJournal::open()
-{
-    std::map<std::size_t, Entry> done;
-    for (auto &[job, raw] : raw_.open()) {
-        Entry e;
-        e.attempts = raw.attempts;
-        const bool ok = deserializeResult(raw.payload, e.result);
-        IH_ASSERT(ok, "journal payload validated but failed to decode");
-        done.emplace(job, std::move(e));
-    }
-    return done;
-}
-
-void
-SweepJournal::append(std::size_t job, const ExperimentResult &r,
-                     unsigned attempts)
-{
-    raw_.append(job, serializeResult(r), attempts);
 }
 
 } // namespace ih

@@ -76,24 +76,20 @@ class JournalError : public std::runtime_error
 };
 
 /**
- * The raw-payload journal underneath SweepJournal: the same file
- * format, header validation and corruption contract, but records are
- * opaque payload strings vetted by a caller-supplied validator instead
- * of the experiment wire format. Sweep-like drivers with their own
- * payload schema (e.g. the open-loop serving bench's load ladders)
- * journal through this directly; the journal never needs to learn
- * their field list. open() loads (or bootstraps) the file and returns
- * the completed entries; append() records one more completed job
- * durably. Appends are thread-safe (the inline sweep path calls from
- * worker threads).
+ * The sweep journal. Records are opaque payload strings vetted by a
+ * caller-supplied validator, so one journal serves every payload codec
+ * (the experiment sweeps' "ihres1", the serving bench's "ihserve1")
+ * without learning their field lists. open() loads (or bootstraps) the
+ * file and returns the completed entries; append() records one more
+ * completed job durably. Appends are thread-safe (the inline sweep
+ * path calls from worker threads).
  */
 class PayloadJournal
 {
   public:
-    /** Is @p payload a well-formed record of canonical job @p job? A
-     *  record failing this counts as damage (see the contract above). */
-    using Validator =
-        std::function<bool(std::size_t job, const std::string &payload)>;
+    /** Is @p payload well-formed? A record failing this counts as
+     *  damage (see the contract above). */
+    using Validator = std::function<bool(const std::string &payload)>;
 
     PayloadJournal(std::string path, std::string sweep_id,
                    std::size_t jobs, ShardSpec shard, Validator validate);
@@ -130,34 +126,6 @@ class PayloadJournal
     Validator validate_;
     std::FILE *f_ = nullptr;
     std::mutex mtx_;
-};
-
-/**
- * One experiment sweep's journal: PayloadJournal instantiated with the
- * experiment wire format, trading payload strings for typed
- * ExperimentResults at the API boundary.
- */
-class SweepJournal
-{
-  public:
-    SweepJournal(std::string path, std::string sweep_id,
-                 std::size_t jobs, ShardSpec shard);
-
-    struct Entry
-    {
-        ExperimentResult result;
-        unsigned attempts = 1;
-    };
-
-    /** PayloadJournal::open(), each payload decoded. */
-    std::map<std::size_t, Entry> open();
-
-    /** PayloadJournal::append() of serializeResult(@p r). */
-    void append(std::size_t job, const ExperimentResult &r,
-                unsigned attempts);
-
-  private:
-    PayloadJournal raw_;
 };
 
 } // namespace ih

@@ -315,6 +315,66 @@ parseShardSpec(const char *name, const char *value,
     return false;
 }
 
+std::vector<std::string>
+splitOn(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= s.size(); ++i) {
+        if (i == s.size() || s[i] == sep) {
+            out.push_back(s.substr(start, i - start));
+            start = i + 1;
+        }
+    }
+    return out;
+}
+
+bool
+parseU64(const std::string &s, std::uint64_t &out)
+{
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseF64(const std::string &s, double &out)
+{
+    if (s.empty())
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
+std::string
+fmtDouble(double v)
+{
+    return strprintf("%.17g", v); // round-trips through strtod exactly
+}
+
+namespace
+{
+
+/** The same-directory temp file writeTextFile renames over @p path. */
+std::string
+tempSibling(const std::string &path)
+{
+    return path + strprintf(".tmp.%ld", static_cast<long>(::getpid()));
+}
+
+} // namespace
+
 void
 writeTextFile(const std::string &path, const std::string &text)
 {
@@ -322,8 +382,7 @@ writeTextFile(const std::string &path, const std::string &text)
     // leaves either the previous complete file or the new complete
     // file at @p path, never a truncated hybrid. The temp file lives
     // in the same directory so the rename is atomic.
-    const std::string tmp =
-        path + strprintf(".tmp.%ld", static_cast<long>(::getpid()));
+    const std::string tmp = tempSibling(path);
     std::FILE *f = std::fopen(tmp.c_str(), "w");
     if (!f)
         fatal("cannot open '%s' for writing", tmp.c_str());
@@ -342,6 +401,17 @@ writeTextFile(const std::string &path, const std::string &text)
         std::remove(tmp.c_str());
         fatal("cannot rename '%s' to '%s'", tmp.c_str(), path.c_str());
     }
+}
+
+void
+probeWritable(const std::string &path)
+{
+    const std::string tmp = tempSibling(path);
+    std::FILE *f = std::fopen(tmp.c_str(), "w");
+    if (!f)
+        fatal("cannot open '%s' for writing", path.c_str());
+    std::fclose(f);
+    std::remove(tmp.c_str());
 }
 
 std::string

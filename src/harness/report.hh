@@ -121,6 +121,20 @@ bool parseShardSpec(const char *name, const char *value,
                     unsigned long max_count, unsigned long &index,
                     unsigned long &count);
 
+// Strict wire-codec primitives behind the '|'-separated payload codecs
+// (the journal's "ihres1", the serving ladder's "ihserve1") and the
+// IH_FAULT_INJECT plan parser: a field parses only when the whole
+// string is consumed.
+
+/** Split @p s at every @p sep; empty fields are kept ("" -> {""}). */
+std::vector<std::string> splitOn(const std::string &s, char sep);
+/** Bare decimal digits only (no sign, no whitespace), no overflow. */
+bool parseU64(const std::string &s, std::uint64_t &out);
+/** A complete strtod number without over/underflow. */
+bool parseF64(const std::string &s, double &out);
+/** "%.17g": parseF64 reads it back bit-for-bit. */
+std::string fmtDouble(double v);
+
 /**
  * Write @p text to @p path atomically, fatal() on failure: the bytes
  * go to a same-directory temp file which is fsynced and then renamed
@@ -129,6 +143,13 @@ bool parseShardSpec(const char *name, const char *value,
  * file or the new complete file.
  */
 void writeTextFile(const std::string &path, const std::string &text);
+
+/**
+ * fatal() unless writeTextFile(@p path) could create its temp file.
+ * The probe creates and removes that temp file, never @p path itself:
+ * a run that dies after probing leaves no empty report behind.
+ */
+void probeWritable(const std::string &path);
 
 /** Read the whole file at @p path, fatal() on failure. */
 std::string readTextFile(const std::string &path);

@@ -1,6 +1,5 @@
 #include "harness/serve.hh"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdlib>
@@ -169,54 +168,6 @@ constexpr const char *kLadderMagic = "ihserve1";
 constexpr std::size_t kLadderHeaderFields = 4; // magic, arch, stop, n
 constexpr std::size_t kLadderStepFields = 16;
 
-std::string
-fmtDouble(double v)
-{
-    return strprintf("%.17g", v); // round-trips through strtod exactly
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-std::vector<std::string>
-splitPipe(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == '|') {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -259,7 +210,7 @@ serializeLadder(const LoadLadderResult &r)
 bool
 deserializeLadder(const std::string &payload, LoadLadderResult &r)
 {
-    const std::vector<std::string> f = splitPipe(payload);
+    const std::vector<std::string> f = splitOn(payload, '|');
     if (f.size() < kLadderHeaderFields || f[0] != kLadderMagic)
         return false;
     std::uint64_t nsteps = 0;

@@ -1,7 +1,6 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +8,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -176,34 +174,6 @@ SweepRunner::SweepRunner(unsigned threads) : threads_(threads)
     }
 }
 
-std::vector<ExperimentResult>
-SweepRunner::run(const std::vector<SweepJob> &jobs,
-                 const Progress &progress) const
-{
-    std::vector<ExperimentResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
-    std::atomic<std::size_t> done{0};
-    std::mutex mtx; // serializes the progress callback
-
-    // parallelForIndex supplies the determinism contract: results land
-    // in job order, and a multi-failure sweep rethrows the error of the
-    // first failing job in canonical order (not whichever worker lost
-    // the wall-clock race).
-    parallelForIndex(jobs.size(), threads_, [&](std::size_t i) {
-        const SweepJob &job = jobs[i];
-        results[i] =
-            runExperiment(job.app, job.arch, job.cfg, job.ihopts);
-        const std::size_t n = done.fetch_add(1) + 1;
-        if (progress) {
-            std::lock_guard<std::mutex> lk(mtx);
-            progress(n, jobs.size(), results[i]);
-        }
-    });
-    return results;
-}
-
 // --------------------------------------------------------------------------
 // Summaries
 // --------------------------------------------------------------------------
@@ -228,8 +198,11 @@ SweepSummary::speedup(const std::string &fast, const std::string &slow) const
 }
 
 SweepSummary
-summarize(const std::vector<ExperimentResult> &results)
+summarize(const SweepOutcome &o)
 {
+    IH_ASSERT(o.results.size() == o.cells.size(),
+              "summarize: %zu results vs %zu cells", o.results.size(),
+              o.cells.size());
     SweepSummary out;
 
     struct Acc
@@ -240,7 +213,10 @@ summarize(const std::vector<ExperimentResult> &results)
     };
     std::vector<Acc> accs; // ordered by first appearance
 
-    for (const ExperimentResult &r : results) {
+    for (std::size_t i = 0; i < o.results.size(); ++i) {
+        if (!o.cells[i].ok())
+            continue;
+        const ExperimentResult &r = o.results[i];
         Acc *acc = nullptr;
         for (Acc &a : accs)
             if (a.agg.arch == r.arch)
@@ -326,74 +302,6 @@ policyName(SplitPolicy p)
 
 } // namespace
 
-std::string
-sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
-            const std::vector<ExperimentResult> &results,
-            const SweepSummary &summary)
-{
-    IH_ASSERT(jobs.size() == results.size(),
-              "sweepToJson: %zu jobs vs %zu results", jobs.size(),
-              results.size());
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("sweep").value(sweep_id);
-    w.key("jobs").value(std::uint64_t{jobs.size()});
-
-    w.key("results").beginArray();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        const ExperimentResult &r = results[i];
-        w.beginObject();
-        w.key("app").value(r.app);
-        w.key("arch").value(r.arch);
-        if (!job.tag.empty())
-            w.key("tag").value(job.tag);
-        if (job.arch == ArchKind::IRONHIDE)
-            w.key("policy").value(policyName(job.ihopts.policy));
-        w.key("completion_ms").value(r.run.completionMs());
-        w.key("purge_ms").value(cyclesToMs(r.run.purgeCycles));
-        w.key("transition_ms").value(cyclesToMs(r.run.transitionCycles));
-        w.key("reconfig_ms").value(cyclesToMs(r.run.reconfigCycles));
-        w.key("transitions").value(r.run.transitions);
-        w.key("l1_miss_rate").value(r.run.l1MissRate);
-        w.key("l2_miss_rate").value(r.run.l2MissRate);
-        w.key("secure_cores").value(std::uint64_t{r.run.secureCores});
-        w.key("decided_split").value(std::uint64_t{r.decidedSplit});
-        w.key("probes").value(std::uint64_t{r.probes});
-        w.key("instructions").value(r.run.instructions);
-        w.key("isolation_violations").value(r.run.isolationViolations);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("summary").beginArray();
-    for (const ArchAggregate &a : summary.byArch) {
-        w.beginObject();
-        w.key("arch").value(a.arch);
-        w.key("jobs").value(std::uint64_t{a.jobs});
-        w.key("geomean_completion_ms").value(a.geomeanCompletionMs);
-        w.key("geomean_l1_miss_rate").value(a.geomeanL1MissRate);
-        w.key("geomean_l2_miss_rate").value(a.geomeanL2MissRate);
-        w.key("mean_secure_cores").value(a.meanSecureCores);
-        w.key("total_purge_ms").value(cyclesToMs(a.totalPurgeCycles));
-        w.key("total_transition_ms")
-            .value(cyclesToMs(a.totalTransitionCycles));
-        w.key("total_reconfig_ms")
-            .value(cyclesToMs(a.totalReconfigCycles));
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("stats").beginObject();
-    for (const auto &[name, counter] : summary.stats.counters())
-        w.key(name).value(counter.value());
-    w.endObject();
-
-    w.endObject();
-    return w.str();
-}
-
 const char *
 jsonReportPath(int argc, char **argv)
 {
@@ -405,30 +313,9 @@ jsonReportPath(int argc, char **argv)
             path = argv[i + 1];
         }
     }
-    if (path) {
-        // Probe writability now ("a" keeps existing content) so a bad
-        // path fails before the sweep, not after minutes of runs.
-        std::FILE *f = std::fopen(path, "a");
-        if (!f)
-            fatal("cannot open '%s' for writing", path);
-        std::fclose(f);
-    }
+    if (path)
+        probeWritable(path);
     return path;
-}
-
-bool
-maybeWriteJsonReport(int argc, char **argv, const std::string &sweep_id,
-                     const std::vector<SweepJob> &jobs,
-                     const std::vector<ExperimentResult> &results)
-{
-    const char *path = jsonReportPath(argc, argv);
-    if (!path)
-        return false;
-    writeTextFile(path,
-                  sweepToJson(sweep_id, jobs, results, summarize(results)) +
-                      "\n");
-    std::printf("wrote JSON report: %s\n", path);
-    return true;
 }
 
 // --------------------------------------------------------------------------
@@ -451,11 +338,8 @@ cellStatusName(CellStatus status, unsigned attempts)
     return "?";
 }
 
-namespace
-{
-
 std::size_t
-cellsOwned(const std::vector<CellOutcome> &cells)
+SweepCells::shardJobs() const
 {
     std::size_t n = 0;
     for (const CellOutcome &c : cells)
@@ -465,17 +349,13 @@ cellsOwned(const std::vector<CellOutcome> &cells)
 }
 
 bool
-cellsComplete(const std::vector<CellOutcome> &cells)
+SweepCells::complete() const
 {
-    for (const CellOutcome &c : cells)
-        if (c.status == CellStatus::FAILED ||
-            c.status == CellStatus::TIMEOUT)
-            return false;
-    return true;
+    return failedCells().empty();
 }
 
 std::vector<std::size_t>
-cellsFailed(const std::vector<CellOutcome> &cells)
+SweepCells::failedCells() const
 {
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -483,44 +363,6 @@ cellsFailed(const std::vector<CellOutcome> &cells)
             cells[i].status == CellStatus::TIMEOUT)
             out.push_back(i);
     return out;
-}
-
-} // namespace
-
-std::size_t
-SweepOutcome::shardJobs() const
-{
-    return cellsOwned(cells);
-}
-
-bool
-SweepOutcome::complete() const
-{
-    return cellsComplete(cells);
-}
-
-std::vector<std::size_t>
-SweepOutcome::failedCells() const
-{
-    return cellsFailed(cells);
-}
-
-std::size_t
-PayloadOutcome::shardJobs() const
-{
-    return cellsOwned(cells);
-}
-
-bool
-PayloadOutcome::complete() const
-{
-    return cellsComplete(cells);
-}
-
-std::vector<std::size_t>
-PayloadOutcome::failedCells() const
-{
-    return cellsFailed(cells);
 }
 
 ShardSpec
@@ -573,7 +415,7 @@ PayloadOutcome
 runFaultTolerantPayloadSweep(
     const std::string &sweep_id, std::size_t jobs,
     const std::function<std::string(std::size_t)> &fn,
-    const std::function<bool(const std::string &)> &validate,
+    const PayloadJournal::Validator &validate,
     const std::function<std::string(const std::string &)> &perturb,
     const SweepRunOptions &opts, const FaultPlan &faults)
 {
@@ -596,10 +438,7 @@ runFaultTolerantPayloadSweep(
     std::unique_ptr<PayloadJournal> journal;
     if (!opts.journalPath.empty()) {
         journal = std::make_unique<PayloadJournal>(
-            opts.journalPath, sweep_id, n, opts.shard,
-            [&validate](std::size_t, const std::string &payload) {
-                return validate(payload);
-            });
+            opts.journalPath, sweep_id, n, opts.shard, validate);
         std::map<std::size_t, PayloadJournal::Entry> done =
             journal->open();
         std::vector<std::size_t> still;
@@ -647,9 +486,8 @@ runFaultTolerantPayloadSweep(
             }
         }
     } else {
-        // Inline: same thread pool as SweepRunner::run, but a throwing
-        // cell is caught and marked FAILED instead of aborting the
-        // sweep. Crashes/hangs still take the process down — that is
+        // Inline: the SweepRunner thread pool, but a throwing cell is
+        // caught and marked FAILED instead of aborting the sweep. Crashes/hangs still take the process down — that is
         // what --isolate is for.
         const SweepRunner runner(opts.threads);
         parallelForIndex(pending.size(), runner.threads(),
@@ -671,41 +509,49 @@ runFaultTolerantPayloadSweep(
     return out;
 }
 
-SweepOutcome
-runFaultTolerantSweep(const std::string &sweep_id,
-                      const std::vector<SweepJob> &jobs,
-                      const SweepRunOptions &opts, const FaultPlan &faults)
+namespace
 {
-    // The experiment wire format round-trips results exactly, so
-    // threading every cell through serialize/deserialize here changes
-    // no observable byte (tests/test_faults.cc pins the round trip).
-    PayloadOutcome p = runFaultTolerantPayloadSweep(
-        sweep_id, jobs.size(),
-        [&jobs](std::size_t i) {
-            const SweepJob &j = jobs[i];
-            return serializeResult(
-                runExperiment(j.app, j.arch, j.cfg, j.ihopts));
-        },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            return deserializeResult(payload, r);
-        },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            const bool ok = deserializeResult(payload, r);
-            IH_ASSERT(ok, "NONDET perturbation of an undecodable payload");
-            r.run.instructions += 1;
-            return serializeResult(r);
-        },
-        opts, faults);
 
+// The experiment codec: a cell's payload is its "ihres1"-serialized
+// ExperimentResult. The wire format round-trips results exactly, so
+// threading every cell through it changes no observable byte
+// (tests/test_faults.cc pins the round trip).
+
+std::function<std::string(std::size_t)>
+experimentPayloads(const std::vector<SweepJob> &jobs)
+{
+    return [&jobs](std::size_t i) {
+        const SweepJob &j = jobs[i];
+        return serializeResult(
+            runExperiment(j.app, j.arch, j.cfg, j.ihopts));
+    };
+}
+
+bool
+isResultPayload(const std::string &payload)
+{
+    ExperimentResult r;
+    return deserializeResult(payload, r);
+}
+
+std::string
+perturbResultPayload(const std::string &payload)
+{
+    ExperimentResult r;
+    const bool ok = deserializeResult(payload, r);
+    IH_ASSERT(ok, "NONDET perturbation of an undecodable payload");
+    r.run.instructions += 1;
+    return serializeResult(r);
+}
+
+SweepOutcome
+decodeResults(const PayloadOutcome &p)
+{
     SweepOutcome out;
-    out.shard = p.shard;
-    out.resumed = p.resumed;
-    out.cells = std::move(p.cells);
-    out.results.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!out.cells[i].ok())
+    static_cast<SweepCells &>(out) = p;
+    out.results.resize(p.cells.size());
+    for (std::size_t i = 0; i < p.cells.size(); ++i) {
+        if (!p.cells[i].ok())
             continue;
         const bool ok = deserializeResult(p.payloads[i], out.results[i]);
         IH_ASSERT(ok, "validated payload failed to decode");
@@ -713,37 +559,54 @@ runFaultTolerantSweep(const std::string &sweep_id,
     return out;
 }
 
+} // namespace
+
 SweepOutcome
-runBenchSweep(int argc, char **argv, const std::string &sweep_id,
-              const std::vector<SweepJob> &jobs)
+runFaultTolerantSweep(const std::string &sweep_id,
+                      const std::vector<SweepJob> &jobs,
+                      const SweepRunOptions &opts, const FaultPlan &faults)
 {
+    return decodeResults(runFaultTolerantPayloadSweep(
+        sweep_id, jobs.size(), experimentPayloads(jobs), isResultPayload,
+        perturbResultPayload, opts, faults));
+}
+
+PayloadOutcome
+runBenchPayloadSweep(
+    int argc, char **argv, const std::string &sweep_id, std::size_t jobs,
+    const std::function<std::string(std::size_t)> &fn,
+    const PayloadJournal::Validator &validate,
+    const std::function<std::string(const std::string &)> &perturb,
+    const std::function<std::string(std::size_t)> &label)
+{
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--merge") == 0)
+            fatal("--merge: only the sweep/v2 grid benches merge shard "
+                  "reports");
     jsonReportPath(argc, argv); // fail-fast probe before the runs
     const SweepRunOptions opts = sweepRunFromArgs(argc, argv);
     const FaultPlan faults = FaultPlan::fromEnv();
 
-    SweepOutcome out;
+    PayloadOutcome out;
     try {
-        out = runFaultTolerantSweep(sweep_id, jobs, opts, faults);
+        out = runFaultTolerantPayloadSweep(sweep_id, jobs, fn, validate,
+                                           perturb, opts, faults);
     } catch (const JournalError &e) {
         fatal("%s", e.what());
     }
 
     if (out.sharded())
         std::printf("shard %s: %zu of %zu jobs\n",
-                    out.shard.str().c_str(), out.shardJobs(),
-                    jobs.size());
+                    out.shard.str().c_str(), out.shardJobs(), jobs);
     if (!opts.journalPath.empty())
         std::printf("resume: %zu of %zu jobs already complete\n",
                     out.resumed, out.shardJobs());
     for (const std::size_t i : out.failedCells()) {
         const CellOutcome &c = out.cells[i];
-        const SweepJob &j = jobs[i];
-        std::printf("%s job %zu (%s/%s%s%s): %s [%u attempt%s]\n",
+        std::printf("%s job %zu (%s): %s [%u attempt%s]\n",
                     c.status == CellStatus::TIMEOUT ? "TIMEOUT"
                                                     : "FAILED",
-                    i, j.app.name.c_str(), archName(j.arch),
-                    j.tag.empty() ? "" : " ", j.tag.c_str(),
-                    c.error.c_str(), c.attempts,
+                    i, label(i).c_str(), c.error.c_str(), c.attempts,
                     c.attempts == 1 ? "" : "s");
     }
     if (!out.complete())
@@ -753,35 +616,31 @@ runBenchSweep(int argc, char **argv, const std::string &sweep_id,
     return out;
 }
 
-SweepSummary
-summarize(const std::vector<ExperimentResult> &results,
-          const std::vector<CellOutcome> &cells)
+SweepOutcome
+runBenchSweep(int argc, char **argv, const std::string &sweep_id,
+              const std::vector<SweepJob> &jobs)
 {
-    IH_ASSERT(results.size() == cells.size(),
-              "summarize: %zu results vs %zu cells", results.size(),
-              cells.size());
-    std::vector<ExperimentResult> ok;
-    ok.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        if (cells[i].ok())
-            ok.push_back(results[i]);
-    return summarize(ok);
+    return decodeResults(runBenchPayloadSweep(
+        argc, argv, sweep_id, jobs.size(), experimentPayloads(jobs),
+        isResultPayload, perturbResultPayload, [&jobs](std::size_t i) {
+            const SweepJob &j = jobs[i];
+            return strprintf("%s/%s%s%s", j.app.name.c_str(),
+                             archName(j.arch), j.tag.empty() ? "" : " ",
+                             j.tag.c_str());
+        }));
 }
 
 std::string
-sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
-            const SweepOutcome &o)
+sweepReportJson(const char *schema, const std::string &sweep_id,
+                const SweepCells &o, const CellWriter &identify,
+                const CellWriter &body,
+                const std::function<void(JsonWriter &)> &tail)
 {
-    IH_ASSERT(jobs.size() == o.results.size() &&
-                  jobs.size() == o.cells.size(),
-              "sweepToJson: %zu jobs vs %zu results / %zu cells",
-              jobs.size(), o.results.size(), o.cells.size());
-
     JsonWriter w;
     w.beginObject();
-    w.key("schema").value("sweep/v2");
+    w.key("schema").value(schema);
     w.key("sweep").value(sweep_id);
-    w.key("jobs").value(std::uint64_t{jobs.size()});
+    w.key("jobs").value(std::uint64_t{o.cells.size()});
     if (o.sharded()) {
         w.key("shard").value(o.shard.str());
         w.key("shard_jobs").value(std::uint64_t{o.shardJobs()});
@@ -796,83 +655,97 @@ sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
     }
 
     w.key("results").beginArray();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t i = 0; i < o.cells.size(); ++i) {
         const CellOutcome &c = o.cells[i];
         if (c.status == CellStatus::SKIPPED)
             continue;
-        const SweepJob &job = jobs[i];
-        const ExperimentResult &r = o.results[i];
         w.beginObject();
         w.key("job").value(std::uint64_t{i});
+        identify(w, i);
+        w.key("status").value(cellStatusName(c.status, c.attempts));
+        if (c.attempts > 1)
+            w.key("attempts").value(c.attempts);
+        if (c.ok())
+            body(w, i);
+        else
+            w.key("error").value(c.error);
+        w.endObject();
+    }
+    w.endArray();
+    if (tail)
+        tail(w);
+    w.endObject();
+    return w.str();
+}
+
+std::string
+sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
+            const SweepOutcome &o)
+{
+    IH_ASSERT(jobs.size() == o.results.size() &&
+                  jobs.size() == o.cells.size(),
+              "sweepToJson: %zu jobs vs %zu results / %zu cells",
+              jobs.size(), o.results.size(), o.cells.size());
+
+    const auto identify = [&jobs](JsonWriter &w, std::size_t i) {
+        const SweepJob &job = jobs[i];
         w.key("app").value(job.app.name);
         w.key("arch").value(archName(job.arch));
         if (!job.tag.empty())
             w.key("tag").value(job.tag);
         if (job.arch == ArchKind::IRONHIDE)
             w.key("policy").value(policyName(job.ihopts.policy));
-        w.key("status").value(cellStatusName(c.status, c.attempts));
-        if (c.attempts > 1)
-            w.key("attempts").value(c.attempts);
-        if (c.ok()) {
-            w.key("completion_ms").value(r.run.completionMs());
-            w.key("purge_ms").value(cyclesToMs(r.run.purgeCycles));
-            w.key("transition_ms")
-                .value(cyclesToMs(r.run.transitionCycles));
-            w.key("reconfig_ms")
-                .value(cyclesToMs(r.run.reconfigCycles));
-            // The exact integers behind the ms views: a merge (or any
-            // consumer) reconstructs results from these verbatim, with
-            // no floating-point round-trip in sight.
-            w.key("completion_cycles").value(r.run.completion);
-            w.key("purge_cycles").value(r.run.purgeCycles);
-            w.key("transition_cycles").value(r.run.transitionCycles);
-            w.key("reconfig_cycles").value(r.run.reconfigCycles);
-            w.key("transitions").value(r.run.transitions);
-            w.key("l1_miss_rate").value(r.run.l1MissRate);
-            w.key("l2_miss_rate").value(r.run.l2MissRate);
-            w.key("interactivity_per_sec")
-                .value(r.run.interactivityPerSec);
-            w.key("secure_cores")
-                .value(std::uint64_t{r.run.secureCores});
-            w.key("decided_split").value(std::uint64_t{r.decidedSplit});
-            w.key("probes").value(std::uint64_t{r.probes});
-            w.key("instructions").value(r.run.instructions);
-            w.key("isolation_violations")
-                .value(r.run.isolationViolations);
-            w.key("blocked_accesses").value(r.run.blockedAccesses);
-        } else {
-            w.key("error").value(c.error);
+    };
+    const auto body = [&o](JsonWriter &w, std::size_t i) {
+        const ExperimentResult &r = o.results[i];
+        w.key("completion_ms").value(r.run.completionMs());
+        w.key("purge_ms").value(cyclesToMs(r.run.purgeCycles));
+        w.key("transition_ms").value(cyclesToMs(r.run.transitionCycles));
+        w.key("reconfig_ms").value(cyclesToMs(r.run.reconfigCycles));
+        // The exact integers behind the ms views: a merge (or any
+        // consumer) reconstructs results from these verbatim, with no
+        // floating-point round-trip in sight.
+        w.key("completion_cycles").value(r.run.completion);
+        w.key("purge_cycles").value(r.run.purgeCycles);
+        w.key("transition_cycles").value(r.run.transitionCycles);
+        w.key("reconfig_cycles").value(r.run.reconfigCycles);
+        w.key("transitions").value(r.run.transitions);
+        w.key("l1_miss_rate").value(r.run.l1MissRate);
+        w.key("l2_miss_rate").value(r.run.l2MissRate);
+        w.key("interactivity_per_sec").value(r.run.interactivityPerSec);
+        w.key("secure_cores").value(std::uint64_t{r.run.secureCores});
+        w.key("decided_split").value(std::uint64_t{r.decidedSplit});
+        w.key("probes").value(std::uint64_t{r.probes});
+        w.key("instructions").value(r.run.instructions);
+        w.key("isolation_violations").value(r.run.isolationViolations);
+        w.key("blocked_accesses").value(r.run.blockedAccesses);
+    };
+    const auto tail = [&o](JsonWriter &w) {
+        const SweepSummary summary = summarize(o);
+        w.key("summary").beginArray();
+        for (const ArchAggregate &a : summary.byArch) {
+            w.beginObject();
+            w.key("arch").value(a.arch);
+            w.key("jobs").value(std::uint64_t{a.jobs});
+            w.key("geomean_completion_ms").value(a.geomeanCompletionMs);
+            w.key("geomean_l1_miss_rate").value(a.geomeanL1MissRate);
+            w.key("geomean_l2_miss_rate").value(a.geomeanL2MissRate);
+            w.key("mean_secure_cores").value(a.meanSecureCores);
+            w.key("total_purge_ms").value(cyclesToMs(a.totalPurgeCycles));
+            w.key("total_transition_ms")
+                .value(cyclesToMs(a.totalTransitionCycles));
+            w.key("total_reconfig_ms")
+                .value(cyclesToMs(a.totalReconfigCycles));
+            w.endObject();
         }
+        w.endArray();
+
+        w.key("stats").beginObject();
+        for (const auto &[name, counter] : summary.stats.counters())
+            w.key(name).value(counter.value());
         w.endObject();
-    }
-    w.endArray();
-
-    const SweepSummary summary = summarize(o.results, o.cells);
-    w.key("summary").beginArray();
-    for (const ArchAggregate &a : summary.byArch) {
-        w.beginObject();
-        w.key("arch").value(a.arch);
-        w.key("jobs").value(std::uint64_t{a.jobs});
-        w.key("geomean_completion_ms").value(a.geomeanCompletionMs);
-        w.key("geomean_l1_miss_rate").value(a.geomeanL1MissRate);
-        w.key("geomean_l2_miss_rate").value(a.geomeanL2MissRate);
-        w.key("mean_secure_cores").value(a.meanSecureCores);
-        w.key("total_purge_ms").value(cyclesToMs(a.totalPurgeCycles));
-        w.key("total_transition_ms")
-            .value(cyclesToMs(a.totalTransitionCycles));
-        w.key("total_reconfig_ms")
-            .value(cyclesToMs(a.totalReconfigCycles));
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("stats").beginObject();
-    for (const auto &[name, counter] : summary.stats.counters())
-        w.key(name).value(counter.value());
-    w.endObject();
-
-    w.endObject();
-    return w.str();
+    };
+    return sweepReportJson("sweep/v2", sweep_id, o, identify, body, tail);
 }
 
 bool

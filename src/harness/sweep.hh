@@ -6,28 +6,32 @@
  * (application × architecture × IRONHIDE options) cell builds a fresh
  * machine inside runExperiment(), so cells share no simulator state and
  * can run concurrently. SweepGrid enumerates such cross products in a
- * canonical order (app-major, then arch, then options), SweepRunner
- * fans the jobs out over a thread pool and collects the results in job
- * order regardless of scheduling, and summarize() folds the results
- * into per-architecture geomean/ratio aggregates backed by a StatGroup.
- * sweepToJson() renders jobs+results+summary as a machine-readable
- * report through the harness/report JSON writer.
+ * canonical order (app-major, then arch, then options),
+ * runFaultTolerantSweep() fans the jobs out over a thread pool and
+ * collects the results in job order regardless of scheduling, and
+ * summarize() folds the results into per-architecture geomean/ratio
+ * aggregates backed by a StatGroup. sweepToJson() renders the outcome
+ * as the machine-readable "sweep/v2" report through the harness/report
+ * JSON writer.
  *
  * Determinism contract: results depend only on the job list, never on
- * the worker count or interleaving. run(jobs, 1 thread) and
- * run(jobs, N threads) produce identical ExperimentResults in
- * identical order (tests/test_sweep.cc holds this invariant).
+ * the worker count or interleaving. A sweep at 1 thread and at N
+ * threads produces identical ExperimentResults in identical order
+ * (tests/test_sweep.cc holds this invariant).
  *
- * On top of the plain runner sits the fault-tolerant sweep path every
- * bench uses (runBenchSweep): deterministic IRONHIDE_SHARD=i/N job
- * partitioning whose per-shard reports --merge recombines into a file
+ * There is one sweep path, and it is fault-tolerant. Its core
+ * (runFaultTolerantPayloadSweep) runs jobs whose results are opaque
+ * payload strings: deterministic IRONHIDE_SHARD=i/N job partitioning
+ * whose per-shard reports --merge recombines into a file
  * byte-identical to an unsharded run; an opt-in --isolate supervisor
  * (harness/isolate) that contains crashes/hangs to single FAILED or
  * TIMEOUT cells; a --journal crash-safe resume log (harness/journal);
  * and degraded-but-honest reporting — summaries over the surviving
  * cells, failed cells listed by canonical id, and a distinct exit code
  * (kExitDegraded) so automation can tell "all cells" from "most
- * cells".
+ * cells". It has two clients: the experiment codec ("ihres1") behind
+ * runFaultTolerantSweep/runBenchSweep, and the serving bench's ladder
+ * codec ("ihserve1").
  */
 
 #ifndef IH_HARNESS_SWEEP_HH
@@ -42,6 +46,7 @@
 #include "harness/isolate.hh"
 #include "harness/journal.hh"
 #include "harness/parallel.hh"
+#include "harness/report.hh"
 #include "sim/stats.hh"
 
 namespace ih
@@ -113,7 +118,7 @@ class SweepGrid
 };
 
 /**
- * Thread-pool runner for independent experiment jobs.
+ * Thread-pool runner for indexed job grids.
  *
  * Workers claim jobs from a shared index and write results into the
  * slot of the job they ran, so the output order is the input order and
@@ -129,29 +134,11 @@ class SweepRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Thread-safe completion hook: (finished jobs, total jobs, the
-     * result that just completed). Called under an internal lock.
-     */
-    using Progress = std::function<void(
-        std::size_t done, std::size_t total, const ExperimentResult &r)>;
-
-    /**
-     * Run every job and return the results in job order. When jobs
-     * throw, the exception rethrown in the caller is the one of the
-     * first failing job in canonical job order — the same error a
-     * serial loop over the jobs would have produced, regardless of
-     * worker interleaving (jobs past that index may be skipped).
-     */
-    std::vector<ExperimentResult>
-    run(const std::vector<SweepJob> &jobs,
-        const Progress &progress = nullptr) const;
-
-    /**
-     * Generic indexed fan-out under the same determinism contract as
-     * run(): evaluate fn(0..n-1) over the worker pool, results land in
-     * index order, and a multi-failure run rethrows the error of the
-     * smallest failing index. For job grids that are not
-     * runExperiment() cells (e.g. the attack-scenario grid).
+     * Evaluate fn(0..n-1) over the worker pool: results land in index
+     * order, and a multi-failure run rethrows the error of the
+     * smallest failing index — the error a serial loop would have
+     * produced. For job grids that are not runExperiment() cells
+     * (e.g. the attack-scenario grid).
      */
     template <typename R>
     std::vector<R>
@@ -203,9 +190,6 @@ struct SweepSummary
      */
     double speedup(const std::string &fast, const std::string &slow) const;
 };
-
-/** Fold @p results into per-architecture aggregates. */
-SweepSummary summarize(const std::vector<ExperimentResult> &results);
 
 // --------------------------------------------------------------------------
 // Fault-tolerant sweeps (sharding, isolation, journaled resume)
@@ -262,13 +246,12 @@ ShardSpec sweepShard();
 SweepRunOptions sweepRunFromArgs(int argc, char **argv);
 
 /**
- * Everything a fault-tolerant sweep produced. results/cells are
- * parallel to the job list; a cell's result is meaningful only when
- * its outcome is OK.
+ * The cell bookkeeping every fault-tolerant sweep outcome carries:
+ * one CellOutcome per canonical job, the shard that ran them, and how
+ * many were satisfied from the journal.
  */
-struct SweepOutcome
+struct SweepCells
 {
-    std::vector<ExperimentResult> results;
     std::vector<CellOutcome> cells;
     ShardSpec shard;
     std::size_t resumed = 0; ///< cells satisfied from the journal
@@ -285,26 +268,21 @@ struct SweepOutcome
 };
 
 /**
- * The raw-payload sibling of SweepOutcome: one opaque payload string
- * per canonical job, parallel to the cell outcomes. A payload is
- * meaningful only when its cell is OK.
+ * One opaque payload string per canonical job, parallel to the cell
+ * outcomes. A payload is meaningful only when its cell is OK.
  */
-struct PayloadOutcome
+struct PayloadOutcome : SweepCells
 {
     std::vector<std::string> payloads;
-    std::vector<CellOutcome> cells;
-    ShardSpec shard;
-    std::size_t resumed = 0; ///< cells satisfied from the journal
+};
 
-    bool sharded() const { return shard.active(); }
-    /** Cells this shard owns (everything not SKIPPED). */
-    std::size_t shardJobs() const;
-    /** Did every owned cell finish OK? */
-    bool complete() const;
-    /** Canonical ids of owned FAILED/TIMEOUT cells, ascending. */
-    std::vector<std::size_t> failedCells() const;
-    /** 0 when complete, kExitDegraded otherwise. */
-    int exitCode() const { return complete() ? 0 : kExitDegraded; }
+/**
+ * An experiment sweep's outcome: results are parallel to the job list;
+ * a cell's result is meaningful only when its outcome is OK.
+ */
+struct SweepOutcome : SweepCells
+{
+    std::vector<ExperimentResult> results;
 };
 
 /**
@@ -317,13 +295,13 @@ struct PayloadOutcome
  * fault's complete-but-wrong attempt-1 payload (it must still pass
  * @p validate — see superviseRawJobs). runFaultTolerantSweep() is
  * this instantiated with the experiment wire format; drivers with
- * their own schema (the serving bench's load ladders) call it
- * directly and keep shard/--journal/--isolate for free.
+ * their own schema (the serving bench's load ladders) reach it through
+ * runBenchPayloadSweep() and keep shard/--journal/--isolate for free.
  */
 PayloadOutcome runFaultTolerantPayloadSweep(
     const std::string &sweep_id, std::size_t jobs,
     const std::function<std::string(std::size_t)> &fn,
-    const std::function<bool(const std::string &)> &validate,
+    const PayloadJournal::Validator &validate,
     const std::function<std::string(const std::string &)> &perturb,
     const SweepRunOptions &opts, const FaultPlan &faults);
 
@@ -333,7 +311,8 @@ PayloadOutcome runFaultTolerantPayloadSweep(
  * (exceptions caught per cell) or under the --isolate supervisor
  * (crashes/hangs/timeouts contained per cell), applying @p faults.
  * Completed cells are appended to the journal as they finish. Throws
- * JournalError per the journal's corruption contract.
+ * JournalError per the journal's corruption contract. This is
+ * runFaultTolerantPayloadSweep() over the experiment wire format.
  */
 SweepOutcome runFaultTolerantSweep(const std::string &sweep_id,
                                    const std::vector<SweepJob> &jobs,
@@ -341,47 +320,67 @@ SweepOutcome runFaultTolerantSweep(const std::string &sweep_id,
                                    const FaultPlan &faults);
 
 /**
- * The bench driver: options from argv/env, faults from IH_FAULT_INJECT,
- * fail-fast --json probe, runFaultTolerantSweep, then the shard /
- * resume / per-failed-cell status lines every bench prints the same
- * way. Benches render their tables from the returned outcome (full
- * tables only when complete and unsharded) and exit with exitCode().
+ * The bench driver: fail-fast --json probe, options from argv/env,
+ * faults from IH_FAULT_INJECT, runFaultTolerantPayloadSweep, then the
+ * shard / resume / per-failed-cell status lines every bench prints the
+ * same way (@p label names failed cell i: "app/arch tag"). --merge is
+ * fatal(): only the "sweep/v2" grid benches merge, through
+ * maybeMergeShardReports() before they run. JournalError is fatal()
+ * too.
+ */
+PayloadOutcome runBenchPayloadSweep(
+    int argc, char **argv, const std::string &sweep_id, std::size_t jobs,
+    const std::function<std::string(std::size_t)> &fn,
+    const PayloadJournal::Validator &validate,
+    const std::function<std::string(const std::string &)> &perturb,
+    const std::function<std::string(std::size_t)> &label);
+
+/**
+ * runBenchPayloadSweep() over the experiment codec. Benches render
+ * their tables from the returned outcome (full tables only when
+ * complete and unsharded) and exit with exitCode().
  */
 SweepOutcome runBenchSweep(int argc, char **argv,
                            const std::string &sweep_id,
                            const std::vector<SweepJob> &jobs);
 
-/** Fold only the OK cells of @p results into aggregates — the
- *  degraded-sweep summary is honest about covering survivors only. */
-SweepSummary summarize(const std::vector<ExperimentResult> &results,
-                       const std::vector<CellOutcome> &cells);
+/** Fold only the OK cells of @p o into aggregates — the degraded-sweep
+ *  summary is honest about covering survivors only. */
+SweepSummary summarize(const SweepOutcome &o);
 
 /** Bench worker count from the IRONHIDE_THREADS env var
  *  (0 / unset = hardware concurrency). */
 unsigned sweepThreads();
 
-/**
- * Machine-readable report: sweep id, one record per (job, result)
- * pair, and the per-arch summary, as a single JSON document.
- * @p jobs and @p results must be parallel vectors. (The legacy
- * all-cells-succeeded form; benches now render the outcome overload.)
- */
-std::string sweepToJson(const std::string &sweep_id,
-                        const std::vector<SweepJob> &jobs,
-                        const std::vector<ExperimentResult> &results,
-                        const SweepSummary &summary);
+/** Writes cell i's own fields into its report record. */
+using CellWriter = std::function<void(JsonWriter &, std::size_t)>;
 
 /**
- * The "sweep/v2" report: one record per cell this shard attempted
- * (SKIPPED cells are omitted), each carrying its canonical "job" id,
- * its "status" ("ok"/"retried"/"failed"/"timeout"), the exact
- * "*_cycles" integers alongside the derived millisecond views (so a
- * merge can reconstruct results without floating-point drift), and —
- * for failed cells — the deterministic "error" text. Degradation is
- * explicit: a "complete" flag and, when non-empty, the "failed_cells"
- * id list; shard runs also carry "shard" and "shard_jobs". A complete
- * unsharded outcome and a --merge of complete shard outcomes render
- * byte-identically.
+ * The report envelope every sweep schema shares: "schema", "sweep",
+ * "jobs", "shard"/"shard_jobs" when sharded, "complete", and
+ * "failed_cells" when non-empty, then one "results" record per cell
+ * this shard attempted (SKIPPED cells are omitted). A record holds its
+ * canonical "job" id, the fields @p identify writes, the "status"
+ * ("ok"/"retried"/"failed"/"timeout"), "attempts" when more than one,
+ * and then @p body's fields for OK cells or the deterministic "error"
+ * text for failed ones. @p tail, when set, appends top-level keys
+ * after the results.
+ */
+std::string sweepReportJson(const char *schema,
+                            const std::string &sweep_id,
+                            const SweepCells &o,
+                            const CellWriter &identify,
+                            const CellWriter &body,
+                            const std::function<void(JsonWriter &)> &tail =
+                                nullptr);
+
+/**
+ * The "sweep/v2" report: the sweepReportJson() envelope whose records
+ * name the app/arch/tag/policy and carry the exact "*_cycles" integers
+ * alongside the derived millisecond views (so a merge can reconstruct
+ * results without floating-point drift), followed by the per-arch
+ * summary of the OK cells. A complete unsharded outcome and a --merge
+ * of complete shard outcomes render byte-identically.
  */
 std::string sweepToJson(const std::string &sweep_id,
                         const std::vector<SweepJob> &jobs,
@@ -412,21 +411,17 @@ int maybeMergeShardReports(int argc, char **argv,
 
 /**
  * Path from a "--json <path>" argv pair, nullptr when absent. A bare
- * trailing "--json" is a fatal user error — benches call this before
- * the sweep so a bad invocation fails fast, not after minutes of runs.
+ * trailing "--json" or an unwritable path is a fatal user error —
+ * benches call this before the sweep so a bad invocation fails fast,
+ * not after minutes of runs. The probe never creates the report file.
  */
 const char *jsonReportPath(int argc, char **argv);
 
 /**
- * Bench plumbing: when argv carries "--json <path>", write the sweep
- * report there and print its path. Returns true when written.
+ * Bench plumbing: when argv carries "--json <path>", write the
+ * "sweep/v2" report there and print its path. Returns true when
+ * written.
  */
-bool maybeWriteJsonReport(int argc, char **argv,
-                          const std::string &sweep_id,
-                          const std::vector<SweepJob> &jobs,
-                          const std::vector<ExperimentResult> &results);
-
-/** The fault-tolerant sibling: writes the "sweep/v2" outcome report. */
 bool maybeWriteJsonReport(int argc, char **argv,
                           const std::string &sweep_id,
                           const std::vector<SweepJob> &jobs,

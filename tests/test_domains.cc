@@ -149,10 +149,11 @@ TEST_F(DomainsTest, ProbeFailuresSurfaceIdenticallyAcrossDomainCounts)
 TEST_F(DomainsTest, SweepReportByteIdenticalAcrossDomainCounts)
 {
     // The exact pipeline the fig6/fig7/abl_reconfig benches run —
-    // SweepGrid -> SweepRunner -> summarize -> sweepToJson — with
-    // cfg.domains as the only difference between the two passes. The
-    // rendered reports must be byte-identical: the domain workers may
-    // only ever overlap pure probe evaluations, never change them.
+    // SweepGrid -> runFaultTolerantSweep -> sweepToJson ("sweep/v2",
+    // summary included) — with cfg.domains as the only difference
+    // between the two passes. The rendered reports must be
+    // byte-identical: the domain workers may only ever overlap pure
+    // probe evaluations, never change them.
     const auto reportAt = [](unsigned domains) {
         SysConfig cfg = SysConfig::smallTest();
         cfg.domains = domains;
@@ -167,10 +168,11 @@ TEST_F(DomainsTest, SweepReportByteIdenticalAcrossDomainCounts)
                         ArchKind::IRONHIDE})
                 .options(opts)
                 .jobs();
-        const std::vector<ExperimentResult> results =
-            SweepRunner(1).run(jobs);
-        return sweepToJson("domains_parity", jobs, results,
-                           summarize(results));
+        SweepRunOptions run;
+        run.threads = 1;
+        return sweepToJson("domains_parity", jobs,
+                           runFaultTolerantSweep("domains_parity", jobs,
+                                                 run, FaultPlan()));
     };
 
     const std::string serial = reportAt(1);

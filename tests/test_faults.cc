@@ -4,7 +4,8 @@
  * format, the append-only resume journal (bootstrap, reload, the
  * corruption contract), resume-runs-only-incomplete-jobs, and the
  * --isolate supervisor (crash containment, timeouts, bounded retries,
- * the retry-checksum determinism gate).
+ * the retry-checksum determinism gate), and the payload core under a
+ * codec that is not the experiment one.
  */
 
 #include <gtest/gtest.h>
@@ -97,6 +98,14 @@ nastyResult()
     r.decidedSplit = 19;
     r.probes = 6;
     return r;
+}
+
+/** The experiment sweeps' journal validator: an "ihres1" payload. */
+bool
+isResult(const std::string &payload)
+{
+    ExperimentResult r;
+    return deserializeResult(payload, r);
 }
 
 /**
@@ -227,60 +236,64 @@ TEST(WireFormat, ChecksumIsStableAndSensitive)
 TEST(Journal, BootstrapsAppendsAndReloads)
 {
     const std::string path = journalPath("journal_basic.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string payload = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         EXPECT_TRUE(j.open().empty());
-        j.append(2, r, 1);
-        j.append(4, r, 3);
+        j.append(2, payload, 1);
+        j.append(4, payload, 3);
     }
-    SweepJournal j(path, "unit", 6, ShardSpec{});
-    const std::map<std::size_t, SweepJournal::Entry> done = j.open();
+    PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
+    const std::map<std::size_t, PayloadJournal::Entry> done = j.open();
     ASSERT_EQ(done.size(), 2u);
     ASSERT_TRUE(done.count(2));
     ASSERT_TRUE(done.count(4));
     EXPECT_EQ(done.at(2).attempts, 1u);
     EXPECT_EQ(done.at(4).attempts, 3u);
-    EXPECT_EQ(serializeResult(done.at(2).result), serializeResult(r));
+    EXPECT_EQ(done.at(2).payload, payload);
 }
 
 TEST(Journal, RejectsAForeignHeader)
 {
     const std::string path = journalPath("journal_header.jsonl");
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
     }
     // Wrong sweep id, wrong job count, wrong shard: each must refuse —
     // resuming the wrong sweep would silently skip its jobs.
-    EXPECT_THROW(SweepJournal(path, "other", 6, ShardSpec{}).open(),
-                 JournalError);
-    EXPECT_THROW(SweepJournal(path, "unit", 7, ShardSpec{}).open(),
-                 JournalError);
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{1, 3}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "other", 6, ShardSpec{}, isResult).open(),
+        JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 7, ShardSpec{}, isResult).open(),
+        JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 6, ShardSpec{1, 3}, isResult).open(),
+        JournalError);
     // Not a journal at all.
     writeTextFile(path, "{\"whatever\":1}\n");
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, DropsATruncatedFinalRecord)
 {
     const std::string path = journalPath("journal_trunc.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string payload = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
-        j.append(0, r, 1);
-        j.append(1, r, 1);
-        j.append(2, r, 1);
+        j.append(0, payload, 1);
+        j.append(1, payload, 1);
+        j.append(2, payload, 1);
     }
     // Chop mid-record: the crash artifact the design promises to heal.
     const std::string text = readTextFile(path);
     writeTextFile(path, text.substr(0, text.size() - 20));
 
-    SweepJournal j(path, "unit", 6, ShardSpec{});
+    PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
     const auto done = j.open();
     EXPECT_EQ(done.size(), 2u);
     EXPECT_FALSE(done.count(2)); // the damaged record re-runs
@@ -289,18 +302,18 @@ TEST(Journal, DropsATruncatedFinalRecord)
 TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
 {
     const std::string path = journalPath("journal_sum.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string payload = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
-        j.append(0, r, 1);
-        j.append(1, r, 1);
-        j.append(2, r, 1);
+        j.append(0, payload, 1);
+        j.append(1, payload, 1);
+        j.append(2, payload, 1);
     }
     // Garbled *final* record: dropped, job re-runs.
     garbleRecordSum(path, 2);
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         const auto done = j.open();
         EXPECT_EQ(done.size(), 2u);
         EXPECT_FALSE(done.count(2));
@@ -308,51 +321,53 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
     // Garbled *middle* record: beyond the crash model — refuse loudly
     // rather than silently resume over unknown damage.
     garbleRecordSum(path, 0);
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, DuplicateRecordsCollapseUnlessTheyDisagree)
 {
     const std::string path = journalPath("journal_dup.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string payload = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
-        j.append(3, r, 1);
-        j.append(3, r, 2); // replayed append, same payload: idempotent
+        j.append(3, payload, 1);
+        j.append(3, payload, 2); // replayed append, same payload: idempotent
     }
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         const auto done = j.open();
         EXPECT_EQ(done.size(), 1u);
         EXPECT_EQ(done.at(3).attempts, 1u); // first record wins
     }
     // The same job with a *different* (but self-consistent) payload is
     // a determinism violation, not a replay.
-    ExperimentResult other = r;
+    ExperimentResult other = nastyResult();
     other.run.instructions += 1;
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
-        j.append(3, other, 1);
+        j.append(3, serializeResult(other), 1);
     }
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, RejectsRecordsOutsideTheShard)
 {
     const std::string path = journalPath("journal_shard.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string payload = serializeResult(nastyResult());
     {
         // Shard 1/3 owns jobs 1 and 4 of six.
-        SweepJournal j(path, "unit", 6, ShardSpec{1, 3});
+        PayloadJournal j(path, "unit", 6, ShardSpec{1, 3}, isResult);
         j.open();
-        j.append(1, r, 1);
-        j.append(2, r, 1); // not ours — damaged final record, dropped
+        j.append(1, payload, 1);
+        j.append(2, payload, 1); // not ours — damaged final record, dropped
     }
-    SweepJournal j(path, "unit", 6, ShardSpec{1, 3});
+    PayloadJournal j(path, "unit", 6, ShardSpec{1, 3}, isResult);
     const auto done = j.open();
     EXPECT_EQ(done.size(), 1u);
     EXPECT_TRUE(done.count(1));
@@ -501,4 +516,65 @@ TEST(Isolate, AnInjectedThrowIsReportedVerbatim)
     // The child ships the exception text through the pipe.
     EXPECT_NE(out.cells[4].error.find("injected failure"),
               std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// The payload core under a codec that is not the experiment one
+// --------------------------------------------------------------------------
+
+TEST(PayloadSweep, AStringCodecGetsResumeIsolationAndTheRetryGate)
+{
+    // Payloads no experiment decoder accepts, and no simulation at all:
+    // the core must shard, journal, isolate and fault-inject them
+    // without knowing their format (the serving bench's route).
+    constexpr std::size_t kJobs = 5;
+    std::atomic<unsigned> calls{0};
+    const auto fn = [&calls](std::size_t i) {
+        ++calls;
+        return "cell-" + std::to_string(i * i);
+    };
+    const auto validate = [](const std::string &payload) {
+        return payload.rfind("cell-", 0) == 0;
+    };
+    const auto perturb = [](const std::string &payload) {
+        return payload + "0"; // still passes validate
+    };
+    SweepRunOptions opts;
+    opts.threads = 2;
+
+    // A failed job, then a journal resume re-runs only that job.
+    SweepRunOptions journaled = opts;
+    journaled.journalPath = journalPath("payload_resume.jsonl");
+    const PayloadOutcome first = runFaultTolerantPayloadSweep(
+        "unit_payload", kJobs, fn, validate, perturb, journaled,
+        FaultPlan::parse("job:3:fail"));
+    EXPECT_EQ(first.failedCells(), std::vector<std::size_t>{3});
+    EXPECT_EQ(calls.load(), kJobs - 1); // the fault fires before fn
+    calls = 0;
+    const PayloadOutcome resumed = runFaultTolerantPayloadSweep(
+        "unit_payload", kJobs, fn, validate, perturb, journaled,
+        FaultPlan());
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.resumed, kJobs - 1);
+    EXPECT_EQ(calls.load(), 1u);
+
+    // Forked children ship back exactly the inline payloads.
+    const PayloadOutcome inline_out = runFaultTolerantPayloadSweep(
+        "unit_payload", kJobs, fn, validate, perturb, opts, FaultPlan());
+    SweepRunOptions isolated = opts;
+    isolated.isolate = true;
+    const PayloadOutcome iso_out = runFaultTolerantPayloadSweep(
+        "unit_payload", kJobs, fn, validate, perturb, isolated,
+        FaultPlan());
+    ASSERT_TRUE(iso_out.complete());
+    EXPECT_EQ(iso_out.payloads, inline_out.payloads);
+    EXPECT_EQ(resumed.payloads, inline_out.payloads);
+
+    // NONDET emits the caller's perturbation on attempt 1; the clean
+    // retry disagrees and the checksum gate fails the cell.
+    const PayloadOutcome flaky = runFaultTolerantPayloadSweep(
+        "unit_payload", kJobs, fn, validate, perturb, isolated,
+        FaultPlan::parse("job:1:nondet"));
+    EXPECT_EQ(flaky.failedCells(), std::vector<std::size_t>{1});
+    EXPECT_NE(flaky.cells[1].error.find("determinism"), std::string::npos);
 }

@@ -20,6 +20,7 @@
 #include "harness/experiment.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 #include "sim/log.hh"
 
 using namespace ih;
@@ -452,6 +453,29 @@ TEST(WriteTextFile, LeavesNoTempFileBehind)
     if (f)
         std::fclose(f);
     std::remove(path.c_str());
+}
+
+TEST(JsonReportPath, ProbeLeavesTheTargetUntouched)
+{
+    // The fail-fast --json probe runs before the sweep; a bench that
+    // dies afterwards must not leave an empty report at the path, nor
+    // clobber the previous one.
+    const std::string dir = ::testing::TempDir();
+    const std::string absent = dir + "/ih_probe_absent.json";
+    const std::string existing = dir + "/ih_probe_existing.json";
+    std::remove(absent.c_str());
+    writeTextFile(existing, "previous report\n");
+    for (const std::string &path : {absent, existing}) {
+        const char *args[] = {"bench", "--json", path.c_str()};
+        EXPECT_STREQ(jsonReportPath(3, const_cast<char **>(args)),
+                     path.c_str());
+    }
+    std::FILE *f = std::fopen(absent.c_str(), "r");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
+    EXPECT_EQ(readTextFile(existing), "previous report\n");
+    std::remove(existing.c_str());
 }
 
 // ---- jsonUnsignedField ----------------------------------------------------

@@ -1,17 +1,15 @@
 /**
  * @file
  * Sweep-engine tests: grid enumeration order, the parallel-vs-serial
- * determinism contract of SweepRunner, edge cases (empty grid, single
- * job), summary aggregation, and the JSON report writer.
+ * determinism contract of the sweep path, edge cases (empty grid,
+ * single job), summary aggregation, and the JSON report writer.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -42,6 +40,15 @@ testJobs()
         .app(tiny("<SSSP, GRAPH>"))
         .archs({ArchKind::INSECURE, ArchKind::SGX_LIKE, ArchKind::MI6})
         .jobs();
+}
+
+/** The benches' sweep path, inline at @p threads workers. */
+SweepOutcome
+sweep(const std::vector<SweepJob> &jobs, unsigned threads)
+{
+    SweepRunOptions opts;
+    opts.threads = threads;
+    return runFaultTolerantSweep("unit_sweep", jobs, opts, FaultPlan());
 }
 
 /** Field-by-field equality of two results. */
@@ -151,16 +158,16 @@ TEST(SweepRunner, TlbWaysDimensionRunsEndToEnd)
                                            .arch(ArchKind::MI6)
                                            .tlbWays({0, 4, 2})
                                            .jobs();
-    const std::vector<ExperimentResult> r = SweepRunner(3).run(jobs);
-    ASSERT_EQ(r.size(), 3u);
-    for (const ExperimentResult &res : r)
+    const SweepOutcome out = sweep(jobs, 3);
+    ASSERT_TRUE(out.complete());
+    ASSERT_EQ(out.results.size(), 3u);
+    for (const ExperimentResult &res : out.results)
         EXPECT_GT(res.run.completion, 0u);
 }
 
 TEST(SweepRunner, EmptyGridYieldsEmptyResults)
 {
-    const std::vector<ExperimentResult> r = SweepRunner(4).run({});
-    EXPECT_TRUE(r.empty());
+    EXPECT_TRUE(sweep({}, 4).results.empty());
 }
 
 TEST(SweepRunner, SingleJob)
@@ -172,7 +179,7 @@ TEST(SweepRunner, SingleJob)
     job.cfg = SysConfig::smallTest();
     jobs.push_back(job);
 
-    const std::vector<ExperimentResult> r = SweepRunner(8).run(jobs);
+    const std::vector<ExperimentResult> r = sweep(jobs, 8).results;
     ASSERT_EQ(r.size(), 1u);
     EXPECT_EQ(r[0].app, job.app.name);
     EXPECT_EQ(r[0].arch, "insecure");
@@ -182,7 +189,7 @@ TEST(SweepRunner, SingleJob)
 TEST(SweepRunner, ResultsArriveInJobOrder)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(jobs);
+    const std::vector<ExperimentResult> r = sweep(jobs, 4).results;
     ASSERT_EQ(r.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(r[i].app, jobs[i].app.name);
@@ -193,10 +200,8 @@ TEST(SweepRunner, ResultsArriveInJobOrder)
 TEST(SweepRunner, ParallelMatchesSerialExactly)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> serial =
-        SweepRunner(1).run(jobs);
-    const std::vector<ExperimentResult> parallel =
-        SweepRunner(4).run(jobs);
+    const std::vector<ExperimentResult> serial = sweep(jobs, 1).results;
+    const std::vector<ExperimentResult> parallel = sweep(jobs, 4).results;
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResult(serial[i], parallel[i]);
@@ -205,9 +210,9 @@ TEST(SweepRunner, ParallelMatchesSerialExactly)
 TEST(SweepRunner, ThreadCountDoesNotChangeResults)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> base = SweepRunner(2).run(jobs);
+    const std::vector<ExperimentResult> base = sweep(jobs, 2).results;
     for (const unsigned n : {3u, 8u}) {
-        const std::vector<ExperimentResult> r = SweepRunner(n).run(jobs);
+        const std::vector<ExperimentResult> r = sweep(jobs, n).results;
         ASSERT_EQ(r.size(), base.size());
         for (std::size_t i = 0; i < r.size(); ++i)
             expectSameResult(base[i], r[i]);
@@ -220,29 +225,11 @@ TEST(SweepRunner, ZeroMeansHardwareConcurrency)
     EXPECT_EQ(SweepRunner(5).threads(), 5u);
 }
 
-TEST(SweepRunner, ProgressSeesEveryJobExactlyOnce)
+TEST(FaultTolerantSweep, AThrowingAppFactoryFailsOnlyItsCell)
 {
-    const std::vector<SweepJob> jobs = testJobs();
-    std::size_t calls = 0;
-    std::size_t last_done = 0;
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(
-        jobs, [&](std::size_t done, std::size_t total,
-                  const ExperimentResult &res) {
-            ++calls;
-            EXPECT_EQ(total, jobs.size());
-            EXPECT_GE(done, 1u);
-            EXPECT_LE(done, total);
-            EXPECT_FALSE(res.app.empty());
-            last_done = std::max(last_done, done);
-        });
-    EXPECT_EQ(calls, jobs.size());
-    EXPECT_EQ(last_done, jobs.size());
-}
-
-TEST(SweepRunner, JobExceptionPropagatesToCaller)
-{
-    // A grid whose app factory throws: the runner must surface the
-    // exception instead of deadlocking or aborting.
+    // A grid whose app factory throws: that cell fails with the
+    // exception text and its neighbours complete — what the benches
+    // report, instead of deadlocking, aborting or losing the grid.
     std::vector<SweepJob> jobs(3);
     for (SweepJob &job : jobs) {
         job.app = tiny();
@@ -252,46 +239,17 @@ TEST(SweepRunner, JobExceptionPropagatesToCaller)
     jobs[1].app.make = [](const SysConfig &) -> WorkloadPair {
         throw std::runtime_error("boom");
     };
-    EXPECT_THROW(SweepRunner(2).run(jobs), std::runtime_error);
-}
-
-TEST(SweepRunner, MultiFailurePropagatesCanonicalFirstError)
-{
-    // Two deliberately-throwing jobs under 4 workers: the low-index job
-    // fails *slowly*, the high-index one instantly. The runner used to
-    // keep whichever exception won the wall-clock race (here the
-    // high-index one), so a multi-failure sweep surfaced different
-    // errors run to run; the contract is the canonical first failure —
-    // exactly what a serial loop over the jobs produces.
-    std::vector<SweepJob> jobs(4);
-    for (SweepJob &job : jobs) {
-        job.app = tiny();
-        job.arch = ArchKind::INSECURE;
-        job.cfg = SysConfig::smallTest();
-    }
-    jobs[0].app.make = [](const SysConfig &) -> WorkloadPair {
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        throw std::runtime_error("low");
-    };
-    jobs[3].app.make = [](const SysConfig &) -> WorkloadPair {
-        throw std::runtime_error("high");
-    };
-    for (unsigned threads : {4u, 1u}) {
-        try {
-            SweepRunner(threads).run(jobs);
-            FAIL() << "expected a sweep failure at " << threads
-                   << " threads";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "low");
-        }
-    }
+    const SweepOutcome out = sweep(jobs, 2);
+    EXPECT_EQ(out.failedCells(), std::vector<std::size_t>{1});
+    EXPECT_EQ(out.cells[1].status, CellStatus::FAILED);
+    EXPECT_EQ(out.cells[1].error, "boom");
+    EXPECT_TRUE(out.cells[0].ok());
+    EXPECT_TRUE(out.cells[2].ok());
 }
 
 TEST(SweepSummary, AggregatesPerArchWithStatGroup)
 {
-    const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(jobs);
-    const SweepSummary s = summarize(r);
+    const SweepSummary s = summarize(sweep(testJobs(), 4));
 
     // Three architectures, in first-appearance order.
     ASSERT_EQ(s.byArch.size(), 3u);
@@ -322,11 +280,11 @@ TEST(SweepSummary, EmptyResultsStayFinite)
 {
     // No completed jobs at all: the summary must come back empty and
     // render to JSON without dividing by zero or emitting NaN.
-    const SweepSummary s = summarize({});
+    const SweepSummary s = summarize(SweepOutcome{});
     EXPECT_TRUE(s.byArch.empty());
     EXPECT_EQ(s.find("ironhide"), nullptr);
     EXPECT_EQ(s.speedup("IRONHIDE", "MI6"), 0.0);
-    const std::string json = sweepToJson("empty", {}, {}, s);
+    const std::string json = sweepToJson("empty", {}, SweepOutcome{});
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
@@ -340,7 +298,10 @@ TEST(SweepSummary, ZeroValuedResultsStayFinite)
     ExperimentResult r;
     r.app = "degenerate";
     r.arch = "ironhide";
-    const SweepSummary s = summarize({r, r});
+    SweepOutcome o;
+    o.results = {r, r};
+    o.cells.resize(2);
+    const SweepSummary s = summarize(o);
     ASSERT_EQ(s.byArch.size(), 1u);
     EXPECT_TRUE(std::isfinite(s.byArch[0].geomeanCompletionMs));
     EXPECT_GT(s.byArch[0].geomeanCompletionMs, 0.0);
@@ -348,8 +309,7 @@ TEST(SweepSummary, ZeroValuedResultsStayFinite)
     EXPECT_TRUE(std::isfinite(s.byArch[0].meanSecureCores));
 
     const std::string json =
-        sweepToJson("degenerate", std::vector<SweepJob>(2),
-                    {r, r}, s);
+        sweepToJson("degenerate", std::vector<SweepJob>(2), o);
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
@@ -379,9 +339,8 @@ TEST(JsonWriter, EscapesControlCharacters)
 TEST(SweepJson, ReportContainsJobsResultsAndSummary)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(jobs);
     const std::string json =
-        sweepToJson("unit_sweep", jobs, r, summarize(r));
+        sweepToJson("unit_sweep", jobs, sweep(jobs, 4));
 
     EXPECT_NE(json.find("\"sweep\":\"unit_sweep\""), std::string::npos);
     EXPECT_NE(json.find("\"jobs\":6"), std::string::npos);
@@ -450,7 +409,7 @@ TEST(FaultTolerantSweep, InlineFailInjectionDegradesHonestly)
               std::string::npos);
 
     // The summary covers the survivors only.
-    const SweepSummary s = summarize(out.results, out.cells);
+    const SweepSummary s = summarize(out);
     std::size_t summarized = 0;
     for (const ArchAggregate &a : s.byArch)
         summarized += a.jobs;
@@ -538,4 +497,21 @@ TEST(FaultTolerantSweep, MergeRejectsIncompleteOrDuplicateShardSets)
     // A report from a different sweep → refuse.
     EXPECT_THROW(mergeShardReports("other_sweep", jobs, reports),
                  std::runtime_error);
+}
+
+TEST(BenchSweepDeathTest, PayloadDriverRefusesMerge)
+{
+    // Only "sweep/v2" grids merge (maybeMergeShardReports, before the
+    // run). A payload bench handed --merge must stop, not silently
+    // re-run every job and overwrite the report.
+    const char *args[] = {"bench", "--json", "merged.json", "--merge",
+                          "s0.json", "s1.json"};
+    char **argv = const_cast<char **>(args);
+    const auto fn = [](std::size_t) { return std::string("x"); };
+    const auto validate = [](const std::string &) { return true; };
+    const auto perturb = [](const std::string &p) { return p + "y"; };
+    const auto label = [](std::size_t) { return std::string("cell"); };
+    EXPECT_EXIT(runBenchPayloadSweep(6, argv, "unit_merge", 1, fn,
+                                     validate, perturb, label),
+                ::testing::ExitedWithCode(1), "--merge");
 }
