@@ -64,11 +64,6 @@ main(int argc, char **argv)
         buildJobs(cfg, apps, policies, sens_app, mults);
     const std::size_t grid_jobs = apps.size() * policies.size();
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "abl_reconfig", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Ablation A3 — dynamic hardware isolation",
                 "Reconfiguration policy vs performance and scheduling-"
                 "leakage events,\nand sensitivity to the page re-homing "

@@ -50,10 +50,6 @@ main(int argc, char **argv)
             .tlbWays({0, 8, 4})
             .jobs();
 
-    const int merged = maybeMergeShardReports(argc, argv, "abl_tlb", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Ablation — TLB geometry",
                 "Completion and miss rates over TLB size (16/32/64 "
                 "entries) x associativity\n(fully-associative vs 8-way vs "

@@ -37,11 +37,6 @@ main(int argc, char **argv)
                     ArchKind::IRONHIDE})
             .jobs();
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "fig1a_overview", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Figure 1(a)",
                 "Normalized geomean completion time of secure processor "
                 "architectures\n(insecure baseline = 1.0). Paper: SGX "

@@ -37,11 +37,6 @@ main(int argc, char **argv)
             .archs({ArchKind::SGX_LIKE, ArchKind::MI6, ArchKind::IRONHIDE})
             .jobs();
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "fig6_completion", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Figure 6",
                 "Completion time (ms, simulated) per interactive "
                 "application,\nbroken into compute and "

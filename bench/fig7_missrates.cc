@@ -30,11 +30,6 @@ main(int argc, char **argv)
             .archs({ArchKind::MI6, ArchKind::IRONHIDE})
             .jobs();
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "fig7_missrates", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Figure 7",
                 "Private L1 (a) and shared L2 (b) miss rates, MI6 vs "
                 "IRONHIDE.\nPaper: L1 improves up to ~5.9x under "

@@ -71,11 +71,6 @@ main(int argc, char **argv)
         }
     }
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "fig8_heuristic", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Figure 8",
                 "Cluster-reconfiguration decision study: completion time "
                 "normalized\nto MI6 = 100 (lower is better). Paper: "

@@ -16,7 +16,8 @@
  *
  * One job = one architecture's whole ladder, run through the generic
  * fault-tolerance layer: IRONHIDE_SHARD skips ladders other shards
- * own, --journal resumes completed ladders across crashes, --isolate
+ * own, --journal resumes completed ladders across crashes, --merge
+ * rebuilds the whole report from the shard journals, --isolate
  * forks each ladder into a supervised child (IRONHIDE_JOB_TIMEOUT_MS /
  * IRONHIDE_JOB_RETRIES apply). `--json <path>` writes the
  * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS /

@@ -42,11 +42,6 @@ main(int argc, char **argv)
             .archs({ArchKind::INSECURE, ArchKind::MI6, ArchKind::IRONHIDE})
             .jobs();
 
-    const int merged =
-        maybeMergeShardReports(argc, argv, "tab_interactivity", jobs);
-    if (merged >= 0)
-        return merged;
-
     printBanner("Interactivity & purge-cost table (prose, §IV-B/§V-B)",
                 "Measured interactivity rates and per-event transition "
                 "costs.");

@@ -128,15 +128,6 @@ ALLOWLIST = [
         ),
     },
     {
-        "rule": "raw-parse",
-        "file": "src/sim/config.cc",
-        "contains": "std::strtod",
-        "why": (
-            "Strict end-checked workScale parser (see the strtoull "
-            "entry): full-consumption required, fatal() otherwise."
-        ),
-    },
-    {
         "rule": "raw-getenv",
         "file": "tests/test_stats_parity.cc",
         "contains": "IH_DUMP_GOLDEN",

@@ -72,7 +72,6 @@ class SessionServer
      */
     Cycle serve(std::size_t appIndex, Cycle arrival);
 
-    std::size_t numApps() const { return ctxs_.size(); }
     /** When the server drains the queue submitted so far. */
     Cycle busyUntil() const { return busyUntil_; }
 

@@ -24,8 +24,6 @@ ExecContext::accessShared(AddressSpace &space, VAddr va, MemOp op)
     const AccessResult r =
         engine_->mem_.access(core_, space, va, op, now_, whole);
     now_ = r.finish;
-    lastL1Hit_ = r.l1Hit;
-    lastL2Hit_ = r.l2Hit;
     ++instructions_;
     engine_->statIpcAccesses_.inc();
 }

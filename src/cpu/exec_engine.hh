@@ -75,10 +75,6 @@ class ExecContext
     Process &process() { return *proc_; }
     Rng &rng();
 
-    /** Statistics of the last access issued from this context. */
-    bool lastWasL1Hit() const { return lastL1Hit_; }
-    bool lastWasL2Hit() const { return lastL2Hit_; }
-
   private:
     friend class ExecEngine;
 
@@ -89,8 +85,6 @@ class ExecContext
     CoreId core_;
     Cycle now_;
     std::uint64_t instructions_ = 0;
-    bool lastL1Hit_ = false;
-    bool lastL2Hit_ = false;
 };
 
 /** A resumable unit of parallel work. */
@@ -169,8 +163,6 @@ ExecContext::access(AddressSpace &space, VAddr va, MemOp op)
     const AccessResult r = engine_->mem_.access(core_, space, va, op, now_,
                                                 proc_->cluster());
     now_ = r.finish;
-    lastL1Hit_ = r.l1Hit;
-    lastL2Hit_ = r.l2Hit;
     ++instructions_;
 }
 

@@ -45,7 +45,6 @@ class IpcBuffer
     VAddr payloadAddr(unsigned i, unsigned off) const;
 
     unsigned slots() const { return slots_; }
-    unsigned slotBytes() const { return slotBytes_; }
 
     /** Slot used by interaction @p idx (ring indexing). */
     unsigned slotOf(std::uint64_t idx) const

@@ -153,15 +153,15 @@ PayloadJournal::headerLine() const
     return w.str() + "\n";
 }
 
-std::map<std::size_t, PayloadJournal::Entry>
-PayloadJournal::open()
+namespace
 {
-    IH_ASSERT(!f_, "journal '%s' opened twice", path_.c_str());
-    std::map<std::size_t, Entry> done;
 
-    // Read whatever exists (absent or empty = fresh journal).
+/** The whole journal file at @p path; "" when it does not exist. */
+std::string
+readJournal(const std::string &path)
+{
     std::string text;
-    if (std::FILE *in = std::fopen(path_.c_str(), "rb")) {
+    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
         char buf[4096];
         std::size_t n;
         while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0)
@@ -169,99 +169,129 @@ PayloadJournal::open()
         const bool rderr = std::ferror(in) != 0;
         std::fclose(in);
         if (rderr)
-            throw JournalError("read error on journal '" + path_ + "'");
+            throw JournalError("read error on journal '" + path + "'");
     }
+    return text;
+}
 
+/**
+ * The completed jobs in journal @p text (read from @p path), under the
+ * corruption contract. The header must name @p sweep_id and @p jobs,
+ * and the shard @p expect when given; records must belong to the
+ * header's shard.
+ */
+std::map<std::size_t, PayloadJournal::Entry>
+parseJournal(const std::string &path, const std::string &text,
+             const std::string &sweep_id, std::size_t jobs,
+             const ShardSpec *expect,
+             const PayloadJournal::Validator &validate)
+{
+    // Split into lines; text after the last '\n' is a truncated
+    // trailing record (the expected crash artifact).
+    std::vector<std::string> lines;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == '\n') {
+            lines.push_back(text.substr(start, i - start));
+            start = i + 1;
+        }
+    }
+    if (start < text.size())
+        lines.push_back(text.substr(start));
+
+    std::string hsweep, hshard;
+    std::uint64_t hjobs = 0;
+    unsigned long sidx = 0, scnt = 0;
+    if (lines.empty() || !jsonStringField(lines[0], "journal", hsweep) ||
+        hsweep != "ih-sweep-journal/v1")
+        throw JournalError("'" + path +
+                           "' is not an ih-sweep-journal/v1 file");
+    if (!jsonStringField(lines[0], "sweep", hsweep) ||
+        !jsonUnsignedField(lines[0], "jobs", hjobs) ||
+        !jsonStringField(lines[0], "shard", hshard) ||
+        !parseShardSpec("journal shard", hshard.c_str(), 4096, sidx, scnt))
+        throw JournalError("journal '" + path + "' has a malformed header");
+    const ShardSpec shard{static_cast<unsigned>(sidx),
+                          static_cast<unsigned>(scnt)};
+    if (hsweep != sweep_id || hjobs != jobs ||
+        (expect && shard.str() != expect->str()))
+        throw JournalError(strprintf(
+            "journal '%s' belongs to sweep %s (%" PRIu64
+            " jobs, shard %s), not %s (%zu jobs%s%s)",
+            path.c_str(), hsweep.c_str(), hjobs, hshard.c_str(),
+            sweep_id.c_str(), jobs, expect ? ", shard " : "",
+            expect ? expect->str().c_str() : ""));
+
+    std::map<std::size_t, PayloadJournal::Entry> done;
+    for (std::size_t li = 1; li < lines.size(); ++li) {
+        const std::string &line = lines[li];
+        const bool last = li + 1 == lines.size();
+        std::uint64_t job = 0;
+        std::uint64_t attempts = 1;
+        std::string sum, payload;
+        std::string reason;
+        PayloadJournal::Entry e;
+        if (line.empty() && last)
+            continue; // trailing newline artifact
+        if (!jsonUnsignedField(line, "job", job) ||
+            !jsonStringField(line, "sum", sum) ||
+            !jsonStringField(line, "payload", payload)) {
+            reason = "unparseable record";
+        } else if (checksumHex(payload) != sum) {
+            reason = "checksum mismatch";
+        } else if (job >= jobs || !shard.owns(job)) {
+            reason = "job id outside this sweep/shard";
+        } else if (!validate(payload)) {
+            reason = "undecodable payload";
+        }
+        if (!reason.empty()) {
+            if (last) {
+                // The one damage pattern a crash can produce: tolerate
+                // it, the job simply re-runs.
+                warn("journal '%s': dropping damaged final record (%s); "
+                     "job will re-run",
+                     path.c_str(), reason.c_str());
+                continue;
+            }
+            throw JournalError(strprintf(
+                "journal '%s' record %zu: %s (not the final record — "
+                "corruption beyond the crash model)",
+                path.c_str(), li, reason.c_str()));
+        }
+        jsonUnsignedField(line, "attempts", attempts);
+        e.attempts = static_cast<unsigned>(attempts);
+        e.payload = std::move(payload);
+        const auto it = done.find(job);
+        if (it != done.end()) {
+            if (checksumHex(it->second.payload) != checksumHex(e.payload))
+                throw JournalError(strprintf(
+                    "journal '%s': job %" PRIu64
+                    " recorded twice with different checksums "
+                    "(determinism violation)",
+                    path.c_str(), job));
+            continue; // idempotent replayed append
+        }
+        done.emplace(job, std::move(e));
+    }
+    return done;
+}
+
+} // namespace
+
+std::map<std::size_t, PayloadJournal::Entry>
+PayloadJournal::open()
+{
+    IH_ASSERT(!f_, "journal '%s' opened twice", path_.c_str());
+    std::map<std::size_t, Entry> done;
+    const std::string text = readJournal(path_);
     if (text.empty()) {
         // Bootstrap: the header goes through the atomic temp+rename
         // writeTextFile, so a crash mid-bootstrap leaves no file at
         // all — never a half-written header a resume would misparse.
         writeTextFile(path_, headerLine());
     } else {
-        // Split into lines; text after the last '\n' is a truncated
-        // trailing record (the expected crash artifact).
-        std::vector<std::string> lines;
-        std::size_t start = 0;
-        for (std::size_t i = 0; i < text.size(); ++i) {
-            if (text[i] == '\n') {
-                lines.push_back(text.substr(start, i - start));
-                start = i + 1;
-            }
-        }
-        if (start < text.size())
-            lines.push_back(text.substr(start));
-
-        std::string hsweep, hshard;
-        std::uint64_t hjobs = 0;
-        if (lines.empty() ||
-            !jsonStringField(lines[0], "journal", hsweep) ||
-            hsweep != "ih-sweep-journal/v1")
-            throw JournalError("'" + path_ +
-                               "' is not an ih-sweep-journal/v1 file");
-        if (!jsonStringField(lines[0], "sweep", hsweep) ||
-            !jsonUnsignedField(lines[0], "jobs", hjobs) ||
-            !jsonStringField(lines[0], "shard", hshard))
-            throw JournalError("journal '" + path_ +
-                               "' has a malformed header");
-        if (hsweep != sweepId_ || hjobs != jobs_ ||
-            hshard != shard_.str())
-            throw JournalError(strprintf(
-                "journal '%s' belongs to sweep %s (%" PRIu64
-                " jobs, shard %s), not %s (%zu jobs, shard %s)",
-                path_.c_str(), hsweep.c_str(), hjobs, hshard.c_str(),
-                sweepId_.c_str(), jobs_, shard_.str().c_str()));
-
-        for (std::size_t li = 1; li < lines.size(); ++li) {
-            const std::string &line = lines[li];
-            const bool last = li + 1 == lines.size();
-            std::uint64_t job = 0;
-            std::uint64_t attempts = 1;
-            std::string sum, payload;
-            std::string reason;
-            Entry e;
-            if (line.empty() && last)
-                continue; // trailing newline artifact
-            if (!jsonUnsignedField(line, "job", job) ||
-                !jsonStringField(line, "sum", sum) ||
-                !jsonStringField(line, "payload", payload)) {
-                reason = "unparseable record";
-            } else if (checksumHex(payload) != sum) {
-                reason = "checksum mismatch";
-            } else if (job >= jobs_ || !shard_.owns(job)) {
-                reason = "job id outside this sweep/shard";
-            } else if (!validate_(payload)) {
-                reason = "undecodable payload";
-            }
-            if (!reason.empty()) {
-                if (last) {
-                    // The one damage pattern a crash can produce:
-                    // tolerate it, the job simply re-runs.
-                    warn("journal '%s': dropping damaged final record "
-                         "(%s); job will re-run",
-                         path_.c_str(), reason.c_str());
-                    continue;
-                }
-                throw JournalError(strprintf(
-                    "journal '%s' record %zu: %s (not the final "
-                    "record — corruption beyond the crash model)",
-                    path_.c_str(), li, reason.c_str()));
-            }
-            jsonUnsignedField(line, "attempts", attempts);
-            e.attempts = static_cast<unsigned>(attempts);
-            e.payload = std::move(payload);
-            const auto it = done.find(job);
-            if (it != done.end()) {
-                if (checksumHex(it->second.payload) !=
-                    checksumHex(e.payload))
-                    throw JournalError(strprintf(
-                        "journal '%s': job %" PRIu64
-                        " recorded twice with different checksums "
-                        "(determinism violation)",
-                        path_.c_str(), job));
-                continue; // idempotent replayed append
-            }
-            done.emplace(job, std::move(e));
-        }
+        done = parseJournal(path_, text, sweepId_, jobs_, &shard_,
+                            validate_);
     }
 
     f_ = std::fopen(path_.c_str(), "a");
@@ -269,6 +299,16 @@ PayloadJournal::open()
         throw JournalError("cannot open journal '" + path_ +
                            "' for appending");
     return done;
+}
+
+std::map<std::size_t, PayloadJournal::Entry>
+PayloadJournal::load(const std::string &path, const std::string &sweep_id,
+                     std::size_t jobs, const Validator &validate)
+{
+    const std::string text = readJournal(path);
+    if (text.empty())
+        throw JournalError("journal '" + path + "' is absent or empty");
+    return parseJournal(path, text, sweep_id, jobs, nullptr, validate);
 }
 
 void

@@ -10,7 +10,8 @@
  * a kill -9 / power loss the journal holds every job whose completion
  * was acknowledged, plus at most one truncated trailing record.
  *
- * Corruption contract (tests/test_faults.cc pins every arm):
+ * Corruption contract (tests/test_faults.cc pins every arm; open()
+ * and the read-only --merge loader load() share it):
  *  - a truncated or checksum-garbled *final* record is the expected
  *    crash artifact: it is dropped and its job re-runs;
  *  - the same damage on a *non-final* record means the file was
@@ -111,6 +112,16 @@ class PayloadJournal
      * id. Throws JournalError per the corruption contract above.
      */
     std::map<std::size_t, Entry> open();
+
+    /**
+     * Read-only load of an existing journal of this sweep/job count,
+     * whatever shard its header names — a --merge input. Its records
+     * must belong to that shard. Throws JournalError per the
+     * corruption contract above, and when the file is absent or empty.
+     */
+    static std::map<std::size_t, Entry>
+    load(const std::string &path, const std::string &sweep_id,
+         std::size_t jobs, const Validator &validate);
 
     /** Durably append one completed job (write + flush + fsync). */
     void append(std::size_t job, const std::string &payload,

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
 #include <unistd.h>
 
@@ -447,8 +446,8 @@ isJsonWs(char c)
  * first value character (past the colon and whitespace), or npos. A
  * bare substring match would also hit the key's text inside a string
  * value (where it is preceded by ':' or '\\') or a same-named key in
- * another position — the perf gate and the shard-merge path must
- * never pull the wrong field out of a report.
+ * another position — the perf gate and the journal loader must never
+ * pull the wrong field out of a document.
  */
 std::size_t
 jsonKeyValuePos(const std::string &json, const std::string &key,
@@ -585,54 +584,6 @@ jsonStringField(const std::string &json, const std::string &key,
         ++p; // unterminated string: resume scanning
     }
     return false;
-}
-
-std::vector<std::string>
-jsonArrayObjects(const std::string &json, const std::string &key)
-{
-    const std::size_t p = jsonKeyValuePos(json, key, 0);
-    if (p == std::string::npos || json[p] != '[')
-        throw std::runtime_error("no \"" + key + "\" array in document");
-
-    std::vector<std::string> out;
-    std::size_t i = p + 1;
-    while (i < json.size()) {
-        while (i < json.size() &&
-               (isJsonWs(json[i]) || json[i] == ','))
-            ++i;
-        if (i < json.size() && json[i] == ']')
-            return out;
-        if (i >= json.size() || json[i] != '{')
-            break;
-        // Balanced-brace scan, skipping quoted strings (and their
-        // escapes) so data bytes cannot masquerade as structure.
-        const std::size_t start = i;
-        int depth = 0;
-        bool in_string = false;
-        for (; i < json.size(); ++i) {
-            const char c = json[i];
-            if (in_string) {
-                if (c == '\\')
-                    ++i;
-                else if (c == '"')
-                    in_string = false;
-                continue;
-            }
-            if (c == '"') {
-                in_string = true;
-            } else if (c == '{') {
-                ++depth;
-            } else if (c == '}') {
-                if (--depth == 0) {
-                    out.push_back(json.substr(start, ++i - start));
-                    break;
-                }
-            }
-        }
-        if (depth != 0)
-            break;
-    }
-    throw std::runtime_error("malformed \"" + key + "\" array");
 }
 
 } // namespace ih

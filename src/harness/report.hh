@@ -138,7 +138,7 @@ std::string fmtDouble(double v);
 /**
  * Write @p text to @p path atomically, fatal() on failure: the bytes
  * go to a same-directory temp file which is fsynced and then renamed
- * over @p path, so a reader (resume, merge, the CI perf gate) can
+ * over @p path, so a reader (a resume, the CI perf gate) can
  * never observe a truncated report — it sees either the old complete
  * file or the new complete file.
  */
@@ -185,17 +185,6 @@ bool jsonUnsignedField(const std::string &json, const std::string &key,
  */
 bool jsonStringField(const std::string &json, const std::string &key,
                      std::string &out);
-
-/**
- * Split the array bound to @p key into the raw text of its top-level
- * objects (string-aware brace matching, so braces inside quoted
- * values cannot confuse the scan). The shard-merge path uses this to
- * walk a sweep report's "results" records. Throws std::runtime_error
- * on a structurally malformed document — merging a corrupt shard
- * report must fail loudly, never drop records.
- */
-std::vector<std::string> jsonArrayObjects(const std::string &json,
-                                          const std::string &key);
 
 } // namespace ih
 

@@ -1,7 +1,6 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -398,6 +397,12 @@ sweepRunFromArgs(int argc, char **argv)
             if (i + 1 >= argc)
                 fatal("--journal requires a file argument");
             o.journalPath = argv[++i];
+        } else if (std::strcmp(argv[i], "--merge") == 0) {
+            const std::size_t given = o.mergePaths.size();
+            while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+                o.mergePaths.emplace_back(argv[++i]);
+            if (o.mergePaths.size() == given)
+                fatal("--merge requires at least one journal path");
         }
     }
     unsigned long v = 0;
@@ -435,27 +440,50 @@ runFaultTolerantPayloadSweep(
         }
     }
 
+    // Completed cells: this shard's journal, or under --merge the union
+    // of the shard journals — a resume that leaves nothing to run.
     std::unique_ptr<PayloadJournal> journal;
-    if (!opts.journalPath.empty()) {
+    std::map<std::size_t, PayloadJournal::Entry> done;
+    const bool merge = !opts.mergePaths.empty();
+    if (merge) {
+        if (opts.shard.active() || !opts.journalPath.empty())
+            throw JournalError("--merge rebuilds the whole sweep from "
+                               "shard journals: it takes neither "
+                               "IRONHIDE_SHARD nor --journal");
+        for (const std::string &path : opts.mergePaths) {
+            for (auto &[i, e] :
+                 PayloadJournal::load(path, sweep_id, n, validate)) {
+                if (!done.emplace(i, std::move(e)).second)
+                    throw JournalError(strprintf(
+                        "--merge: job %zu is in more than one journal "
+                        "(a shard given twice?)",
+                        i));
+            }
+        }
+    } else if (!opts.journalPath.empty()) {
         journal = std::make_unique<PayloadJournal>(
             opts.journalPath, sweep_id, n, opts.shard, validate);
-        std::map<std::size_t, PayloadJournal::Entry> done =
-            journal->open();
-        std::vector<std::size_t> still;
-        still.reserve(pending.size());
-        for (const std::size_t i : pending) {
-            const auto it = done.find(i);
-            if (it == done.end()) {
-                still.push_back(i);
-                continue;
-            }
-            out.payloads[i] = std::move(it->second.payload);
-            out.cells[i].attempts = it->second.attempts;
-        }
-        out.resumed = pending.size() - still.size();
-        pending.swap(still);
+        done = journal->open();
     }
+    std::vector<std::size_t> still;
+    still.reserve(pending.size());
+    for (const std::size_t i : pending) {
+        const auto it = done.find(i);
+        if (it == done.end()) {
+            still.push_back(i);
+            continue;
+        }
+        out.payloads[i] = std::move(it->second.payload);
+        out.cells[i].attempts = it->second.attempts;
+    }
+    out.resumed = pending.size() - still.size();
+    pending.swap(still);
 
+    if (merge && !pending.empty())
+        throw JournalError(strprintf(
+            "--merge: job %zu is in no journal; resume its shard from "
+            "its journal, then merge again",
+            pending.front()));
     if (pending.empty())
         return out;
 
@@ -579,10 +607,6 @@ runBenchPayloadSweep(
     const std::function<std::string(const std::string &)> &perturb,
     const std::function<std::string(std::size_t)> &label)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--merge") == 0)
-            fatal("--merge: only the sweep/v2 grid benches merge shard "
-                  "reports");
     jsonReportPath(argc, argv); // fail-fast probe before the runs
     const SweepRunOptions opts = sweepRunFromArgs(argc, argv);
     const FaultPlan faults = FaultPlan::fromEnv();
@@ -601,6 +625,9 @@ runBenchPayloadSweep(
     if (!opts.journalPath.empty())
         std::printf("resume: %zu of %zu jobs already complete\n",
                     out.resumed, out.shardJobs());
+    if (!opts.mergePaths.empty())
+        std::printf("merge: %zu jobs from %zu journals\n", out.resumed,
+                    opts.mergePaths.size());
     for (const std::size_t i : out.failedCells()) {
         const CellOutcome &c = out.cells[i];
         std::printf("%s job %zu (%s): %s [%u attempt%s]\n",
@@ -702,9 +729,8 @@ sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
         w.key("purge_ms").value(cyclesToMs(r.run.purgeCycles));
         w.key("transition_ms").value(cyclesToMs(r.run.transitionCycles));
         w.key("reconfig_ms").value(cyclesToMs(r.run.reconfigCycles));
-        // The exact integers behind the ms views: a merge (or any
-        // consumer) reconstructs results from these verbatim, with no
-        // floating-point round-trip in sight.
+        // The exact integers behind the ms views, so a consumer needs
+        // no floating-point round-trip to recover them.
         w.key("completion_cycles").value(r.run.completion);
         w.key("purge_cycles").value(r.run.purgeCycles);
         w.key("transition_cycles").value(r.run.transitionCycles);
@@ -759,183 +785,6 @@ maybeWriteJsonReport(int argc, char **argv, const std::string &sweep_id,
     writeTextFile(path, sweepToJson(sweep_id, jobs, outcome) + "\n");
     std::printf("wrote JSON report: %s\n", path);
     return true;
-}
-
-// --------------------------------------------------------------------------
-// Shard-report merging
-// --------------------------------------------------------------------------
-
-namespace
-{
-
-/** Parse one "sweep/v2" record back into (result, outcome); throws on
- *  anything missing or inconsistent with @p job. */
-void
-parseMergedRecord(const std::string &rec, std::size_t id,
-                  const SweepJob &job, ExperimentResult &r, CellOutcome &c)
-{
-    std::string app, arch, status;
-    if (!jsonStringField(rec, "app", app) ||
-        !jsonStringField(rec, "arch", arch) ||
-        !jsonStringField(rec, "status", status))
-        throw std::runtime_error(strprintf(
-            "merge: job %zu record lacks app/arch/status", id));
-    if (app != job.app.name || arch != archName(job.arch))
-        throw std::runtime_error(strprintf(
-            "merge: job %zu is %s/%s in the report but %s/%s in this "
-            "binary's grid",
-            id, app.c_str(), arch.c_str(), job.app.name.c_str(),
-            archName(job.arch)));
-
-    std::uint64_t attempts = 1;
-    jsonUnsignedField(rec, "attempts", attempts);
-    c.attempts = static_cast<unsigned>(attempts);
-
-    if (status == "failed" || status == "timeout") {
-        c.status = status == "failed" ? CellStatus::FAILED
-                                      : CellStatus::TIMEOUT;
-        jsonStringField(rec, "error", c.error);
-        return;
-    }
-    if (status != "ok" && status != "retried")
-        throw std::runtime_error(strprintf(
-            "merge: job %zu has unknown status '%s'", id,
-            status.c_str()));
-
-    c.status = CellStatus::OK;
-    r.app = app;
-    r.arch = arch;
-    const auto needU = [&](const char *key, std::uint64_t &dst) {
-        if (!jsonUnsignedField(rec, key, dst))
-            throw std::runtime_error(strprintf(
-                "merge: job %zu record lacks integer '%s'", id, key));
-    };
-    const auto needD = [&](const char *key, double &dst) {
-        if (!jsonNumberField(rec, key, dst))
-            throw std::runtime_error(strprintf(
-                "merge: job %zu record lacks number '%s'", id, key));
-    };
-    needU("completion_cycles", r.run.completion);
-    needU("purge_cycles", r.run.purgeCycles);
-    needU("transition_cycles", r.run.transitionCycles);
-    needU("reconfig_cycles", r.run.reconfigCycles);
-    needU("transitions", r.run.transitions);
-    needD("l1_miss_rate", r.run.l1MissRate);
-    needD("l2_miss_rate", r.run.l2MissRate);
-    needD("interactivity_per_sec", r.run.interactivityPerSec);
-    std::uint64_t secure = 0, decided = 0, probes = 0;
-    needU("secure_cores", secure);
-    needU("decided_split", decided);
-    needU("probes", probes);
-    needU("instructions", r.run.instructions);
-    needU("isolation_violations", r.run.isolationViolations);
-    needU("blocked_accesses", r.run.blockedAccesses);
-    r.run.secureCores = static_cast<unsigned>(secure);
-    r.decidedSplit = static_cast<unsigned>(decided);
-    r.probes = static_cast<unsigned>(probes);
-}
-
-} // namespace
-
-SweepOutcome
-mergeShardReports(const std::string &sweep_id,
-                  const std::vector<SweepJob> &jobs,
-                  const std::vector<std::string> &reports)
-{
-    if (reports.empty())
-        throw std::runtime_error("merge: no shard reports given");
-
-    const std::size_t n = jobs.size();
-    SweepOutcome out;
-    out.results.resize(n);
-    out.cells.resize(n);
-    std::vector<bool> seen(n, false);
-
-    for (std::size_t ri = 0; ri < reports.size(); ++ri) {
-        const std::string &text = reports[ri];
-        std::string schema, sweep;
-        std::uint64_t jcount = 0;
-        if (!jsonStringField(text, "schema", schema) ||
-            schema != "sweep/v2")
-            throw std::runtime_error(strprintf(
-                "merge: shard report %zu is not a sweep/v2 report",
-                ri));
-        if (!jsonStringField(text, "sweep", sweep) || sweep != sweep_id)
-            throw std::runtime_error(strprintf(
-                "merge: shard report %zu is for sweep '%s', not '%s'",
-                ri, sweep.c_str(), sweep_id.c_str()));
-        if (!jsonUnsignedField(text, "jobs", jcount) || jcount != n)
-            throw std::runtime_error(strprintf(
-                "merge: shard report %zu covers a %" PRIu64
-                "-job sweep, this binary's grid has %zu",
-                ri, jcount, n));
-
-        for (const std::string &rec : jsonArrayObjects(text, "results")) {
-            std::uint64_t id = 0;
-            if (!jsonUnsignedField(rec, "job", id) || id >= n)
-                throw std::runtime_error(strprintf(
-                    "merge: shard report %zu has a record without a "
-                    "valid job id",
-                    ri));
-            if (seen[id])
-                throw std::runtime_error(strprintf(
-                    "merge: job %" PRIu64
-                    " appears in more than one shard report",
-                    id));
-            seen[id] = true;
-            parseMergedRecord(rec, id, jobs[id], out.results[id],
-                              out.cells[id]);
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i)
-        if (!seen[i])
-            throw std::runtime_error(strprintf(
-                "merge: job %zu missing from every shard report "
-                "(wrong shard set?)",
-                i));
-    return out;
-}
-
-int
-maybeMergeShardReports(int argc, char **argv, const std::string &sweep_id,
-                       const std::vector<SweepJob> &jobs)
-{
-    int mergeAt = -1;
-    for (int i = 1; i < argc && mergeAt < 0; ++i)
-        if (std::strcmp(argv[i], "--merge") == 0)
-            mergeAt = i;
-    if (mergeAt < 0)
-        return -1;
-
-    const char *outPath = jsonReportPath(argc, argv);
-    if (!outPath)
-        fatal("--merge requires --json <path> for the combined report");
-
-    std::vector<std::string> texts;
-    for (int i = mergeAt + 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            ++i; // the output pair, not a shard report
-            continue;
-        }
-        texts.push_back(readTextFile(argv[i]));
-    }
-    if (texts.empty())
-        fatal("--merge requires at least one shard report path");
-
-    SweepOutcome merged;
-    try {
-        merged = mergeShardReports(sweep_id, jobs, texts);
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
-    writeTextFile(outPath, sweepToJson(sweep_id, jobs, merged) + "\n");
-    std::printf("merged %zu shard reports -> %s\n", texts.size(),
-                outPath);
-    if (!merged.complete())
-        std::printf("merged sweep degraded: %zu of %zu cells failed\n",
-                    merged.failedCells().size(), jobs.size());
-    return merged.exitCode();
 }
 
 } // namespace ih

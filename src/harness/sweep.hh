@@ -21,17 +21,17 @@
  *
  * There is one sweep path, and it is fault-tolerant. Its core
  * (runFaultTolerantPayloadSweep) runs jobs whose results are opaque
- * payload strings: deterministic IRONHIDE_SHARD=i/N job partitioning
- * whose per-shard reports --merge recombines into a file
- * byte-identical to an unsharded run; an opt-in --isolate supervisor
- * (harness/isolate) that contains crashes/hangs to single FAILED or
- * TIMEOUT cells; a --journal crash-safe resume log (harness/journal);
- * and degraded-but-honest reporting — summaries over the surviving
- * cells, failed cells listed by canonical id, and a distinct exit code
- * (kExitDegraded) so automation can tell "all cells" from "most
- * cells". It has two clients: the experiment codec ("ihres1") behind
- * runFaultTolerantSweep/runBenchSweep, and the serving bench's ladder
- * codec ("ihserve1").
+ * payload strings: deterministic IRONHIDE_SHARD=i/N job partitioning;
+ * an opt-in --isolate supervisor (harness/isolate) that contains
+ * crashes/hangs to single FAILED or TIMEOUT cells; a --journal
+ * crash-safe resume log (harness/journal); --merge, a resume from the
+ * union of the shard journals that reports byte-identically to an
+ * unsharded run; and degraded-but-honest reporting — summaries over
+ * the surviving cells, failed cells listed by canonical id, and a
+ * distinct exit code (kExitDegraded) so automation can tell "all
+ * cells" from "most cells". It has two clients: the experiment codec
+ * ("ihres1") behind runFaultTolerantSweep/runBenchSweep, and the
+ * serving bench's ladder codec ("ihserve1").
  */
 
 #ifndef IH_HARNESS_SWEEP_HH
@@ -222,9 +222,9 @@ struct CellOutcome
 
 /**
  * Knobs of one fault-tolerant sweep invocation, resolved from argv
- * (--isolate, --journal <path>) and the environment (IRONHIDE_THREADS,
- * IRONHIDE_SHARD, IRONHIDE_JOB_TIMEOUT_MS, IRONHIDE_JOB_RETRIES) by
- * sweepRunFromArgs().
+ * (--isolate, --journal <path>, --merge <journal>...) and the
+ * environment (IRONHIDE_THREADS, IRONHIDE_SHARD,
+ * IRONHIDE_JOB_TIMEOUT_MS, IRONHIDE_JOB_RETRIES) by sweepRunFromArgs().
  */
 struct SweepRunOptions
 {
@@ -234,6 +234,8 @@ struct SweepRunOptions
     ShardSpec shard;             ///< this process's job partition
     std::uint64_t timeoutMs = 0; ///< per-job wall timeout (isolate only)
     unsigned retries = 1;        ///< extra attempts per failed job
+    /** Shard journals whose union holds every cell; empty = run. */
+    std::vector<std::string> mergePaths;
 };
 
 /** IRONHIDE_SHARD as a ShardSpec. Unset = the whole sweep; a malformed
@@ -242,7 +244,8 @@ struct SweepRunOptions
 ShardSpec sweepShard();
 
 /** Resolve SweepRunOptions from argv + environment (fatal on
- *  malformed flags, e.g. a bare trailing "--journal"). */
+ *  malformed flags, e.g. a bare trailing "--journal"). --merge takes
+ *  every following argument up to the next "--" flag. */
 SweepRunOptions sweepRunFromArgs(int argc, char **argv);
 
 /**
@@ -254,7 +257,7 @@ struct SweepCells
 {
     std::vector<CellOutcome> cells;
     ShardSpec shard;
-    std::size_t resumed = 0; ///< cells satisfied from the journal
+    std::size_t resumed = 0; ///< cells satisfied from journals
 
     bool sharded() const { return shard.active(); }
     /** Cells this shard owns (everything not SKIPPED). */
@@ -296,7 +299,14 @@ struct SweepOutcome : SweepCells
  * @p validate — see superviseRawJobs). runFaultTolerantSweep() is
  * this instantiated with the experiment wire format; drivers with
  * their own schema (the serving bench's load ladders) reach it through
- * runBenchPayloadSweep() and keep shard/--journal/--isolate for free.
+ * runBenchPayloadSweep() and keep shard/--journal/--isolate/--merge
+ * for free.
+ *
+ * With opts.mergePaths set it runs nothing: every cell comes from the
+ * union of those journals (PayloadJournal::load), exactly as a resume
+ * in which every job is already complete. A job in two journals or in
+ * none, a journal of another sweep or job count, and --merge with a
+ * shard or --journal all throw JournalError.
  */
 PayloadOutcome runFaultTolerantPayloadSweep(
     const std::string &sweep_id, std::size_t jobs,
@@ -307,9 +317,10 @@ PayloadOutcome runFaultTolerantPayloadSweep(
 
 /**
  * Run @p jobs under @p opts: skip cells other shards own, satisfy
- * journaled cells without re-running them, execute the rest inline
- * (exceptions caught per cell) or under the --isolate supervisor
- * (crashes/hangs/timeouts contained per cell), applying @p faults.
+ * journaled (or merged) cells without re-running them, execute the
+ * rest inline (exceptions caught per cell) or under the --isolate
+ * supervisor (crashes/hangs/timeouts contained per cell), applying
+ * @p faults.
  * Completed cells are appended to the journal as they finish. Throws
  * JournalError per the journal's corruption contract. This is
  * runFaultTolerantPayloadSweep() over the experiment wire format.
@@ -323,10 +334,8 @@ SweepOutcome runFaultTolerantSweep(const std::string &sweep_id,
  * The bench driver: fail-fast --json probe, options from argv/env,
  * faults from IH_FAULT_INJECT, runFaultTolerantPayloadSweep, then the
  * shard / resume / per-failed-cell status lines every bench prints the
- * same way (@p label names failed cell i: "app/arch tag"). --merge is
- * fatal(): only the "sweep/v2" grid benches merge, through
- * maybeMergeShardReports() before they run. JournalError is fatal()
- * too.
+ * same way (@p label names failed cell i: "app/arch tag"). A
+ * JournalError — a damaged journal or a bad --merge set — is fatal().
  */
 PayloadOutcome runBenchPayloadSweep(
     int argc, char **argv, const std::string &sweep_id, std::size_t jobs,
@@ -377,37 +386,13 @@ std::string sweepReportJson(const char *schema,
 /**
  * The "sweep/v2" report: the sweepReportJson() envelope whose records
  * name the app/arch/tag/policy and carry the exact "*_cycles" integers
- * alongside the derived millisecond views (so a merge can reconstruct
- * results without floating-point drift), followed by the per-arch
+ * alongside the derived millisecond views, followed by the per-arch
  * summary of the OK cells. A complete unsharded outcome and a --merge
- * of complete shard outcomes render byte-identically.
+ * of complete shard journals render byte-identically.
  */
 std::string sweepToJson(const std::string &sweep_id,
                         const std::vector<SweepJob> &jobs,
                         const SweepOutcome &outcome);
-
-/**
- * Recombine per-shard "sweep/v2" reports (raw JSON texts) into the
- * outcome an unsharded run would have produced. Validates schema,
- * sweep id and job count, requires every canonical job id exactly
- * once across the shards, and cross-checks each record's app/arch
- * against the rebuilt job list. Throws std::runtime_error on any
- * mismatch — a merge must never fabricate or drop a cell.
- */
-SweepOutcome mergeShardReports(const std::string &sweep_id,
-                               const std::vector<SweepJob> &jobs,
-                               const std::vector<std::string> &reports);
-
-/**
- * The bench --merge entry point: "--json <out> --merge <shard.json>..."
- * reads the shard reports, merges them and writes the combined report
- * to the --json path. Returns -1 when argv has no --merge (the bench
- * proceeds to run normally), else the process exit code (0 complete /
- * kExitDegraded when the merged sweep has failed cells).
- */
-int maybeMergeShardReports(int argc, char **argv,
-                           const std::string &sweep_id,
-                           const std::vector<SweepJob> &jobs);
 
 /**
  * Path from a "--json <path>" argv pair, nullptr when absent. A bare

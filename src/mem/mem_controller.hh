@@ -59,7 +59,6 @@ class MemController
 
     /** Select the isolation mode of this controller. */
     void setIsolationMode(McIsolationMode mode) { mode_ = mode; }
-    McIsolationMode isolationMode() const { return mode_; }
 
     /**
      * Accept a writeback of line @p pa at time @p when. Writebacks are

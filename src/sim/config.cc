@@ -60,13 +60,6 @@ SysConfig::set(const std::string &key, const std::string &value)
     else if (key == "pipelineFlushCycles") pipelineFlushCycles = as_cyc();
     else if (key == "rehomePerPage") rehomePerPage = as_cyc();
     else if (key == "seed") seed = as_cyc();
-    else if (key == "workScale") {
-        char *end = nullptr;
-        workScale = std::strtod(value.c_str(), &end);
-        if (value.empty() || end != value.c_str() + value.size())
-            fatal("config key 'workScale': unparseable value '%s'",
-                  value.c_str());
-    }
     else if (key == "domains") domains = as_u();
     else
         fatal("unknown config key '%s'", key.c_str());
@@ -103,8 +96,6 @@ SysConfig::validate() const
         fatal("numRegions must be a multiple of numMcs");
     if (meshHeight < 2)
         fatal("mesh must have at least two rows to form two clusters");
-    if (workScale <= 0.0)
-        fatal("workScale must be positive");
     if (domains == 0 || domains > 256)
         fatal("domains must be in [1, 256] (got %u)", domains);
 }
@@ -120,7 +111,6 @@ SysConfig::smallTest()
     cfg.l1Bytes = 4 * 1024;
     cfg.l2SliceBytes = 16 * 1024;
     cfg.tlbEntries = 8;
-    cfg.workScale = 0.05;
     cfg.validate();
     return cfg;
 }

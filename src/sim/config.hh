@@ -92,9 +92,6 @@ struct SysConfig
 
     // --- Misc -------------------------------------------------------------
     std::uint64_t seed = 0xC0FFEE;
-    /** Workload scale factor: 1.0 = default bench inputs. Tests use
-     *  smaller values to stay fast. */
-    double workScale = 1.0;
     /**
      * Intra-run parallelism: host worker count for the independent
      * sub-simulations inside one experiment (the IRONHIDE

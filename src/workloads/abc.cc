@@ -80,8 +80,6 @@ AbcWorkload::perturb(ExecContext &ctx, unsigned bee)
         solutions_.write(ctx, i, cand);
         fitness_.write(ctx, bee, new_fit);
         trials_.write(ctx, bee, 0);
-        if (new_fit > bestFitness_)
-            bestFitness_ = new_fit;
     } else {
         solutions_.host(i) = saved;
         trials_.update(ctx, bee, [](std::uint32_t &v) { ++v; });

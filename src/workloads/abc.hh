@@ -47,8 +47,6 @@ class AbcWorkload : public InteractiveWorkload
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    double bestFitness() const { return bestFitness_; }
-
   private:
     /** Evaluate candidate @p bee (simulated reads of the cost field). */
     double evaluate(ExecContext &ctx, unsigned bee);
@@ -62,7 +60,6 @@ class AbcWorkload : public InteractiveWorkload
     SimArray<double> fitness_;      ///< per food source
     SimArray<std::uint32_t> trials_;
     SimArray<std::uint32_t> costField_; ///< derived from the IPC frame
-    double bestFitness_ = 0.0;
     std::vector<std::size_t> beeCursor_;
     std::vector<std::size_t> beeEnd_;
     std::vector<unsigned> stage_; ///< 0 ingest, 1 employed, 2 onlooker

@@ -73,7 +73,6 @@ AesServiceWorkload::step(ExecContext &ctx)
         for (unsigned i = 0; i < 16; ++i)
             rec.payload[off + i] ^= ks[i];
         ++counter;
-        ++blocks_;
         ctx.compute(60); // XOR + scheduling arithmetic
     }
 

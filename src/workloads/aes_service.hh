@@ -30,9 +30,6 @@ class AesServiceWorkload : public InteractiveWorkload
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    /** Number of blocks encrypted so far (for tests). */
-    std::uint64_t blocksEncrypted() const { return blocks_; }
-
   private:
     QueryGenWorkload &gen_;
     Aes256 cipher_;
@@ -43,7 +40,6 @@ class AesServiceWorkload : public InteractiveWorkload
     std::vector<std::size_t> cursor_;
     std::vector<std::size_t> limit_;
     std::uint64_t interaction_ = 0;
-    std::uint64_t blocks_ = 0;
 
     static Aes256::Key serviceKey();
 };

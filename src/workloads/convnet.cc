@@ -104,9 +104,8 @@ squeezenetLayers(double scale)
 }
 
 ConvNetWorkload::ConvNetWorkload(VisionWorkload &vision,
-                                 std::vector<LayerSpec> layers,
-                                 std::string name)
-    : vision_(vision), layers_(std::move(layers)), name_(std::move(name))
+                                 std::vector<LayerSpec> layers)
+    : vision_(vision), layers_(std::move(layers))
 {
     IH_ASSERT(!layers_.empty(), "empty network");
 }

@@ -14,8 +14,6 @@
 #ifndef IH_WORKLOADS_CONVNET_HH
 #define IH_WORKLOADS_CONVNET_HH
 
-#include <string>
-
 #include "workloads/vision.hh"
 #include "workloads/workload.hh"
 
@@ -51,15 +49,13 @@ std::vector<LayerSpec> squeezenetLayers(double scale);
 class ConvNetWorkload : public InteractiveWorkload
 {
   public:
-    ConvNetWorkload(VisionWorkload &vision, std::vector<LayerSpec> layers,
-                    std::string name);
+    ConvNetWorkload(VisionWorkload &vision, std::vector<LayerSpec> layers);
 
     void setup(Process &proc, IpcBuffer &ipc) override;
     void beginPhase(PhaseKind kind, std::uint64_t interaction,
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    const std::string &netName() const { return name_; }
     /** Output activations of the final layer (host-side). */
     float outputOf(std::size_t i) const;
 
@@ -77,7 +73,6 @@ class ConvNetWorkload : public InteractiveWorkload
 
     VisionWorkload &vision_;
     std::vector<LayerSpec> layers_;
-    std::string name_;
     SimArray<float> act_[2];        ///< ping-pong activation buffers
     SimArray<float> weights_;       ///< all layers, concatenated
     std::vector<std::size_t> wOff_; ///< per-layer weight offset

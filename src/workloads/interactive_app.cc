@@ -90,12 +90,11 @@ standardApps(double scale)
         a.secureName = net;
         a.interactions = user_n;
         const bool alex = std::string(net) == "ALEXNET";
-        a.make = [vp, alex, net](const SysConfig &cfg) {
+        a.make = [vp, alex](const SysConfig &cfg) {
             WorkloadPair p;
             auto vis = std::make_unique<VisionWorkload>(vp, cfg.seed + 31);
             p.secure = std::make_unique<ConvNetWorkload>(
-                *vis, alex ? alexnetLayers(1.0) : squeezenetLayers(1.0),
-                net);
+                *vis, alex ? alexnetLayers(1.0) : squeezenetLayers(1.0));
             p.insecure = std::move(vis);
             return p;
         };

@@ -84,15 +84,12 @@ KvStoreWorkload::step(ExecContext &ctx)
 
     if (req.kind == 1 || !found) {
         // SET (or insert-on-miss): write the 64-byte value.
-        if (!found)
-            ++misses_;
         slots_.write(ctx, i, key);
         values_.scan(ctx, i * 8, 8, MemOp::STORE);
         for (unsigned w = 0; w < 8; ++w)
             values_.host(i * 8 + w) = key + w;
         ctx.compute(40);
     } else {
-        ++hits_;
         values_.scan(ctx, i * 8, 8, MemOp::LOAD);
         ctx.compute(25);
     }

@@ -33,9 +33,6 @@ class KvStoreWorkload : public InteractiveWorkload
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    std::uint64_t hitCount() const { return hits_; }
-    std::uint64_t missCount() const { return misses_; }
-
   private:
     /** FNV-1a 64-bit hash. */
     static std::uint64_t hashKey(std::uint64_t key);
@@ -46,8 +43,6 @@ class KvStoreWorkload : public InteractiveWorkload
     SimArray<std::uint64_t> values_;  ///< 64-byte values (8 words each)
     std::vector<std::size_t> cursor_;
     std::vector<std::size_t> limit_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace ih

@@ -62,7 +62,6 @@ WebServerWorkload::step(ExecContext &ctx)
     docs_.scan(ctx, base, std::min<std::size_t>(len, p_.pageBytes),
                MemOp::LOAD);
     ctx.compute(p_.pageBytes / 8); // checksumming / chunked encoding
-    ++served_;
 
     // writev of the response, fcntl to re-arm the connection.
     const std::size_t sc0 = (2 * r) % os_.syscalls().size();

@@ -44,8 +44,6 @@ class WebServerWorkload : public InteractiveWorkload
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    std::uint64_t pagesServed() const { return served_; }
-
   private:
     OsServiceWorkload &os_;
     WebParams p_;
@@ -53,7 +51,6 @@ class WebServerWorkload : public InteractiveWorkload
     SimArray<std::uint8_t> docs_;        ///< page bodies
     std::vector<std::size_t> cursor_;
     std::vector<std::size_t> limit_;
-    std::uint64_t served_ = 0;
 };
 
 } // namespace ih

@@ -145,7 +145,6 @@ TEST(ExecEngine, MemoryAccessAdvancesTime)
     EXPECT_GT(after_miss, 0u);
     ctx.load(0x4000);
     EXPECT_EQ(ctx.now(), after_miss + r.sys.config().l1Latency);
-    EXPECT_TRUE(ctx.lastWasL1Hit());
 }
 
 TEST(ExecEngine, SharedAccessUsesMachineScope)

@@ -5,7 +5,8 @@
  * corruption contract), resume-runs-only-incomplete-jobs, and the
  * --isolate supervisor (crash containment, timeouts, bounded retries,
  * the retry-checksum determinism gate), and the payload core under a
- * codec that is not the experiment one.
+ * codec that is not the experiment one, including a --merge of its
+ * shard journals.
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +107,21 @@ isResult(const std::string &payload)
 {
     ExperimentResult r;
     return deserializeResult(payload, r);
+}
+
+/** The payload tests' string codec: "cell-..." payloads that no
+ *  experiment decoder accepts. */
+bool
+isCell(const std::string &payload)
+{
+    return payload.rfind("cell-", 0) == 0;
+}
+
+/** NONDET's perturbation of a cell payload (still passes isCell). */
+std::string
+perturbCell(const std::string &payload)
+{
+    return payload + "0";
 }
 
 /**
@@ -319,11 +335,14 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
         EXPECT_FALSE(done.count(2));
     }
     // Garbled *middle* record: beyond the crash model — refuse loudly
-    // rather than silently resume over unknown damage.
+    // rather than silently resume over unknown damage. The same file
+    // as a --merge input is refused the same way.
     garbleRecordSum(path, 0);
     EXPECT_THROW(
         PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
         JournalError);
+    EXPECT_THROW(PayloadJournal::load(path, "unit", 6, isResult),
+                 JournalError);
 }
 
 TEST(Journal, DuplicateRecordsCollapseUnlessTheyDisagree)
@@ -533,12 +552,8 @@ TEST(PayloadSweep, AStringCodecGetsResumeIsolationAndTheRetryGate)
         ++calls;
         return "cell-" + std::to_string(i * i);
     };
-    const auto validate = [](const std::string &payload) {
-        return payload.rfind("cell-", 0) == 0;
-    };
-    const auto perturb = [](const std::string &payload) {
-        return payload + "0"; // still passes validate
-    };
+    const auto validate = isCell;
+    const auto perturb = perturbCell;
     SweepRunOptions opts;
     opts.threads = 2;
 
@@ -577,4 +592,42 @@ TEST(PayloadSweep, AStringCodecGetsResumeIsolationAndTheRetryGate)
         FaultPlan::parse("job:1:nondet"));
     EXPECT_EQ(flaky.failedCells(), std::vector<std::size_t>{1});
     EXPECT_NE(flaky.cells[1].error.find("determinism"), std::string::npos);
+}
+
+TEST(PayloadSweep, MergingShardJournalsRebuildsTheUnshardedPayloads)
+{
+    constexpr std::size_t kJobs = 5;
+    std::atomic<unsigned> calls{0};
+    const auto fn = [&calls](std::size_t i) {
+        ++calls;
+        return "cell-" + std::to_string(i * i);
+    };
+    SweepRunOptions opts;
+    opts.threads = 2;
+    const PayloadOutcome whole = runFaultTolerantPayloadSweep(
+        "unit_payload_merge", kJobs, fn, isCell, perturbCell, opts,
+        FaultPlan());
+
+    // Two shards, each journaled, then a merge of the two journals: a
+    // resume in which every cell is already complete.
+    SweepRunOptions merge;
+    for (unsigned s = 0; s < 2; ++s) {
+        SweepRunOptions shard = opts;
+        shard.shard = ShardSpec{s, 2};
+        shard.journalPath = journalPath(
+            s == 0 ? "payload_merge_s0.jsonl" : "payload_merge_s1.jsonl");
+        runFaultTolerantPayloadSweep("unit_payload_merge", kJobs, fn,
+                                     isCell, perturbCell, shard,
+                                     FaultPlan());
+        merge.mergePaths.push_back(shard.journalPath);
+    }
+    calls = 0;
+    const PayloadOutcome merged = runFaultTolerantPayloadSweep(
+        "unit_payload_merge", kJobs, fn, isCell, perturbCell, merge,
+        FaultPlan());
+    EXPECT_EQ(calls.load(), 0u);
+    EXPECT_TRUE(merged.complete());
+    EXPECT_FALSE(merged.sharded());
+    EXPECT_EQ(merged.resumed, kJobs);
+    EXPECT_EQ(merged.payloads, whole.payloads);
 }

@@ -532,37 +532,3 @@ TEST(JsonStringField, KeyPositionRulesApply)
     // Key bound to a number, not a string.
     EXPECT_FALSE(jsonStringField("{\"k\":5}", "k", s));
 }
-
-// ---- jsonArrayObjects -----------------------------------------------------
-
-TEST(JsonArrayObjects, SplitsTopLevelObjects)
-{
-    const std::vector<std::string> recs = jsonArrayObjects(
-        "{\"results\":[{\"a\":1},{\"b\":{\"nested\":2}},{\"c\":\"}\"}]}",
-        "results");
-    ASSERT_EQ(recs.size(), 3u);
-    EXPECT_EQ(recs[0], "{\"a\":1}");
-    EXPECT_EQ(recs[1], "{\"b\":{\"nested\":2}}");
-    // A brace inside a quoted value must not end the object.
-    EXPECT_EQ(recs[2], "{\"c\":\"}\"}");
-}
-
-TEST(JsonArrayObjects, EmptyArrayAndMissingKey)
-{
-    EXPECT_TRUE(jsonArrayObjects("{\"results\":[]}", "results").empty());
-    // A report without the key at all is corrupt, not empty: the merge
-    // path must refuse it rather than silently treat it as zero rows.
-    EXPECT_THROW(jsonArrayObjects("{\"other\":[{}]}", "results"),
-                 std::runtime_error);
-}
-
-TEST(JsonArrayObjects, ThrowsOnStructuralDamage)
-{
-    // Unterminated array/object: merging a corrupt shard report must
-    // fail loudly, never drop records.
-    EXPECT_THROW(jsonArrayObjects("{\"results\":[{\"a\":1}", "results"),
-                 std::runtime_error);
-    EXPECT_THROW(
-        jsonArrayObjects("{\"results\":[{\"a\":1]}", "results"),
-        std::runtime_error);
-}

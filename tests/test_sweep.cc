@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -49,6 +51,30 @@ sweep(const std::vector<SweepJob> &jobs, unsigned threads)
     SweepRunOptions opts;
     opts.threads = threads;
     return runFaultTolerantSweep("unit_sweep", jobs, opts, FaultPlan());
+}
+
+/**
+ * Run the three shards of @p jobs, each with its own journal, and
+ * return the journal paths — the --merge inputs.
+ */
+std::vector<std::string>
+shardJournals(const std::string &sweep_id,
+              const std::vector<SweepJob> &jobs)
+{
+    std::vector<std::string> paths;
+    for (unsigned s = 0; s < 3; ++s) {
+        SweepRunOptions opts;
+        opts.threads = 2;
+        opts.shard = ShardSpec{s, 3};
+        opts.journalPath = ::testing::TempDir() + sweep_id + "_shard" +
+                           std::to_string(s) + ".jsonl";
+        std::remove(opts.journalPath.c_str());
+        EXPECT_TRUE(
+            runFaultTolerantSweep(sweep_id, jobs, opts, FaultPlan())
+                .complete());
+        paths.push_back(opts.journalPath);
+    }
+    return paths;
 }
 
 /** Field-by-field equality of two results. */
@@ -436,7 +462,7 @@ TEST(FaultTolerantSweep, V2ReportCarriesStatusAndExactCycles)
     EXPECT_NE(json.find("\"complete\":true"), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
     // Exact integers ride alongside the derived milliseconds so a
-    // merge can rebuild results without floating-point drift.
+    // consumer reads them without floating-point drift.
     EXPECT_NE(json.find("\"completion_cycles\":"), std::string::npos);
     EXPECT_NE(json.find("\"completion_ms\":"), std::string::npos);
     // A complete unsharded run reports no failure paraphernalia.
@@ -453,65 +479,45 @@ TEST(FaultTolerantSweep, MergedShardReportsMatchUnshardedBytes)
         runFaultTolerantSweep("unit_merge", jobs, full, FaultPlan());
     const std::string expect = sweepToJson("unit_merge", jobs, whole);
 
-    std::vector<std::string> reports;
-    for (unsigned s = 0; s < 3; ++s) {
-        SweepRunOptions opts;
-        opts.threads = 2;
-        opts.shard = ShardSpec{s, 3};
-        const SweepOutcome part =
-            runFaultTolerantSweep("unit_merge", jobs, opts, FaultPlan());
-        reports.push_back(sweepToJson("unit_merge", jobs, part));
-    }
-
-    // The tentpole contract: recombining the shard reports yields the
-    // unsharded document byte for byte.
+    // Sharding is unobservable: a merge of the shard journals is a
+    // resume with nothing left to run, and renders the unsharded
+    // document byte for byte.
+    SweepRunOptions merge;
+    merge.mergePaths = shardJournals("unit_merge", jobs);
     const SweepOutcome merged =
-        mergeShardReports("unit_merge", jobs, reports);
+        runFaultTolerantSweep("unit_merge", jobs, merge, FaultPlan());
     EXPECT_FALSE(merged.sharded());
     EXPECT_TRUE(merged.complete());
+    EXPECT_EQ(merged.resumed, jobs.size());
     EXPECT_EQ(sweepToJson("unit_merge", jobs, merged), expect);
 }
 
 TEST(FaultTolerantSweep, MergeRejectsIncompleteOrDuplicateShardSets)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    std::vector<std::string> reports;
-    for (unsigned s = 0; s < 3; ++s) {
-        SweepRunOptions opts;
-        opts.threads = 2;
-        opts.shard = ShardSpec{s, 3};
-        reports.push_back(sweepToJson(
-            "unit_merge", jobs,
-            runFaultTolerantSweep("unit_merge", jobs, opts, FaultPlan())));
-    }
+    const std::vector<std::string> j = shardJournals("unit_merge", jobs);
+    const auto merge = [&jobs](const std::string &sweep_id,
+                               SweepRunOptions opts) {
+        return runFaultTolerantSweep(sweep_id, jobs, opts, FaultPlan());
+    };
+    SweepRunOptions opts;
 
-    // A shard missing → a canonical job id is absent → refuse.
-    EXPECT_THROW(mergeShardReports("unit_merge", jobs,
-                                   {reports[0], reports[1]}),
-                 std::runtime_error);
-    // The same shard twice → duplicate job ids → refuse.
-    EXPECT_THROW(
-        mergeShardReports("unit_merge", jobs,
-                          {reports[0], reports[0], reports[1], reports[2]}),
-        std::runtime_error);
-    // A report from a different sweep → refuse.
-    EXPECT_THROW(mergeShardReports("other_sweep", jobs, reports),
-                 std::runtime_error);
-}
+    // A shard missing → a canonical job is in no journal → refuse.
+    opts.mergePaths = {j[0], j[1]};
+    EXPECT_THROW(merge("unit_merge", opts), JournalError);
+    // The same shard twice → a job in two journals → refuse.
+    opts.mergePaths = {j[0], j[0], j[1], j[2]};
+    EXPECT_THROW(merge("unit_merge", opts), JournalError);
+    // Journals of a different sweep → refuse.
+    opts.mergePaths = j;
+    EXPECT_THROW(merge("other_sweep", opts), JournalError);
 
-TEST(BenchSweepDeathTest, PayloadDriverRefusesMerge)
-{
-    // Only "sweep/v2" grids merge (maybeMergeShardReports, before the
-    // run). A payload bench handed --merge must stop, not silently
-    // re-run every job and overwrite the report.
-    const char *args[] = {"bench", "--json", "merged.json", "--merge",
-                          "s0.json", "s1.json"};
-    char **argv = const_cast<char **>(args);
-    const auto fn = [](std::size_t) { return std::string("x"); };
-    const auto validate = [](const std::string &) { return true; };
-    const auto perturb = [](const std::string &p) { return p + "y"; };
-    const auto label = [](std::size_t) { return std::string("cell"); };
-    EXPECT_EXIT(runBenchPayloadSweep(6, argv, "unit_merge", 1, fn,
-                                     validate, perturb, label),
-                ::testing::ExitedWithCode(1), "--merge");
+    // A merge rebuilds the whole sweep: it takes neither a shard of
+    // its own nor a journal to resume.
+    SweepRunOptions sharded = opts;
+    sharded.shard = ShardSpec{0, 3};
+    EXPECT_THROW(merge("unit_merge", sharded), JournalError);
+    SweepRunOptions journaled = opts;
+    journaled.journalPath = ::testing::TempDir() + "unit_merge_own.jsonl";
+    EXPECT_THROW(merge("unit_merge", journaled), JournalError);
 }
