@@ -19,9 +19,9 @@ main()
 {
     // 1. Configure the machine: an 8x8 mesh of tiles, four edge memory
     //    controllers, eight DRAM regions. Every knob has a documented
-    //    default; override anything with cfg.set("key", "value").
+    //    default; override any field by assigning it.
     SysConfig cfg;
-    cfg.set("seed", "42");
+    cfg.seed = 42;
     cfg.validate();
 
     // 2. Build the system and the security architecture. createModel()

@@ -46,6 +46,16 @@ corpus) and flags:
       undocumented.  (Absorbed from the former
       scripts/check_docs_knobs.sh.)
 
+  unused-api
+      A lower-case function name declared at namespace or class scope
+      in a src/**/*.hh header and referenced nowhere in src/, bench/,
+      examples/, perfbench/ or tests/.  The name's own declaration
+      lines and column-0 "Class::name(" definitions are not
+      references; comments and string literals are not either.  The
+      match is by name, so one call keeps every overload.  Test
+      references count: a test oracle such as
+      MemorySystem::accessReference is used.
+
 Every suppression lives in ALLOWLIST below: one entry per site, with a
 justification string.  Entries that no longer match anything are an
 error — the allowlist cannot accumulate dead weight.
@@ -65,6 +75,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCAN_DIRS = ("src", "bench", "tests")
+# unused-api also counts references from these (not linted otherwise).
+API_REF_DIRS = ("examples", "perfbench")
 KNOB_DIRS = ("src", "bench")  # scope of the old check_docs_knobs.sh
 FIXTURE_DIR = os.path.join("tests", "lint_fixtures")
 SOURCE_EXTS = (".cc", ".hh", ".cpp", ".h")
@@ -115,16 +127,6 @@ ALLOWLIST = [
         "why": (
             "Self-timed component microbenchmark: host wall time is the "
             "output. No simulated result or checksum is derived from it."
-        ),
-    },
-    {
-        "rule": "raw-parse",
-        "file": "src/sim/config.cc",
-        "contains": "std::strtoull",
-        "why": (
-            "Strict end-checked config-literal parser: the whole value "
-            "must parse or set() is fatal(). sim/ sits below harness/ in "
-            "the layer map and cannot include harness/report."
         ),
     },
     {
@@ -435,6 +437,101 @@ def rule_undocumented_knob(files_lines, root):
     return findings
 
 
+# Names that can stand right before "(" at declaration scope without
+# being the declared function: keywords that take an argument list,
+# "operator()", and fundamental types inside a function type such as
+# std::function<void(int)>.
+NOT_A_DECL_NAME = frozenset((
+    "alignas", "alignof", "auto", "bool", "char", "decltype", "double",
+    "float", "int", "long", "noexcept", "operator", "short", "signed",
+    "sizeof", "throw", "unsigned", "void"))
+DECL_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+SCOPE_KEYWORD_RE = re.compile(r"\b(?:namespace|class|struct|union)\b")
+IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+# A column-0 out-of-line definition: "Class::name(" or "A<T>::B::name(".
+DEFINITION_RE = re.compile(
+    r"^(?:[A-Za-z_]\w*(?:<[^<>]*>)?::)+([A-Za-z_]\w*)\s*\(")
+
+
+def header_declarations(lines):
+    """-> [(name, line_no)] of the lower-case functions a header
+    declares at namespace or class scope.
+
+    @p lines is the comment-stripped, string-blanked view. A statement
+    (text since the last ';', '{' or '}') at declaration scope declares
+    a function when its first name before a '(' is not a keyword, and
+    no '=' precedes it (that would be an initializer). A qualified
+    "Class::name(" is an out-of-line definition, not a declaration.
+    Function bodies, enums and initializers are skipped wholesale.
+    """
+    kept = []
+    continued = False
+    for line in lines:
+        directive = continued or line.lstrip().startswith("#")
+        continued = directive and line.rstrip().endswith("\\")
+        kept.append("" if directive else line)
+    text = "\n".join(kept)
+    decls = []
+    stack = []  # per open brace: does it hold declarations?
+    start = 0
+    for i, c in enumerate(text):
+        if c not in ";{}":
+            continue
+        begin, start = start, i + 1
+        stmt = text[begin:i]
+        if c == "}":
+            if stack:
+                stack.pop()
+            continue
+        declared = False
+        if all(stack) and not re.match(r"\s*(?:using|typedef|"
+                                       r"static_assert)\b", stmt):
+            for m in DECL_CALL_RE.finditer(stmt):
+                if m.group(1) in NOT_A_DECL_NAME:
+                    continue
+                head = stmt[:m.start()]
+                declared = "=" not in head
+                if (declared and m.group(1)[0].islower()
+                        and not head.rstrip().endswith("::")):
+                    line_no = text.count("\n", 0, begin + m.start(1)) + 1
+                    decls.append((m.group(1), line_no))
+                break
+        if c == "{":
+            stack.append(not declared and "=" not in stmt
+                         and not re.search(r"\benum\b", stmt)
+                         and bool(SCOPE_KEYWORD_RE.search(stmt)))
+    return decls
+
+
+def rule_unused_api(files_lines):
+    """Flag header-declared functions that nothing references."""
+    declared = []  # (name, path, line_no)
+    for path, lines in sorted(files_lines.items()):
+        if path.startswith("src/") and path.endswith(".hh"):
+            for name, ln in header_declarations(lines[1]):
+                declared.append((name, path, ln))
+    names = {name for name, _, _ in declared}
+    decl_lines = {(path, ln, name) for name, path, ln in declared}
+    used = set()
+    for path, lines in files_lines.items():
+        for ln, line in enumerate(lines[1], 1):
+            m = DEFINITION_RE.match(line)
+            defined = m.group(1) if m else None
+            for tok in IDENT_RE.findall(line):
+                if (tok in names and tok != defined
+                        and (path, ln, tok) not in decl_lines):
+                    used.add(tok)
+    findings = []
+    for name, path, ln in declared:
+        if name not in used:
+            findings.append(Finding(
+                "unused-api", path, ln, files_lines[path][0][ln - 1],
+                "'%s' is declared but referenced nowhere in src/, "
+                "bench/, examples/, perfbench/ or tests/: delete it, or "
+                "give it a caller" % name))
+    return findings
+
+
 def run_rules(root, files, knob_root=None):
     files_lines = {p: read_stripped(root, p) for p in files}
     findings = []
@@ -443,6 +540,10 @@ def run_rules(root, files, knob_root=None):
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
     findings += rule_undocumented_knob(files_lines, knob_root or root)
+    api_lines = dict(files_lines)
+    for p in list_sources(root, API_REF_DIRS):
+        api_lines[p] = read_stripped(root, p)
+    findings += rule_unused_api(api_lines)
     return findings
 
 
@@ -478,6 +579,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     "tests/lint_fixtures/raw_parse.cc": ["raw-parse"],
     "tests/lint_fixtures/raw_getenv.cc": ["raw-getenv"],
     "tests/lint_fixtures/undocumented_knob.cc": ["undocumented-knob"],
+    "tests/lint_fixtures/unused_api.hh": ["unused-api", "unused-api"],
     "tests/lint_fixtures/clean.cc": [],
 }
 
@@ -505,6 +607,7 @@ def self_test(root):
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
     findings += rule_undocumented_knob(files_lines, root)
+    findings += rule_unused_api(files_lines)
 
     got = {}
     for f in findings:

@@ -45,21 +45,13 @@ class RegionOwnership
     static RegionOwnership evenSplit(unsigned num_regions);
 
     /**
-     * Build the per-access check enforced by the memory system, as the
-     * inlineable value type installed by the production models. The
+     * Build the per-access check enforced by the memory system. The
      * rule mirrors the paper: the secure domain may access everything it
      * needs (its own regions plus the insecure-owned IPC regions, which
      * hold only data considered insecure); the insecure domain must
      * never touch secure-owned regions.
      */
     RegionCheck makeCheck() const;
-
-    /**
-     * The same rule as a closure. Kept as the escape-hatch form for
-     * tests that consume the checker as a plain callable; makeCheck()
-     * is what the access hot path runs.
-     */
-    AccessChecker makeChecker() const;
 
     unsigned numRegions() const
     {

@@ -14,7 +14,7 @@ InsecureBaseline::configure(const std::vector<Process *> &procs, Cycle t)
     assignWholeMachine(procs);
     for (Process *p : procs)
         p->space().setHomingMode(HomingMode::HASH_FOR_HOMING);
-    sys_.mem().setAccessChecker(RegionCheck());
+    sys_.mem().setRegionCheck(RegionCheck());
     return t;
 }
 

@@ -90,7 +90,7 @@ Ironhide::applySplit(unsigned s)
         }
     }
 
-    sys_.mem().setAccessChecker(regions_.makeCheck());
+    sys_.mem().setRegionCheck(regions_.makeCheck());
 }
 
 Cycle

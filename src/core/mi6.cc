@@ -54,7 +54,7 @@ MulticoreMi6::configure(const std::vector<Process *> &procs, Cycle t)
     // DRAM regions stay interleaved over all (shared) controllers; the
     // hardware region check provides the isolation, the controller
     // queues are purged at each transition instead.
-    sys_.mem().setAccessChecker(regions_.makeCheck());
+    sys_.mem().setRegionCheck(regions_.makeCheck());
     return t;
 }
 

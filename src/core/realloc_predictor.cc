@@ -7,9 +7,8 @@
 namespace ih
 {
 
-ReallocPredictor::ReallocPredictor(unsigned min_secure, unsigned max_secure,
-                                   Cycle probe_cost)
-    : minSecure_(min_secure), maxSecure_(max_secure), probeCost_(probe_cost)
+ReallocPredictor::ReallocPredictor(unsigned min_secure, unsigned max_secure)
+    : minSecure_(min_secure), maxSecure_(max_secure)
 {
     IH_ASSERT(min_secure >= 1 && min_secure <= max_secure,
               "bad predictor range [%u, %u]", min_secure, max_secure);
@@ -20,12 +19,6 @@ ReallocPredictor::clamp(long s) const
 {
     return static_cast<unsigned>(
         std::clamp<long>(s, minSecure_, maxSecure_));
-}
-
-ReallocPredictor::Decision
-ReallocPredictor::gradientSearch(unsigned start, const ProbeFn &probe) const
-{
-    return gradientSearch(start, probe, nullptr);
 }
 
 ReallocPredictor::Decision
@@ -111,7 +104,6 @@ ReallocPredictor::gradientSearch(unsigned start, const ProbeFn &probe,
 
     d.secureCores = s;
     d.probes = probes;
-    d.searchCost = static_cast<Cycle>(probes) * probeCost_;
     d.predicted = best;
     return d;
 }
@@ -129,7 +121,6 @@ ReallocPredictor::optimalSweep(const ProbeFn &probe) const
             d.secureCores = s;
         }
     }
-    d.searchCost = 0; // oracle: no charged overhead, by definition
     d.predicted = best;
     return d;
 }

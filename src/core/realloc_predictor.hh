@@ -11,9 +11,9 @@
  *    from the initial 32/32 binding it probes the finite-difference
  *    gradient with a geometric step, walks downhill while improving, and
  *    halves the step until it converges. Each probe is a short profiled
- *    execution whose cost is charged to the decision.
+ *    execution; the decision reports how many it took.
  *  - optimalSweep(): the paper's "Optimal": exhaustively evaluates every
- *    split with no charged overhead (an oracle, for Figure 8).
+ *    split (an oracle, for Figure 8).
  *  - withVariation(): the fixed ±x% decision variations of Figure 8.
  *
  * The predictor is decoupled from the workload layer through the probe
@@ -25,8 +25,6 @@
 
 #include <functional>
 #include <vector>
-
-#include "sim/types.hh"
 
 namespace ih
 {
@@ -57,31 +55,25 @@ class ReallocPredictor
     {
         unsigned secureCores = 0;
         unsigned probes = 0;     ///< number of probe evaluations
-        Cycle searchCost = 0;    ///< charged cost of the search
         double predicted = 0.0;  ///< f(secureCores) as probed
     };
 
     /**
      * @param min_secure  smallest legal secure core count
      * @param max_secure  largest legal secure core count
-     * @param probe_cost  cycles charged per probe evaluation
      */
-    ReallocPredictor(unsigned min_secure, unsigned max_secure,
-                     Cycle probe_cost);
-
-    /** Gradient-based hill climb from @p start. */
-    Decision gradientSearch(unsigned start, const ProbeFn &probe) const;
+    ReallocPredictor(unsigned min_secure, unsigned max_secure);
 
     /**
-     * Gradient-based hill climb with a prefetch hint channel: before
-     * each probe the candidates reachable in the next step or two are
-     * announced through @p prefetch (nullptr = no hints, identical to
-     * the two-argument overload).
+     * Gradient-based hill climb from @p start. Before each probe the
+     * candidates reachable in the next step or two are announced
+     * through @p prefetch (nullptr = no hints; the decision is the
+     * same either way).
      */
     Decision gradientSearch(unsigned start, const ProbeFn &probe,
-                            const PrefetchFn &prefetch) const;
+                            const PrefetchFn &prefetch = nullptr) const;
 
-    /** Exhaustive oracle sweep (no charged cost). */
+    /** Exhaustive oracle sweep. */
     Decision optimalSweep(const ProbeFn &probe) const;
 
     /**
@@ -97,7 +89,6 @@ class ReallocPredictor
 
     unsigned minSecure_;
     unsigned maxSecure_;
-    Cycle probeCost_;
 };
 
 } // namespace ih

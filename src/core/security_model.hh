@@ -102,8 +102,6 @@ class SecurityModel
 
     const std::string &name() const { return name_; }
     System &system() { return sys_; }
-    PurgeEngine &purger() { return purge_; }
-    EnclaveTable &enclaves() { return enclaves_; }
 
     /** Cycles spent in purges (critical path). */
     Cycle purgeOverhead() const { return purge_.purgeCycles(); }

@@ -45,7 +45,6 @@ class System
     {
         return procs_;
     }
-    Process &process(ProcId id) { return *procs_.at(id); }
     unsigned numTiles() const { return topo_.numTiles(); }
 
     /** Tiles [0, n) — the row-major prefix used as the secure cluster. */

@@ -72,7 +72,6 @@ class ExecContext
     unsigned threadIndex() const { return threadIndex_; }
     unsigned numThreads() const { return numThreads_; }
     CoreId core() const { return core_; }
-    Process &process() { return *proc_; }
     Rng &rng();
 
   private:

@@ -1,7 +1,5 @@
 #include "cpu/process.hh"
 
-#include <algorithm>
-
 #include "crypto/sha256.hh"
 #include "sim/log.hh"
 
@@ -23,15 +21,6 @@ Process::Process(ProcId id, std::string name, Domain domain,
     h.update(name_.data(), name_.size());
     h.update(&requestedThreads_, sizeof(requestedThreads_));
     measurement_ = h.finish();
-}
-
-unsigned
-Process::activeThreads() const
-{
-    if (cores_.empty())
-        return requestedThreads_;
-    return std::min<unsigned>(requestedThreads_,
-                              static_cast<unsigned>(cores_.size()));
 }
 
 } // namespace ih

@@ -56,9 +56,6 @@ class Process
     const ClusterRange &cluster() const { return cluster_; }
     void setCluster(const ClusterRange &c) { cluster_ = c; }
 
-    /** Active thread count: min(requested, assigned cores). */
-    unsigned activeThreads() const;
-
     /** Code/configuration measurement (SHA-256 of the binary image). */
     const std::array<std::uint8_t, 32> &measurement() const
     {

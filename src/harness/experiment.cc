@@ -164,7 +164,7 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
     const unsigned tiles = cfg.meshWidth * cfg.meshHeight;
     // Keep at least two tiles per cluster so both memory controllers of
     // each edge stay reachable.
-    ReallocPredictor pred(2, tiles - 2, 0);
+    ReallocPredictor pred(2, tiles - 2);
     ProbePool pool(spec, cfg, probe_interactions, domains);
     const auto probe = [&](unsigned s) { return pool.probe(s); };
 
@@ -270,7 +270,7 @@ runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
             out.probes = d.probes;
             if (ihopts.variationPct != 0) {
                 const unsigned tiles = cfg.meshWidth * cfg.meshHeight;
-                ReallocPredictor pred(2, tiles - 2, 0);
+                ReallocPredictor pred(2, tiles - 2);
                 target = pred.withVariation(target, ihopts.variationPct,
                                             tiles);
             }

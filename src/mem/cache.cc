@@ -6,8 +6,7 @@ namespace ih
 {
 
 Cache::Cache(std::string name, unsigned size_bytes, unsigned assoc,
-             unsigned line_bytes, const std::string &repl,
-             std::uint64_t seed)
+             unsigned line_bytes)
     : name_(std::move(name)), assoc_(assoc), lineBytes_(line_bytes),
       lineMask_(line_bytes - 1), stats_(name_),
       statHits_(stats_.counter("hits")),
@@ -26,9 +25,7 @@ Cache::Cache(std::string name, unsigned size_bytes, unsigned assoc,
     lineShift_ = log2Pow2(line_bytes);
     setMask_ = (numSets_ & (numSets_ - 1)) == 0 ? numSets_ - 1 : 0;
     lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-    repl_ = ReplacementPolicy::create(repl, numSets_, assoc_, seed);
-    if (repl == "lru")
-        lru_ = static_cast<LruPolicy *>(repl_.get());
+    stamp_.assign(lines_.size(), 0);
 }
 
 CacheLine &
@@ -41,6 +38,18 @@ const CacheLine &
 Cache::lineAt(unsigned set, unsigned way) const
 {
     return lines_[static_cast<std::size_t>(set) * assoc_ + way];
+}
+
+unsigned
+Cache::lruVictim(unsigned set) const
+{
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    unsigned best = 0;
+    for (unsigned w = 1; w < assoc_; ++w) {
+        if (stamp_[base + w] < stamp_[base + best])
+            best = w;
+    }
+    return best;
 }
 
 Eviction
@@ -66,7 +75,7 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
         }
     }
     if (way == assoc_) {
-        way = repl_->victim(set);
+        way = lruVictim(set);
         CacheLine &victim = lineAt(set, way);
         ev.happened = true;
         ev.victim = victim;
@@ -85,12 +94,7 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
     line.sharers = 0;
     line.ownerProc = owner;
     line.ownerDomain = domain;
-    // Same devirtualization as the inline lookup(): fills are the
-    // second-most-frequent replacement touch.
-    if (lru_)
-        lru_->touchFast(set, way);
-    else
-        repl_->touch(set, way);
+    touch(set, way);
     statFills_.inc();
     return ev;
 }

@@ -20,18 +20,24 @@
  * an empty cache returns without scanning the tag array. Only this
  * class writes CacheLine::valid; the mutable line pointers it hands out
  * are for coherence metadata (dirty, writable, sharers).
+ *
+ * Replacement is true LRU over per-way timestamps. A flush needs no LRU
+ * reset: a victim is chosen only in a set whose ways are all valid, and
+ * a way becomes valid only through a fill, which stamps it; so by the
+ * time a flushed set next picks a victim, every way's stamp was written
+ * after the flush. The victim is the smallest stamp, and the order of
+ * stamps does not depend on where the tick counter stands.
  */
 
 #ifndef IH_MEM_CACHE_HH
 #define IH_MEM_CACHE_HH
 
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "mem/replacement.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -67,11 +73,9 @@ class Cache
      * @param size_bytes  total capacity
      * @param assoc       ways per set
      * @param line_bytes  line size
-     * @param repl        replacement policy kind ("lru", "plru", "random")
      */
     Cache(std::string name, unsigned size_bytes, unsigned assoc,
-          unsigned line_bytes, const std::string &repl = "lru",
-          std::uint64_t seed = 1);
+          unsigned line_bytes);
 
     /** Align @p addr down to its line address. */
     Addr lineAddrOf(Addr addr) const { return addr & ~lineMask_; }
@@ -88,11 +92,11 @@ class Cache
     }
 
     /**
-     * Look up @p addr. On a hit the replacement state is touched and a
-     * pointer to the (mutable) line is returned; nullptr on miss.
+     * Look up @p addr. On a hit the LRU stamp is touched and a pointer
+     * to the (mutable) line is returned; nullptr on miss.
      *
-     * Defined inline (with the LRU policy devirtualized) because this
-     * runs several times per simulated memory access.
+     * Defined inline because this runs several times per simulated
+     * memory access.
      */
     CacheLine *
     lookup(Addr addr)
@@ -104,10 +108,7 @@ class Cache
         for (unsigned w = 0; w < assoc_; ++w) {
             CacheLine &line = base[w];
             if (line.valid && line.lineAddr == la) {
-                if (lru_)
-                    lru_->touchFast(set, w);
-                else
-                    repl_->touch(set, w);
+                touch(set, w);
                 statHits_.inc();
                 return &line;
             }
@@ -116,7 +117,7 @@ class Cache
         return nullptr;
     }
 
-    /** Look up without touching replacement state or stats (probes). */
+    /** Look up without touching LRU state or stats (probes). */
     const CacheLine *
     peek(Addr addr) const
     {
@@ -132,7 +133,7 @@ class Cache
     }
 
     /**
-     * Mutable lookup that touches neither stats nor replacement state;
+     * Mutable lookup that touches neither stats nor LRU state;
      * for protocol bookkeeping (directory updates, writeback folding).
      */
     CacheLine *
@@ -255,6 +256,16 @@ class Cache
     CacheLine &lineAt(unsigned set, unsigned way);
     const CacheLine &lineAt(unsigned set, unsigned way) const;
 
+    /** Record a hit/fill of @p way in @p set (LRU stamp). */
+    void
+    touch(unsigned set, unsigned way)
+    {
+        stamp_[static_cast<std::size_t>(set) * assoc_ + way] = ++tick_;
+    }
+
+    /** The LRU way of @p set (all ways valid): the oldest stamp. */
+    unsigned lruVictim(unsigned set) const;
+
     /** Count one flush that dropped @p lines valid lines. */
     void noteFlush(unsigned lines);
 
@@ -266,10 +277,8 @@ class Cache
     unsigned setMask_;    ///< numSets_ - 1 when a power of two, else 0
     Addr lineMask_;
     std::vector<CacheLine> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /** repl_ downcast when it is the (default) LRU policy, letting the
-     *  inline lookup skip the virtual touch() on every hit. */
-    LruPolicy *lru_ = nullptr;
+    std::vector<std::uint64_t> stamp_; ///< per-way LRU timestamps
+    std::uint64_t tick_ = 0;
     mutable StatGroup stats_;
     // Hot-path counters bound once at construction (StatGroup references
     // are stable), so per-access accounting is a plain increment instead

@@ -34,11 +34,10 @@ MemorySystem::MemorySystem(const SysConfig &cfg, const Topology &topo,
     tlbs_.reserve(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         l1s_.push_back(std::make_unique<Cache>(
-            strprintf("l1.%u", t), cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes,
-            "lru", cfg.seed + t));
+            strprintf("l1.%u", t), cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes));
         l2s_.push_back(std::make_unique<Cache>(
             strprintf("l2.%u", t), cfg.l2SliceBytes, cfg.l2Assoc,
-            cfg.lineBytes, "lru", cfg.seed + 1000 + t));
+            cfg.lineBytes));
         tlbs_.push_back(std::make_unique<Tlb>(strprintf("tlb.%u", t),
                                               cfg.tlbEntries,
                                               cfg.pageBytes,
@@ -201,7 +200,7 @@ MemorySystem::accessSlow(CoreId core, AddressSpace &space,
     // latency is still charged — the walk had to complete for the
     // region of the physical address to be known. Pinned by the
     // blocked-then-allowed test in tests/test_mem_system.cc.
-    if (!checker_.allows(space.domain(), regionOf(pa)))
+    if (!regionCheck_.allows(space.domain(), regionOf(pa)))
         return blockedResult(proc, tlb_hit, t);
     if (!te)
         tlbs_[core]->insert(va, info.ppage, proc, space.domain());
@@ -234,7 +233,7 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
         const CoreId mc_tile = topo_.mcAttachTile(mc_id);
         Cycle tm = net_.traverse(home, mc_tile, t, 1, cluster);
         tm += cfg_.hopLatency; // dedicated MC attachment link
-        tm = mcs_[mc_id]->serviceRead(pa, tm, domain);
+        tm = mcs_[mc_id]->serviceRead(pa, tm);
         tm += cfg_.hopLatency;
         t = net_.traverse(mc_tile, home, tm, dataFlits_, cluster);
 
@@ -332,7 +331,7 @@ MemorySystem::accessReference(CoreId core, AddressSpace &space, VAddr va,
 
     // ---- Hardware region access check (before the TLB fill) --------------
     const RegionId region = regionOf(pa);
-    if (!checker_.allows(space.domain(), region)) {
+    if (!regionCheck_.allows(space.domain(), region)) {
         statBlockedAccesses_.inc();
         if (audit_)
             noteBlocked(proc, t);

@@ -11,7 +11,7 @@
  * requesting access.
  *
  * Security hooks:
- *  - an access checker installed by the active security model vets every
+ *  - a region check installed by the active security model vets every
  *    request against the DRAM-region ownership map (the hardware check
  *    that defuses speculative-state attacks in MI6/IRONHIDE);
  *  - purge operations (purgePrivate, drainControllers) implement the
@@ -24,7 +24,6 @@
 #define IH_MEM_MEMORY_SYSTEM_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -53,22 +52,12 @@ struct AccessResult
 };
 
 /**
- * Per-access security check: may the given domain touch a line homed in
- * @p region? Installed by the active security model.
- *
- * This is the escape-hatch form for tests that inject custom policies;
- * production models install the value-type RegionCheck below, whose
- * table path inlines into the access hot path.
- */
-using AccessChecker = std::function<bool(Domain requester, RegionId region)>;
-
-/**
- * The per-access region check as a concrete value type. The production
- * rule (RegionOwnership table lookup: the secure domain may touch
+ * The per-access region check: may the given domain touch a line homed
+ * in a DRAM region? Installed by the active security model. The rule
+ * (RegionOwnership table lookup: the secure domain may touch
  * everything, the insecure domain only insecure-owned regions) compiles
- * down to an array index + compare — no std::function indirection on the
- * path that runs for every memory access. A std::function fallback
- * remains for tests that inject custom policies.
+ * down to an array index + compare on the path that runs for every
+ * memory access.
  */
 class RegionCheck
 {
@@ -76,54 +65,36 @@ class RegionCheck
     /** Default: no check installed; every access is allowed. */
     RegionCheck() = default;
 
-    /** Table-backed production check over an ownership map. */
+    /** Table-backed check over an ownership map. */
     static RegionCheck
     fromTable(const std::vector<Domain> &owner)
     {
         RegionCheck c;
-        c.mode_ = Mode::TABLE;
+        c.enabled_ = true;
         c.insecureOk_.resize(owner.size());
         for (std::size_t r = 0; r < owner.size(); ++r)
             c.insecureOk_[r] = owner[r] == Domain::INSECURE ? 1 : 0;
         return c;
     }
 
-    /** Escape hatch: arbitrary callable (empty fn clears the check). */
-    static RegionCheck
-    fromFunction(AccessChecker fn)
-    {
-        RegionCheck c;
-        if (fn) {
-            c.mode_ = Mode::CUSTOM;
-            c.fn_ = std::move(fn);
-        }
-        return c;
-    }
-
     /** Is any check installed? */
-    bool enabled() const { return mode_ != Mode::OFF; }
+    bool enabled() const { return enabled_; }
 
     /** May @p requester touch a line homed in @p region? */
     bool
     allows(Domain requester, RegionId region) const
     {
-        if (mode_ == Mode::TABLE) {
-            if (requester == Domain::SECURE)
-                return region < insecureOk_.size();
-            return region < insecureOk_.size() && insecureOk_[region];
-        }
-        if (mode_ == Mode::OFF)
+        if (!enabled_)
             return true;
-        return fn_(requester, region);
+        if (requester == Domain::SECURE)
+            return region < insecureOk_.size();
+        return region < insecureOk_.size() && insecureOk_[region];
     }
 
   private:
-    enum class Mode : std::uint8_t { OFF, TABLE, CUSTOM };
-
-    Mode mode_ = Mode::OFF;
+    bool enabled_ = false;
     /** insecureOk_[r] != 0 iff the insecure domain may touch region r. */
     std::vector<std::uint8_t> insecureOk_;
-    AccessChecker fn_;
 };
 
 /** The machine's cache/TLB/DRAM hierarchy. */
@@ -166,7 +137,7 @@ class MemorySystem
             return accessSlow(core, space, info, va, op, when, cluster);
         const Addr pa =
             info.ppage + (va & static_cast<VAddr>(cfg_.pageBytes - 1));
-        if (!checker_.allows(space.domain(), regionOf(pa)))
+        if (!regionCheck_.allows(space.domain(), regionOf(pa)))
             return blockedResult(space.proc(), /*tlb_hit=*/true, when);
         noteHome(space, info);
         return accessL1(core, space, info, pa, op, when, cluster,
@@ -190,10 +161,10 @@ class MemorySystem
 
     // --- Security / reconfiguration operations --------------------------
 
-    /** Install the value-type per-access region check. */
-    void setAccessChecker(RegionCheck check)
+    /** Install the per-access region check. */
+    void setRegionCheck(RegionCheck check)
     {
-        checker_ = std::move(check);
+        regionCheck_ = std::move(check);
     }
 
     /**
@@ -204,15 +175,6 @@ class MemorySystem
      * driven standalone (stats-parity, unit rigs) with no log attached.
      */
     void setAuditLog(AuditLog *audit) { audit_ = audit; }
-
-    /**
-     * Install (or clear, with nullptr) a custom per-access checker.
-     * Test escape hatch: the closure stays behind a std::function call.
-     */
-    void setAccessChecker(AccessChecker checker)
-    {
-        checker_ = RegionCheck::fromFunction(std::move(checker));
-    }
 
     /**
      * Flush-and-invalidate the private L1 and TLB of every core in
@@ -254,7 +216,7 @@ class MemorySystem
     /** Home slice of the *physical* line at @p pa (for writebacks). */
     CoreId homeOfPhys(Addr pa) const;
 
-    /** Count of accesses rejected by the checker. */
+    /** Count of accesses rejected by the region check. */
     std::uint64_t blockedAccesses() const
     {
         return stats_.value("blocked_accesses");
@@ -442,7 +404,7 @@ class MemorySystem
     std::array<NotedHome, NOTED_SLOTS> noted_;
     unsigned pageShift_ = 0; ///< log2(cfg.pageBytes)
     std::vector<CoreId> allSlices_;
-    RegionCheck checker_;
+    RegionCheck regionCheck_;
     AuditLog *audit_ = nullptr;
     StatGroup stats_;
     unsigned dataFlits_;

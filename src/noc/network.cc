@@ -32,10 +32,4 @@ Network::resetLinkState()
     std::fill(link_free_.begin(), link_free_.end(), 0);
 }
 
-ClusterRange
-Network::wholeMachine() const
-{
-    return ClusterRange{0, topo_.numTiles()};
-}
-
 } // namespace ih

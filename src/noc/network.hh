@@ -85,9 +85,6 @@ class Network
     /** Reset all link reservations (used between experiment phases). */
     void resetLinkState();
 
-    /** Cluster range covering the whole machine (no isolation). */
-    ClusterRange wholeMachine() const;
-
     const Router &router() const { return router_; }
     StatGroup &stats() { return stats_; }
     std::uint64_t isolationViolations() const

@@ -1,7 +1,5 @@
 #include "sim/config.hh"
 
-#include <cstdlib>
-
 #include "sim/log.hh"
 
 namespace ih
@@ -17,54 +15,6 @@ isPow2(std::uint64_t v)
 }
 
 } // namespace
-
-SysConfig &
-SysConfig::set(const std::string &key, const std::string &value)
-{
-    // Strict end-checked parsing (sim/ cannot reach the harness/report
-    // helpers — see the docs/ARCHITECTURE.md layer map — so the checks
-    // live here): the whole value must be consumed, or the config is a
-    // fatal user error. Lenient strtoul turned "4x4" into 4 silently.
-    auto as_cyc = [&]() -> Cycle {
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(value.c_str(), &end, 0);
-        if (value.empty() || end != value.c_str() + value.size())
-            fatal("config key '%s': unparseable value '%s'",
-                  key.c_str(), value.c_str());
-        return static_cast<Cycle>(v);
-    };
-    auto as_u = [&]() -> unsigned { return static_cast<unsigned>(as_cyc()); };
-
-    if (key == "meshWidth") meshWidth = as_u();
-    else if (key == "meshHeight") meshHeight = as_u();
-    else if (key == "numMcs") numMcs = as_u();
-    else if (key == "numRegions") numRegions = as_u();
-    else if (key == "lineBytes") lineBytes = as_u();
-    else if (key == "l1Bytes") l1Bytes = as_u();
-    else if (key == "l1Assoc") l1Assoc = as_u();
-    else if (key == "l2SliceBytes") l2SliceBytes = as_u();
-    else if (key == "l2Assoc") l2Assoc = as_u();
-    else if (key == "tlbEntries") tlbEntries = as_u();
-    else if (key == "tlbWays") tlbWays = as_u();
-    else if (key == "pageBytes") pageBytes = as_u();
-    else if (key == "l1Latency") l1Latency = as_cyc();
-    else if (key == "l2Latency") l2Latency = as_cyc();
-    else if (key == "dramLatency") dramLatency = as_cyc();
-    else if (key == "dramRowHitLatency") dramRowHitLatency = as_cyc();
-    else if (key == "hopLatency") hopLatency = as_cyc();
-    else if (key == "mcServiceInterval") mcServiceInterval = as_cyc();
-    else if (key == "tlbMissLatency") tlbMissLatency = as_cyc();
-    else if (key == "sgxEnterExitCycles") sgxEnterExitCycles = as_cyc();
-    else if (key == "l1PurgePerLine") l1PurgePerLine = as_cyc();
-    else if (key == "pipelineFlushCycles") pipelineFlushCycles = as_cyc();
-    else if (key == "rehomePerPage") rehomePerPage = as_cyc();
-    else if (key == "seed") seed = as_cyc();
-    else if (key == "domains") domains = as_u();
-    else
-        fatal("unknown config key '%s'", key.c_str());
-    return *this;
-}
 
 void
 SysConfig::validate() const

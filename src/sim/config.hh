@@ -12,7 +12,6 @@
 #define IH_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -118,12 +117,6 @@ struct SysConfig
 
     /** Lines per page. */
     unsigned linesPerPage() const { return pageBytes / lineBytes; }
-
-    /**
-     * Apply a "key=value" override (e.g. "meshWidth=4"). Unknown keys are
-     * a fatal user error. Returns *this for chaining.
-     */
-    SysConfig &set(const std::string &key, const std::string &value);
 
     /** Validate invariants (power-of-two sizes, mesh vs MC count, ...). */
     void validate() const;

@@ -78,8 +78,6 @@ class ZipfSampler
     /** Draw one item; hot items are the small indices. */
     std::uint64_t sample(Rng &rng) const;
 
-    std::uint64_t population() const { return n_; }
-
   private:
     std::uint64_t n_;
     double theta_;

@@ -39,6 +39,7 @@
 #ifndef IH_WORKLOADS_ATTACKS_HH
 #define IH_WORKLOADS_ATTACKS_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>

@@ -1,12 +1,11 @@
 /**
  * @file
- * Cache tag-store and replacement-policy tests.
+ * Cache tag-store and LRU replacement tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
-#include "mem/replacement.hh"
 #include "sim/rng.hh"
 
 using namespace ih;
@@ -16,9 +15,9 @@ namespace
 
 /** 1 KiB, 2-way, 64 B lines -> 8 sets. */
 Cache
-smallCache(const std::string &repl = "lru")
+smallCache()
 {
-    return Cache("t", 1024, 2, 64, repl);
+    return Cache("t", 1024, 2, 64);
 }
 
 } // namespace
@@ -58,6 +57,26 @@ TEST(Cache, SameSetEvictionIsLru)
     EXPECT_EQ(ev.victim.lineAddr, b);
     EXPECT_NE(c.peek(a), nullptr);
     EXPECT_EQ(c.peek(b), nullptr);
+
+    // 4 ways x 2 sets: a re-touched way survives, and each set picks
+    // its own victim. Set 1 fills in the reverse order of set 0.
+    Cache w4("t4", 2 * 4 * 64, 4, 64);
+    ASSERT_EQ(w4.numSets(), 2u);
+    const auto in_set = [](unsigned set, unsigned i) -> Addr {
+        return (2 * i + set) * 64;
+    };
+    for (unsigned i = 0; i < 4; ++i) {
+        w4.insert(in_set(0, i), 0, Domain::INSECURE);
+        w4.insert(in_set(1, 3 - i), 0, Domain::INSECURE);
+    }
+    w4.lookup(in_set(0, 0)); // set 0's oldest line is now its MRU
+    const Eviction ev0 = w4.insert(in_set(0, 4), 0, Domain::INSECURE);
+    ASSERT_TRUE(ev0.happened);
+    EXPECT_EQ(ev0.victim.lineAddr, in_set(0, 1));
+    EXPECT_NE(w4.peek(in_set(0, 0)), nullptr);
+    const Eviction ev1 = w4.insert(in_set(1, 4), 0, Domain::INSECURE);
+    ASSERT_TRUE(ev1.happened);
+    EXPECT_EQ(ev1.victim.lineAddr, in_set(1, 3));
 }
 
 TEST(Cache, InsertIntoFreeWayNoEviction)
@@ -161,75 +180,70 @@ TEST(Cache, OccupancyCountTracksEveryValidityChange)
     // Seeded mix of fills, evictions, invalidations and flushes over 4x
     // the capacity; the count must equal a full recount after every
     // step.
-    for (const char *repl : {"lru", "plru", "random"}) {
-        Cache c("t", 1024, 2, 64, repl); // 16 lines
-        Rng rng(0x0CC);
-        unsigned flushes = 0, flushed = 0;
-        for (int i = 0; i < 5000; ++i) {
-            const Addr a = rng.nextRange(64) * 64;
-            const std::uint64_t op = rng.nextRange(100);
-            if (op < 60) {
-                if (CacheLine *line = c.lookup(a))
-                    line->dirty = true;
-                else
-                    c.insert(a, 0, Domain::INSECURE);
-            } else if (op < 90) {
-                c.invalidateLine(a);
-            } else {
-                const unsigned before = c.validLines();
-                const unsigned n = c.flushAll();
-                EXPECT_EQ(n, before) << repl << " i=" << i;
-                ++flushes;
-                flushed += n;
-            }
-            ASSERT_EQ(c.occupancy(), c.validLines()) << repl << " i=" << i;
+    Cache c = smallCache(); // 16 lines
+    Rng rng(0x0CC);
+    unsigned flushes = 0, flushed = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = rng.nextRange(64) * 64;
+        const std::uint64_t op = rng.nextRange(100);
+        if (op < 60) {
+            if (CacheLine *line = c.lookup(a))
+                line->dirty = true;
+            else
+                c.insert(a, 0, Domain::INSECURE);
+        } else if (op < 90) {
+            c.invalidateLine(a);
+        } else {
+            const unsigned before = c.validLines();
+            const unsigned n = c.flushAll();
+            EXPECT_EQ(n, before) << "i=" << i;
+            ++flushes;
+            flushed += n;
         }
-        EXPECT_GT(c.stats().value("evictions"), 100u) << repl;
-        EXPECT_GT(c.stats().value("invalidations"), 100u) << repl;
-        EXPECT_EQ(c.stats().value("flushes"), flushes);
-        EXPECT_EQ(c.stats().value("flushed_lines"), flushed);
+        ASSERT_EQ(c.occupancy(), c.validLines()) << "i=" << i;
     }
+    EXPECT_GT(c.stats().value("evictions"), 100u);
+    EXPECT_GT(c.stats().value("invalidations"), 100u);
+    EXPECT_EQ(c.stats().value("flushes"), flushes);
+    EXPECT_EQ(c.stats().value("flushed_lines"), flushed);
 }
 
 TEST(Cache, FlushedCacheEvictsLikeAFreshOne)
 {
-    // A flush leaves the replacement state as it was. That is safe only
+    // A flush leaves the LRU stamps as they were. That is safe only
     // because a victim is chosen in a full set, whose every way was
     // touched by its fill after the flush. Pin it: after a flush, a
     // seeded sequence of fills and hits must evict exactly what a fresh
-    // cache evicts. Three ways exercise the padded PLRU tree.
-    for (const char *repl : {"lru", "plru"}) {
-        for (unsigned assoc : {2u, 3u, 4u}) {
-            const unsigned bytes = 8 * assoc * 64; // 8 sets
-            Cache used("u", bytes, assoc, 64, repl);
-            Cache fresh("f", bytes, assoc, 64, repl);
-            Rng warm(assoc);
-            for (int i = 0; i < 2000; ++i) {
-                const Addr a = warm.nextRange(96) * 64;
-                if (!used.lookup(a))
-                    used.insert(a, 0, Domain::INSECURE);
-            }
-            used.flushAll();
-            Rng replay(0xF1u + assoc);
-            unsigned evictions = 0;
-            for (int i = 0; i < 4000; ++i) {
-                const Addr a = replay.nextRange(96) * 64;
-                const bool hit = used.lookup(a) != nullptr;
-                ASSERT_EQ(hit, fresh.lookup(a) != nullptr)
-                    << repl << assoc << " i=" << i;
-                if (hit)
-                    continue;
-                const Eviction ev_used = used.insert(a, 0, Domain::INSECURE);
-                const Eviction ev_fresh =
-                    fresh.insert(a, 0, Domain::INSECURE);
-                ASSERT_EQ(ev_used.happened, ev_fresh.happened)
-                    << repl << assoc << " i=" << i;
-                ASSERT_EQ(ev_used.victim.lineAddr, ev_fresh.victim.lineAddr)
-                    << repl << assoc << " i=" << i;
-                evictions += ev_used.happened ? 1 : 0;
-            }
-            EXPECT_GT(evictions, 1000u) << repl << assoc;
+    // cache evicts.
+    for (unsigned assoc : {2u, 3u, 4u}) {
+        const unsigned bytes = 8 * assoc * 64; // 8 sets
+        Cache used("u", bytes, assoc, 64);
+        Cache fresh("f", bytes, assoc, 64);
+        Rng warm(assoc);
+        for (int i = 0; i < 2000; ++i) {
+            const Addr a = warm.nextRange(96) * 64;
+            if (!used.lookup(a))
+                used.insert(a, 0, Domain::INSECURE);
         }
+        used.flushAll();
+        Rng replay(0xF1u + assoc);
+        unsigned evictions = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const Addr a = replay.nextRange(96) * 64;
+            const bool hit = used.lookup(a) != nullptr;
+            ASSERT_EQ(hit, fresh.lookup(a) != nullptr)
+                << assoc << " i=" << i;
+            if (hit)
+                continue;
+            const Eviction ev_used = used.insert(a, 0, Domain::INSECURE);
+            const Eviction ev_fresh = fresh.insert(a, 0, Domain::INSECURE);
+            ASSERT_EQ(ev_used.happened, ev_fresh.happened)
+                << assoc << " i=" << i;
+            ASSERT_EQ(ev_used.victim.lineAddr, ev_fresh.victim.lineAddr)
+                << assoc << " i=" << i;
+            evictions += ev_used.happened ? 1 : 0;
+        }
+        EXPECT_GT(evictions, 1000u) << assoc;
     }
 }
 
@@ -241,60 +255,6 @@ TEST(Cache, MissRateComputation)
     c.lookup(0x0); // hit
     c.lookup(0x0); // hit
     EXPECT_NEAR(c.missRate(), 1.0 / 3.0, 1e-9);
-}
-
-TEST(Replacement, LruVictimIsOldest)
-{
-    LruPolicy lru(4, 4);
-    for (unsigned w = 0; w < 4; ++w)
-        lru.touch(0, w);
-    EXPECT_EQ(lru.victim(0), 0u);
-    lru.touch(0, 0);
-    EXPECT_EQ(lru.victim(0), 1u);
-}
-
-TEST(Replacement, LruSetsIndependent)
-{
-    LruPolicy lru(2, 2);
-    lru.touch(0, 0);
-    lru.touch(0, 1);
-    lru.touch(1, 1);
-    lru.touch(1, 0);
-    EXPECT_EQ(lru.victim(0), 0u);
-    EXPECT_EQ(lru.victim(1), 1u);
-}
-
-TEST(Replacement, TreePlruAvoidsMostRecent)
-{
-    TreePlruPolicy plru(1, 4);
-    for (unsigned w = 0; w < 4; ++w)
-        plru.touch(0, w);
-    // The victim must never be the most recently touched way.
-    for (unsigned w = 0; w < 4; ++w) {
-        plru.touch(0, w);
-        EXPECT_NE(plru.victim(0), w);
-    }
-}
-
-TEST(Replacement, RandomIsDeterministicPerSeed)
-{
-    RandomPolicy a(4, 8, 99), b(4, 8, 99);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(a.victim(2), b.victim(2));
-}
-
-TEST(Replacement, FactoryCreatesAllKinds)
-{
-    EXPECT_STREQ(ReplacementPolicy::create("lru", 2, 2)->name(), "lru");
-    EXPECT_STREQ(ReplacementPolicy::create("plru", 2, 2)->name(), "plru");
-    EXPECT_STREQ(ReplacementPolicy::create("random", 2, 2)->name(),
-                 "random");
-}
-
-TEST(ReplacementDeathTest, UnknownKindIsFatal)
-{
-    EXPECT_EXIT(ReplacementPolicy::create("fifo", 2, 2),
-                testing::ExitedWithCode(1), "unknown replacement");
 }
 
 /** Property: after filling N distinct lines <= capacity with unique set

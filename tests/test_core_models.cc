@@ -116,56 +116,47 @@ TEST(RegionOwnership, EvenSplitAndChecker)
     const RegionOwnership own = RegionOwnership::evenSplit(8);
     EXPECT_EQ(own.regionsOf(Domain::SECURE).size(), 4u);
     EXPECT_EQ(own.regionsOf(Domain::INSECURE).size(), 4u);
-    const AccessChecker check = own.makeChecker();
+    const RegionCheck check = own.makeCheck();
     // Secure may touch everything (shared IPC data is insecure-owned).
-    EXPECT_TRUE(check(Domain::SECURE, 0));
-    EXPECT_TRUE(check(Domain::SECURE, 7));
+    EXPECT_TRUE(check.allows(Domain::SECURE, 0));
+    EXPECT_TRUE(check.allows(Domain::SECURE, 7));
     // Insecure must never touch secure-owned regions.
-    EXPECT_FALSE(check(Domain::INSECURE, 0));
-    EXPECT_TRUE(check(Domain::INSECURE, 7));
-    EXPECT_FALSE(check(Domain::INSECURE, 999)); // out of range
+    EXPECT_FALSE(check.allows(Domain::INSECURE, 0));
+    EXPECT_TRUE(check.allows(Domain::INSECURE, 7));
+    EXPECT_FALSE(check.allows(Domain::INSECURE, 999)); // out of range
 }
 
-TEST(RegionOwnership, ValueCheckMatchesClosureOnAllPairs)
+TEST(RegionOwnership, ValueCheckMatchesRuleOnAllPairs)
 {
-    // The devirtualized table check installed by the production models
-    // must agree with the closure form on every domain x region pair,
-    // including out-of-range regions, for assorted ownership maps.
+    // The table check installed by the production models must follow
+    // the stated rule on every domain x region pair, for assorted
+    // ownership maps: an out-of-range region is denied to both domains;
+    // the secure domain may touch every region; the insecure domain
+    // only insecure-owned ones.
     for (unsigned regions : {1u, 2u, 5u, 8u, 16u}) {
         RegionOwnership own(regions);
         for (RegionId r = 0; r < regions; ++r)
             own.assign(r, r % 3 == 0 ? Domain::SECURE : Domain::INSECURE);
-        const AccessChecker closure = own.makeChecker();
         const RegionCheck check = own.makeCheck();
         EXPECT_TRUE(check.enabled());
         for (Domain d : {Domain::SECURE, Domain::INSECURE}) {
-            for (RegionId r = 0; r < regions + 3; ++r)
-                EXPECT_EQ(check.allows(d, r), closure(d, r))
+            for (RegionId r = 0; r < regions + 3; ++r) {
+                const bool rule =
+                    r < regions && (d == Domain::SECURE ||
+                                    own.owner(r) == Domain::INSECURE);
+                EXPECT_EQ(check.allows(d, r), rule)
                     << "regions=" << regions << " domain="
                     << static_cast<int>(d) << " region=" << r;
+            }
         }
     }
 }
 
-TEST(RegionCheck, DefaultAllowsEverythingAndCustomWraps)
+TEST(RegionCheck, DefaultAllowsEverything)
 {
     const RegionCheck off;
     EXPECT_FALSE(off.enabled());
     EXPECT_TRUE(off.allows(Domain::INSECURE, 12345));
-
-    const RegionCheck custom = RegionCheck::fromFunction(
-        [](Domain d, RegionId r) {
-            return d == Domain::SECURE && r == 7;
-        });
-    EXPECT_TRUE(custom.enabled());
-    EXPECT_TRUE(custom.allows(Domain::SECURE, 7));
-    EXPECT_FALSE(custom.allows(Domain::SECURE, 6));
-    EXPECT_FALSE(custom.allows(Domain::INSECURE, 7));
-
-    // Clearing via an empty function restores pass-through.
-    const RegionCheck cleared = RegionCheck::fromFunction(nullptr);
-    EXPECT_FALSE(cleared.enabled());
-    EXPECT_TRUE(cleared.allows(Domain::INSECURE, 0));
 }
 
 TEST(PurgeEngine, AccountsCriticalPathCycles)
@@ -376,7 +367,7 @@ TEST(ModelFactory, CreatesEveryArch)
 
 TEST(ReallocPredictor, GradientFindsConvexMinimum)
 {
-    ReallocPredictor pred(2, 62, 10);
+    ReallocPredictor pred(2, 62);
     const auto f = [](unsigned s) {
         const double d = static_cast<double>(s) - 41.0;
         return 100.0 + d * d;
@@ -384,12 +375,11 @@ TEST(ReallocPredictor, GradientFindsConvexMinimum)
     const auto d = pred.gradientSearch(32, f);
     EXPECT_EQ(d.secureCores, 41u);
     EXPECT_GT(d.probes, 0u);
-    EXPECT_EQ(d.searchCost, d.probes * 10u);
 }
 
 TEST(ReallocPredictor, GradientRespectsBounds)
 {
-    ReallocPredictor pred(2, 62, 0);
+    ReallocPredictor pred(2, 62);
     const auto f = [](unsigned s) { return static_cast<double>(s); };
     EXPECT_EQ(pred.gradientSearch(32, f).secureCores, 2u);
     const auto g = [](unsigned s) { return 100.0 - s; };
@@ -398,19 +388,18 @@ TEST(ReallocPredictor, GradientRespectsBounds)
 
 TEST(ReallocPredictor, OptimalSweepsExhaustively)
 {
-    ReallocPredictor pred(2, 62, 5);
+    ReallocPredictor pred(2, 62);
     const auto f = [](unsigned s) {
         return s == 17 ? 1.0 : 2.0 + s; // a needle the gradient can miss
     };
     const auto d = pred.optimalSweep(f);
     EXPECT_EQ(d.secureCores, 17u);
     EXPECT_EQ(d.probes, 61u);
-    EXPECT_EQ(d.searchCost, 0u); // the oracle charges nothing
 }
 
 TEST(ReallocPredictor, VariationIsPercentOfMachine)
 {
-    ReallocPredictor pred(2, 62, 0);
+    ReallocPredictor pred(2, 62);
     EXPECT_EQ(pred.withVariation(32, +25, 64), 48u);
     EXPECT_EQ(pred.withVariation(32, -25, 64), 16u);
     EXPECT_EQ(pred.withVariation(32, +5, 64), 35u);

@@ -1,9 +1,8 @@
 /**
  * @file
  * Execution-engine tests: phase semantics, min-time-first ordering,
- * thread-to-core multiplexing, compute/sync charging, IPC scoping,
- * engine reuse after a throwing task, and the TDM bandwidth-reservation
- * alternative of the memory controller.
+ * thread-to-core multiplexing, compute/sync charging, IPC scoping and
+ * engine reuse after a throwing task.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 
 #include "core/system.hh"
 #include "cpu/exec_engine.hh"
-#include "mem/mem_controller.hh"
 
 using namespace ih;
 
@@ -212,59 +210,4 @@ TEST(ExecEngine, PipelineFlushCharges)
     EXPECT_EQ(core.flushPipeline(100),
               100 + r.sys.config().pipelineFlushCycles);
     EXPECT_EQ(core.stats().value("pipeline_flushes"), 1u);
-}
-
-TEST(McTdm, DomainsGetDisjointSlots)
-{
-    const SysConfig cfg = SysConfig::smallTest();
-    MemController mc(0, cfg);
-    mc.setIsolationMode(McIsolationMode::TDM_RESERVATION);
-    const Cycle w = cfg.mcServiceInterval;
-
-    // Both cold accesses pay the full row-miss device latency, so the
-    // slot start is completion minus dramLatency.
-    const Cycle s_done = mc.serviceRead(0x0, 0, Domain::SECURE);
-    const Cycle i_done = mc.serviceRead(0x100000, 0, Domain::INSECURE);
-    // Secure slots have odd window parity, insecure even.
-    EXPECT_EQ(((s_done - cfg.dramLatency) / w) % 2, 1u);
-    EXPECT_EQ(((i_done - cfg.dramLatency) / w) % 2, 0u);
-}
-
-TEST(McTdm, CrossDomainLoadDoesNotDelay)
-{
-    // The security property of the reservation: a burst from one domain
-    // must not change the other domain's observed latency.
-    const SysConfig cfg = SysConfig::smallTest();
-
-    MemController quiet(0, cfg);
-    quiet.setIsolationMode(McIsolationMode::TDM_RESERVATION);
-    const Cycle undisturbed =
-        quiet.serviceRead(0x0, 100, Domain::SECURE);
-
-    MemController busy(1, cfg);
-    busy.setIsolationMode(McIsolationMode::TDM_RESERVATION);
-    for (int i = 0; i < 32; ++i)
-        busy.serviceRead(0x200000 + i * 4096, 0, Domain::INSECURE);
-    const Cycle disturbed = busy.serviceRead(0x0, 100, Domain::SECURE);
-
-    EXPECT_EQ(undisturbed, disturbed);
-}
-
-TEST(McTdm, SameDomainStillQueues)
-{
-    const SysConfig cfg = SysConfig::smallTest();
-    MemController mc(0, cfg);
-    mc.setIsolationMode(McIsolationMode::TDM_RESERVATION);
-    const Cycle first = mc.serviceRead(0x0, 0, Domain::SECURE);
-    const Cycle second = mc.serviceRead(0x100000, 0, Domain::SECURE);
-    EXPECT_GT(second, first); // own-domain contention is real
-}
-
-TEST(McTdm, NoneModeIgnoresDomain)
-{
-    const SysConfig cfg = SysConfig::smallTest();
-    MemController a(0, cfg), b(1, cfg);
-    const Cycle t1 = a.serviceRead(0x0, 0, Domain::SECURE);
-    const Cycle t2 = b.serviceRead(0x0, 0);
-    EXPECT_EQ(t1, t2);
 }

@@ -34,6 +34,16 @@ struct Rig
     }
 };
 
+/** The check with region 0 secure-owned and every other region
+ *  insecure-owned: the insecure domain is denied region 0 only. */
+RegionCheck
+region0Secure(const SysConfig &cfg)
+{
+    RegionOwnership own(cfg.numRegions);
+    own.assign(0, Domain::SECURE);
+    return own.makeCheck();
+}
+
 } // namespace
 
 TEST(MemorySystem, ColdAccessMissesEverywhere)
@@ -190,14 +200,12 @@ TEST(MemorySystem, PurgedTlbMissesAgain)
     EXPECT_TRUE(res.l2Hit); // shared state was not purged
 }
 
-TEST(MemorySystem, AccessCheckerBlocksForbiddenRegions)
+TEST(MemorySystem, RegionCheckBlocksForbiddenRegions)
 {
     Rig r;
     AddressSpace insecure(r.cfg, r.alloc, 2, Domain::INSECURE);
     insecure.setAllowedRegions({0}); // maps into region 0...
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0); // ...but 0 is secure
-    });
+    r.mem.setRegionCheck(region0Secure(r.cfg)); // ...but 0 is secure
     const AccessResult res =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
     EXPECT_TRUE(res.blocked);
@@ -209,22 +217,22 @@ TEST(MemorySystem, AccessCheckerBlocksForbiddenRegions)
 TEST(MemorySystem, SecureAllowedThroughChecker)
 {
     Rig r;
-    r.mem.setAccessChecker(
-        [](Domain d, RegionId) { return d == Domain::SECURE; });
+    // Every region secure-owned: only the secure domain gets through.
+    r.mem.setRegionCheck(RegionCheck::fromTable(
+        std::vector<Domain>(r.cfg.numRegions, Domain::SECURE)));
     const AccessResult res = r.acc(0, 0x1000, MemOp::LOAD);
     EXPECT_FALSE(res.blocked);
 }
 
-TEST(MemorySystem, TableCheckBlocksLikeClosure)
+TEST(MemorySystem, TableCheckBlocksAndClears)
 {
-    // The value-type check the production models install must behave
-    // like the closure escape hatch on the access path itself.
+    // The ownership-table check the production models install, on the
+    // access path itself: it blocks the insecure space, passes the
+    // secure one, and clearing it lifts the block.
     Rig r;
     AddressSpace insecure(r.cfg, r.alloc, 2, Domain::INSECURE);
     insecure.setAllowedRegions({0});
-    RegionOwnership own(r.cfg.numRegions);
-    own.assign(0, Domain::SECURE); // region 0 secure-owned
-    r.mem.setAccessChecker(own.makeCheck());
+    r.mem.setRegionCheck(region0Secure(r.cfg));
     const AccessResult blocked =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
     EXPECT_TRUE(blocked.blocked);
@@ -232,7 +240,7 @@ TEST(MemorySystem, TableCheckBlocksLikeClosure)
     const AccessResult ok = r.acc(0, 0x1000, MemOp::LOAD); // secure space
     EXPECT_FALSE(ok.blocked);
     // Clearing restores pass-through for everyone.
-    r.mem.setAccessChecker(RegionCheck());
+    r.mem.setRegionCheck(RegionCheck());
     const AccessResult after =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
     EXPECT_FALSE(after.blocked);
@@ -381,9 +389,7 @@ TEST(MemorySystem, BlockedAccessDoesNotPrimeTlbOrPredictor)
     Rig r;
     AddressSpace insecure(r.cfg, r.alloc, 2, Domain::INSECURE);
     insecure.setAllowedRegions({0});
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0);
-    });
+    r.mem.setRegionCheck(region0Secure(r.cfg));
 
     const AccessResult blocked =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
@@ -399,7 +405,7 @@ TEST(MemorySystem, BlockedAccessDoesNotPrimeTlbOrPredictor)
 
     // Allowed afterwards: nothing was primed, so the access misses the
     // TLB again and only now installs the entry.
-    r.mem.setAccessChecker(RegionCheck());
+    r.mem.setRegionCheck(RegionCheck());
     const AccessResult ok =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 1000, r.whole);
     EXPECT_FALSE(ok.blocked);
@@ -411,9 +417,7 @@ TEST(MemorySystem, BlockedAccessDoesNotPrimeTlbOrPredictor)
     // A blocked access that *hits* a legitimately installed entry keeps
     // it (the entry was earned by an allowed access) and charges only
     // the protection-fault penalty.
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0);
-    });
+    r.mem.setRegionCheck(region0Secure(r.cfg));
     const AccessResult again =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 2000, r.whole);
     EXPECT_TRUE(again.blocked);
@@ -489,9 +493,7 @@ TEST(MemorySystem, SplitAccessMatchesReferenceOnMixedTrace)
         r->insecure.setAllowedRegions({0, 1});
         // Region 0 is secure-owned: the insecure pages that round-robin
         // into it block, the rest are allowed.
-        r->mem.setAccessChecker([](Domain d, RegionId region) {
-            return !(d == Domain::INSECURE && region == 0);
-        });
+        r->mem.setRegionCheck(region0Secure(r->cfg));
     }
 
     Cycle ta = 0;

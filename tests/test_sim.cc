@@ -189,30 +189,14 @@ TEST(Config, SmallTestValidates)
     EXPECT_EQ(cfg.numTiles(), 16u);
 }
 
-TEST(Config, SetOverrides)
-{
-    SysConfig cfg;
-    cfg.set("meshWidth", "4").set("meshHeight", "4").set("numMcs", "2");
-    cfg.set("numRegions", "4");
-    EXPECT_EQ(cfg.numTiles(), 16u);
-    cfg.validate();
-}
-
 TEST(Config, TlbWaysValidates)
 {
     SysConfig cfg;
-    cfg.set("tlbWays", "4");
+    cfg.tlbWays = 4;
     cfg.validate(); // 32 entries / 4 ways = 8 sets
     cfg.tlbWays = 3; // does not divide 32
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
                 "tlbWays must divide tlbEntries");
-}
-
-TEST(ConfigDeathTest, UnknownKeyIsFatal)
-{
-    SysConfig cfg;
-    EXPECT_EXIT(cfg.set("noSuchKey", "1"), testing::ExitedWithCode(1),
-                "unknown config key");
 }
 
 TEST(ConfigDeathTest, BadGeometryIsFatal)

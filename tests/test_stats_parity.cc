@@ -224,7 +224,6 @@ const Snapshot kGolden = {
     {"mc.0.drains", 1u},
     {"mc.0.queue_wait_cycles", 7528008u},
     {"mc.0.reads", 710u},
-    {"mc.0.tdm_slots", 0u},
     {"mc.0.writes", 108u},
     {"dram.0.row_hits", 686u},
     {"dram.0.row_misses", 24u},
@@ -233,7 +232,6 @@ const Snapshot kGolden = {
     {"mc.1.drains", 1u},
     {"mc.1.queue_wait_cycles", 7934784u},
     {"mc.1.reads", 640u},
-    {"mc.1.tdm_slots", 0u},
     {"mc.1.writes", 112u},
     {"dram.1.row_hits", 620u},
     {"dram.1.row_misses", 20u},

@@ -121,6 +121,8 @@ TEST(GraphApps, TriangleCountingMakesProgress)
     const RunResult r = rig.app.run(RunOptions{.warmup = 0});
     EXPECT_GT(r.completion, 0u);
     EXPECT_GT(r.instructions, 0u);
+    auto &tc = dynamic_cast<TriCountWorkload &>(rig.app.secureWorkload());
+    EXPECT_GT(tc.triangles(), 0u);
 }
 
 TEST(Workloads, EveryStandardAppRunsUnderTheBaseline)
