@@ -21,11 +21,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "workloads/attacks.hh"
@@ -38,16 +38,12 @@ namespace
 unsigned
 attackTrials()
 {
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_ATTACK_TRIALS",
-                         std::getenv("IRONHIDE_ATTACK_TRIALS"), 4096, v)) {
-        if (v == 0 || v % 4 != 0)
-            fatal("IRONHIDE_ATTACK_TRIALS must be a positive multiple "
-                  "of 4 (got %lu)",
-                  v);
-        return static_cast<unsigned>(v);
-    }
-    return 24;
+    const unsigned long v = knobCount(Knob::ATTACK_TRIALS);
+    if (v == 0 || v % 4 != 0)
+        fatal("IRONHIDE_ATTACK_TRIALS must be a positive multiple of 4 "
+              "(got %lu)",
+              v);
+    return static_cast<unsigned>(v);
 }
 
 struct AttackJob
@@ -144,11 +140,12 @@ main(int argc, char **argv)
         }
     }
 
-    const std::vector<LeakageResult> results =
-        SweepRunner(sweepThreads())
-            .map<LeakageResult>(jobs.size(), [&](std::size_t i) {
-                return runAttack(jobs[i].channel, jobs[i].arch, cfg, opts);
-            });
+    std::vector<LeakageResult> results(jobs.size());
+    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
+                     [&](std::size_t i) {
+                         results[i] = runAttack(jobs[i].channel,
+                                                jobs[i].arch, cfg, opts);
+                     });
 
     Table table({"channel", "arch", "accuracy", "bits/trial", "bits/s",
                  "signal"});
@@ -186,7 +183,8 @@ main(int argc, char **argv)
 
     if (json_path) {
         writeTextFile(json_path,
-                      attacksToJson(jobs, results, opts.trials, opts.seed) +
+                      attacksToJson(jobs, results, opts.trials,
+                                    kAttackSeed) +
                           "\n");
         std::printf("wrote JSON report: %s\n", json_path);
     }

@@ -11,8 +11,8 @@
  * ways and reports the leak surface (L2 slices holding secure-owned
  * lines) and the performance cost/benefit.
  *
- * The (app x policy) grid fans out over the SweepRunner pool
- * (IRONHIDE_THREADS) like the figure benches, and `--json <path>`
+ * The (app x policy) grid fans out over IRONHIDE_THREADS sweep
+ * workers like the figure benches, and `--json <path>`
  * writes a "BENCH_homing/v1" report. Each cell is a pure function of
  * (app, policy, config), so the report bytes are identical at any
  * worker count.
@@ -24,6 +24,7 @@
 #include "core/insecure.hh"
 #include "core/mi6.hh"
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 
@@ -128,11 +129,12 @@ main(int argc, char **argv)
         jobs.push_back({spec, true});
     }
 
-    const std::vector<HomingResult> results =
-        SweepRunner(sweepThreads())
-            .map<HomingResult>(jobs.size(), [&](std::size_t i) {
-                return runOne(jobs[i].app, cfg, jobs[i].localHoming);
-            });
+    std::vector<HomingResult> results(jobs.size());
+    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
+                     [&](std::size_t i) {
+                         results[i] =
+                             runOne(jobs[i].app, cfg, jobs[i].localHoming);
+                     });
 
     Table table({"application", "policy", "completion(ms)",
                  "slices w/ secure lines", "L2 miss"});

@@ -10,8 +10,8 @@
  * is total. Also reports the average route length, showing the security
  * fix costs no extra hops.
  *
- * The (split x policy) audit grid fans out over the SweepRunner pool
- * (IRONHIDE_THREADS), and `--json <path>` writes a "BENCH_routing/v1"
+ * The (split x policy) audit grid fans out over IRONHIDE_THREADS sweep
+ * workers, and `--json <path>` writes a "BENCH_routing/v1"
  * report. Each cell is a pure function of (split, policy, topology),
  * so the report bytes are identical at any worker count.
  */
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "noc/routing.hh"
@@ -117,12 +118,12 @@ main(int argc, char **argv)
         jobs.push_back({split, true});
     }
 
-    const std::vector<Audit> results =
-        SweepRunner(sweepThreads())
-            .map<Audit>(jobs.size(), [&](std::size_t i) {
-                return auditPolicy(topo, jobs[i].split,
-                                   jobs[i].bidirectional);
-            });
+    std::vector<Audit> results(jobs.size());
+    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
+                     [&](std::size_t i) {
+                         results[i] = auditPolicy(topo, jobs[i].split,
+                                                  jobs[i].bidirectional);
+                     });
 
     Table table({"secure cores", "XY-only violations", "XY-only hops",
                  "bidir violations", "bidir hops"});

@@ -7,8 +7,8 @@
  * Paper values: SGX ~1.33x, MI6 ~2.25x, IRONHIDE best-of-secure (~20%
  * better than SGX, ~2.1x better than MI6).
  *
- * The (app x arch) grid fans out over the SweepRunner pool
- * (IRONHIDE_THREADS) like every figure bench, with the standard
+ * The (app x arch) grid fans out over IRONHIDE_THREADS sweep workers
+ * like every figure bench, with the standard
  * fault-tolerance flags (IRONHIDE_SHARD, --isolate, --journal,
  * --merge) and `--json <path>` writing the "sweep/v2" report.
  */

@@ -10,8 +10,8 @@
  * the Heuristic staying within the +/-5% variation band.
  *
  * The irregular (app x {MI6, 8 IRONHIDE configs}) grid is built as an
- * explicit job vector and fans out over the SweepRunner pool
- * (IRONHIDE_THREADS) like every figure bench, with the standard
+ * explicit job vector and fans out over IRONHIDE_THREADS sweep
+ * workers like every figure bench, with the standard
  * fault-tolerance flags (IRONHIDE_SHARD, --isolate, --journal,
  * --merge) and `--json <path>` writing the "sweep/v2" report.
  */

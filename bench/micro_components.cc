@@ -66,7 +66,7 @@ runMicro(const std::string &name,
          const std::function<void(std::uint64_t iters)> &body,
          double bytes_per_op = 0.0)
 {
-    const double min_ms = envPositiveDouble("IRONHIDE_MICRO_MS", 20.0);
+    const double min_ms = knobReal(Knob::MICRO_MS);
     using Clock = std::chrono::steady_clock;
     std::uint64_t iters = 64;
     for (;;) {

@@ -70,37 +70,6 @@ using namespace ih;
 namespace
 {
 
-double
-envScale()
-{
-    return envPositiveDouble("IRONHIDE_PERF_SCALE", 0.1);
-}
-
-unsigned
-envRepeats()
-{
-    // Same strict parsing as every other knob (std::atoi accepted
-    // trailing garbage and overflows into undefined behaviour).
-    unsigned long n = 0;
-    if (!parseEnvUnsigned("IRONHIDE_PERF_REPEATS",
-                          std::getenv("IRONHIDE_PERF_REPEATS"), 1000, n))
-        return 1;
-    if (n < 1) {
-        warn("ignoring invalid IRONHIDE_PERF_REPEATS='0'");
-        return 1;
-    }
-    return static_cast<unsigned>(n);
-}
-
-double
-envTolerance()
-{
-    // Strict parsing matters here: std::atof accepted "0.15abc" and
-    // "inf" — the latter would have silently disabled the wall-time
-    // gate (see parsePositiveDouble, unit-tested in test_harness.cc).
-    return envPositiveDouble("IRONHIDE_PERF_TOLERANCE", 0.15);
-}
-
 const char *
 flagPath(int argc, char **argv, const char *flag)
 {
@@ -174,7 +143,7 @@ gateAgainstBaseline(const char *path, unsigned domains,
         base_wall <= 0.0) {
         fatal("baseline '%s' has no usable wall_ms_best", path);
     }
-    const double tolerance = envTolerance();
+    const double tolerance = knobReal(Knob::PERF_TOLERANCE);
     const double limit = base_wall * (1.0 + tolerance);
     const double delta_ms = wall_ms_best - base_wall;
     const double delta_pct = delta_ms / base_wall * 100.0;
@@ -227,7 +196,7 @@ gateAgainstSibling(const char *path, double wall_ms_best)
         sibling_wall <= 0.0) {
         fatal("sibling report '%s' has no usable wall_ms_best", path);
     }
-    const double tolerance = envTolerance();
+    const double tolerance = knobReal(Knob::PERF_TOLERANCE);
     const double limit = sibling_wall * (1.0 + tolerance);
     const int rc = wall_ms_best > limit ? 1 : 0;
     if (rc != 0) {
@@ -257,12 +226,13 @@ main(int argc, char **argv)
                 "checksum. Simulator-\nperformance trajectory, not a "
                 "paper figure.");
 
-    const double scale = envScale();
-    const unsigned repeats = envRepeats();
-    // Same validated IRONHIDE_THREADS parsing as every other bench, but
-    // here 0/unset pins to 1 worker: single-run speed is the quantity
-    // under test, not sweep throughput.
-    unsigned threads = sweepThreads();
+    const double scale = knobReal(Knob::PERF_SCALE);
+    const auto repeats =
+        static_cast<unsigned>(knobCount(Knob::PERF_REPEATS));
+    // IRONHIDE_THREADS as every other bench reads it, but here 0/unset
+    // pins to 1 worker: single-run speed is the quantity under test,
+    // not sweep throughput.
+    auto threads = static_cast<unsigned>(knobCount(Knob::THREADS));
     if (threads == 0)
         threads = 1;
     // Intra-run domain workers (IRONHIDE_DOMAINS, default 1 = serial).

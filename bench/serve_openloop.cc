@@ -37,7 +37,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -61,19 +60,10 @@ ladderOptions()
 {
     LoadLadderOptions opts;
     opts.maxSteps = maxLoadSteps();
-    opts.lambda0 = envPositiveDouble("IRONHIDE_SERVE_LAMBDA0", 0.0);
-    opts.serve.sessions = 48;
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_SERVE_SESSIONS",
-                         std::getenv("IRONHIDE_SERVE_SESSIONS"),
-                         1000000ul, v) &&
-        v > 0)
-        opts.serve.sessions = v;
-    if (parseEnvUnsigned("IRONHIDE_SERVE_SEED",
-                         std::getenv("IRONHIDE_SERVE_SEED"),
-                         0xFFFFFFFFul, v))
-        opts.serve.seed = v;
-    if (const char *calib = std::getenv("IRONHIDE_SERVE_CALIB")) {
+    opts.lambda0 = knobReal(Knob::SERVE_LAMBDA0);
+    opts.serve.sessions = knobCount(Knob::SERVE_SESSIONS);
+    opts.serve.seed = knobCount(Knob::SERVE_SEED);
+    if (const char *calib = knobText(Knob::SERVE_CALIB)) {
         const std::string s = calib;
         if (s == "per-arch")
             opts.perArchCalib = true;
@@ -129,12 +119,8 @@ main(int argc, char **argv)
 {
     const SysConfig cfg = benchConfig();
     std::vector<AppSpec> apps = standardApps(benchScale());
-    unsigned long nApps = 0;
-    if (parseEnvUnsigned("IRONHIDE_SERVE_APPS",
-                         std::getenv("IRONHIDE_SERVE_APPS"), apps.size(),
-                         nApps) &&
-        nApps > 0)
-        apps.resize(nApps);
+    if (const unsigned long n = knobCount(Knob::SERVE_APPS); n > 0)
+        apps.resize(n); // 0 = all of them, as when unset
     const LoadLadderOptions base = ladderOptions();
 
     printBanner("Open-loop serving: latency under enclave churn",

@@ -13,8 +13,8 @@
  * proportionally higher and purge costs proportionally lower; the
  * user-vs-OS contrast (orders of magnitude) is the reproduced shape.
  *
- * The (app x {baseline, MI6, IRONHIDE}) grid fans out over the
- * SweepRunner pool (IRONHIDE_THREADS) like every figure bench, and
+ * The (app x {baseline, MI6, IRONHIDE}) grid fans out over
+ * IRONHIDE_THREADS sweep workers like every figure bench, and
  * `--json <path>` writes the standard sweep report.
  */
 

@@ -28,23 +28,22 @@ corpus) and flags:
 
   raw-parse
       atof/atoi/strtod/strtol/sscanf/stoi-family calls outside
-      src/harness/report.cc, where the strict parsers live
-      (parsePositiveDouble, parseEnvUnsigned, ...).  Lenient parsing
+      src/harness/report.cc, where the strict parsers live (knobCount,
+      parsePositiveDouble, parseShardSpec, ...).  Lenient parsing
       accepted "0.15abc" and "inf" and silently disabled a CI gate once
       (PR 5); new parsing must go through the strict helpers or be a
       strict end-checked codec with tests, recorded in the allowlist.
 
   raw-getenv
-      getenv() whose value does not flow into a strict parse helper on
-      the same statement.  String-valued knobs that are compared
-      exactly (strcmp against an enum of spellings, fatal otherwise)
-      are allowlisted per site with their justification.
+      getenv() outside src/harness/report.cc.  The knob registry there
+      (knobCount / knobWorkers / knobReal / knobText) is the only
+      reader of the environment.
 
-  undocumented-knob
-      An "IRONHIDE_*" / "IH_*" string literal in src/ or bench/ that
-      appears in neither README.md nor docs/ — a knob cannot land
-      undocumented.  (Absorbed from the former
-      scripts/check_docs_knobs.sh.)
+  knob-table
+      The knob registry's rows in src/harness/report.cc and the rows of
+      README.md's "Environment knob reference" table must name the same
+      knobs, in both directions, and a README default written as a
+      number must equal the registry row's default.
 
   unused-api
       A lower-case function name declared at namespace or class scope
@@ -77,7 +76,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCAN_DIRS = ("src", "bench", "tests")
 # unused-api also counts references from these (not linted otherwise).
 API_REF_DIRS = ("examples", "perfbench")
-KNOB_DIRS = ("src", "bench")  # scope of the old check_docs_knobs.sh
+REGISTRY = "src/harness/report.cc"
+README = "README.md"
 FIXTURE_DIR = os.path.join("tests", "lint_fixtures")
 SOURCE_EXTS = (".cc", ".hh", ".cpp", ".h")
 
@@ -127,43 +127,6 @@ ALLOWLIST = [
         "why": (
             "Self-timed component microbenchmark: host wall time is the "
             "output. No simulated result or checksum is derived from it."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "tests/test_stats_parity.cc",
-        "contains": "IH_DUMP_GOLDEN",
-        "why": (
-            "Presence-only switch for deliberate golden regeneration; "
-            "the value is never parsed."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "src/harness/sweep.cc",
-        "contains": "IRONHIDE_SHARD",
-        "why": (
-            "Value flows into parseShardSpec(), which rejects signs, "
-            "whitespace, trailing garbage and zero job counts (fatal); "
-            "strictness pinned by tests/test_harness.cc."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "src/harness/isolate.cc",
-        "contains": "IH_FAULT_INJECT",
-        "why": (
-            "Value flows into the FaultPlan parser; malformed plans are "
-            "fatal(), pinned by tests/test_faults.cc."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "bench/serve_openloop.cc",
-        "contains": "IRONHIDE_SERVE_CALIB",
-        "why": (
-            "String-valued knob compared exactly against 'pinned' / "
-            "'per-arch'; any other value is fatal()."
         ),
     },
     {
@@ -299,16 +262,18 @@ RAW_PARSE_RE = re.compile(
     r"|strtoll|strtoul|strtoull|sscanf|stoi|stol|stoll|stoul|stoull"
     r"|stof|stod|stold)\s*\(")
 GETENV_RE = re.compile(r"\bgetenv\s*\(")
-KNOB_RE = re.compile(r'"((?:IRONHIDE|IH)_[A-Z0-9_]+)"')
+# A registry row, one per line: {"NAME", min, max, default},
+REGISTRY_ROW_RE = re.compile(r'^\s*\{"((?:IRONHIDE|IH)_[A-Z0-9_]+)",'
+                             r'\s*\w+,\s*\w+,\s*([\w.]+)\},?\s*$')
+# A README knob-table row: | `NAME` | used by | meaning | default | ...
+# with the default's leading `code` span, if any, as group 2.
+README_ROW_RE = re.compile(r"^\|\s*`((?:IRONHIDE|IH)_[A-Z0-9_]+)`\s*\|"
+                           r"(?:[^|]*\|){2}\s*(?:`([^`]*)`)?")
+KNOB_SECTION = "## Environment knob reference"
 RANGE_FOR_RE = r"for\s*\([^;)]*:\s*(?:\w+\s*\.\s*)?%s\s*\)"
 # begin() only: end() alone cannot iterate, and it appears in the
 # harmless find()/end() point-lookup comparison all over the tree.
 ITER_CALL_RE = r"\b%s\s*\.\s*(?:c?r?begin)\s*\("
-
-# getenv consumers that make a site strict by construction: the value
-# lands in a helper that rejects trailing garbage / range errors.
-STRICT_CONSUMERS = ("parseEnvUnsigned", "envPositiveDouble",
-                    "parsePositiveDouble")
 
 
 def rule_unordered_iteration(files_lines):
@@ -374,7 +339,7 @@ def rule_raw_parse(files_lines):
                 findings.append(Finding(
                     "raw-parse", path, ln, line,
                     "'%s' outside harness/report: lenient parsing "
-                    "accepts trailing garbage; use parseEnvUnsigned / "
+                    "accepts trailing garbage; use the knob registry / "
                     "parsePositiveDouble or a tested end-checked codec "
                     "(allowlisted)" % m.group(1)))
     return findings
@@ -383,57 +348,65 @@ def rule_raw_parse(files_lines):
 def rule_raw_getenv(files_lines):
     findings = []
     for path, lines in sorted(files_lines.items()):
-        if path.startswith("src/harness/report."):
-            continue  # the env helpers call getenv by design
+        if path == REGISTRY:
+            continue  # the knob registry: the one environment reader
         for ln, line in enumerate(lines[0], 1):
-            if not GETENV_RE.search(line):
-                continue
-            # Statement-level check: strict consumers often sit on the
-            # previous line of a wrapped call.
-            window = "\n".join(lines[0][max(0, ln - 3):ln + 1])
-            if any(c in window for c in STRICT_CONSUMERS):
-                continue
-            findings.append(Finding(
-                "raw-getenv", path, ln, line,
-                "getenv() without a strict parse helper on the same "
-                "statement: route the value through harness/report or "
-                "allowlist the site with its strictness argument"))
+            if GETENV_RE.search(line):
+                findings.append(Finding(
+                    "raw-getenv", path, ln, line,
+                    "getenv() outside the knob registry: add a row to "
+                    "%s and read it with knobCount / knobWorkers / "
+                    "knobReal / knobText" % REGISTRY))
     return findings
 
 
-def rule_undocumented_knob(files_lines, root):
-    knobs = {}
-    for path, lines in sorted(files_lines.items()):
-        if not path.startswith(KNOB_DIRS):
-            continue
-        for ln, line in enumerate(lines[0], 1):
-            for m in KNOB_RE.finditer(line):
-                knobs.setdefault(m.group(1), (path, ln, line))
-    if not knobs:
-        return [Finding("undocumented-knob", "src", 0, "",
-                        "found no knob literals at all -- broken scan?")]
-    docs = []
-    for name in ["README.md"]:
-        p = os.path.join(root, name)
-        if os.path.exists(p):
-            with open(p, encoding="utf-8") as f:
-                docs.append(f.read())
-    docs_dir = os.path.join(root, "docs")
-    if os.path.isdir(docs_dir):
-        for dirpath, _, names in os.walk(docs_dir):
-            for name in sorted(names):
-                with open(os.path.join(dirpath, name),
-                          encoding="utf-8") as f:
-                    docs.append(f.read())
-    blob = "\n".join(docs)
+def as_number(text):
+    """-> the value of a decimal or 0x literal, or None."""
+    try:
+        return float(int(text, 16) if text.startswith("0x") else text)
+    except ValueError:
+        return None
+
+
+def rule_knob_table(files_lines, registry_paths, root, readme):
+    """Registry rows and README knob-table rows must agree."""
+    rows, table, in_section = {}, {}, False
+    for path in registry_paths:
+        for ln, line in enumerate(files_lines[path][0], 1):
+            m = REGISTRY_ROW_RE.match(line)
+            if m:
+                rows[m.group(1)] = (path, ln, line, m.group(2))
+    with open(os.path.join(root, readme), encoding="utf-8") as f:
+        for ln, line in enumerate(f, 1):
+            if line.startswith("## "):
+                in_section = line.startswith(KNOB_SECTION)
+            m = in_section and README_ROW_RE.match(line)
+            if m:
+                table[m.group(1)] = (ln, line.rstrip("\n"), m.group(2))
+    if not rows or not table:
+        return [Finding("knob-table", readme, 0, "",
+                        "found %d registry rows and %d README knob-table "
+                        "rows -- broken scan?" % (len(rows), len(table)))]
     findings = []
-    for knob, (path, ln, line) in sorted(knobs.items()):
-        if knob not in blob:
+    for knob, (path, ln, line, default) in sorted(rows.items()):
+        if knob not in table:
             findings.append(Finding(
-                "undocumented-knob", path, ln, line,
-                "knob '%s' is referenced in src/ or bench/ but absent "
-                "from README.md and docs/ — add it to the README "
-                "environment-knob reference table" % knob))
+                "knob-table", path, ln, line,
+                "registry knob '%s' has no row in the %s knob table"
+                % (knob, readme)))
+            continue
+        doc = table[knob][2] or ""
+        if as_number(doc) not in (None, as_number(default)):
+            findings.append(Finding(
+                "knob-table", path, ln, line,
+                "knob '%s' defaults to %s here but to %s in the %s knob "
+                "table" % (knob, default, doc, readme)))
+    for knob, (ln, line, _) in sorted(table.items()):
+        if knob not in rows:
+            findings.append(Finding(
+                "knob-table", readme, ln, line,
+                "the knob table documents '%s', which has no registry "
+                "row" % knob))
     return findings
 
 
@@ -532,14 +505,14 @@ def rule_unused_api(files_lines):
     return findings
 
 
-def run_rules(root, files, knob_root=None):
+def run_rules(root, files):
     files_lines = {p: read_stripped(root, p) for p in files}
     findings = []
     findings += rule_unordered_iteration(files_lines)
     findings += rule_wall_clock(files_lines)
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
-    findings += rule_undocumented_knob(files_lines, knob_root or root)
+    findings += rule_knob_table(files_lines, [REGISTRY], root, README)
     api_lines = dict(files_lines)
     for p in list_sources(root, API_REF_DIRS):
         api_lines[p] = read_stripped(root, p)
@@ -569,7 +542,8 @@ def apply_allowlist(findings):
 # --------------------------------------------------------------------------
 
 # Every fixture file seeds the violations listed here, and nothing else;
-# clean.cc must not trip any rule. The real-tree allowlist is NOT
+# clean.cc must not trip any rule. The fixture README.md stands in for
+# the real README's knob table. The real-tree allowlist is NOT
 # consulted for fixtures — the corpus checks raw detection.
 EXPECTED_FIXTURE_FINDINGS = {
     "tests/lint_fixtures/unordered_iter.cc": ["unordered-iteration",
@@ -578,7 +552,8 @@ EXPECTED_FIXTURE_FINDINGS = {
                                           "wall-clock"],
     "tests/lint_fixtures/raw_parse.cc": ["raw-parse"],
     "tests/lint_fixtures/raw_getenv.cc": ["raw-getenv"],
-    "tests/lint_fixtures/undocumented_knob.cc": ["undocumented-knob"],
+    "tests/lint_fixtures/knob_table.cc": ["knob-table", "knob-table"],
+    "tests/lint_fixtures/README.md": ["knob-table"],
     "tests/lint_fixtures/unused_api.hh": ["unused-api", "unused-api"],
     "tests/lint_fixtures/clean.cc": [],
 }
@@ -594,9 +569,10 @@ def self_test(root):
     for name in sorted(os.listdir(fixture_root)):
         if name.endswith(SOURCE_EXTS):
             files.append(os.path.join(FIXTURE_DIR, name))
-    # The fixture knob scan must look at the fixture files (KNOB_DIRS
-    # filtering would skip tests/), so rebuild the per-rule pipeline
-    # with the fixture paths mapped into a src/-style namespace.
+    # Rebuild the per-rule pipeline with the fixture paths mapped into
+    # a src/-style namespace (unused-api reads src/ headers only); every
+    # fixture may hold registry rows, checked against the fixture
+    # README's knob table.
     files_lines = {}
     for p in files:
         files_lines["src/lint_fixtures/" + os.path.basename(p)] = \
@@ -606,7 +582,8 @@ def self_test(root):
     findings += rule_wall_clock(files_lines)
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
-    findings += rule_undocumented_knob(files_lines, root)
+    findings += rule_knob_table(files_lines, sorted(files_lines), root,
+                                os.path.join(FIXTURE_DIR, "README.md"))
     findings += rule_unused_api(files_lines)
 
     got = {}

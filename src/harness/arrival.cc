@@ -41,9 +41,7 @@ ArrivalProcess::schedule() const
     out.reserve(cfg_.sessions);
     double t = 0.0;
     for (std::uint64_t i = 0; i < cfg_.sessions; ++i) {
-        t += cfg_.kind == ArrivalKind::POISSON
-                 ? rng.nextExponential(meanGapCycles)
-                 : meanGapCycles;
+        t += rng.nextExponential(meanGapCycles);
         Arrival a;
         a.cycle = static_cast<Cycle>(t);
         if (!cfg_.mix.empty()) {

@@ -24,13 +24,6 @@
 namespace ih
 {
 
-/** How inter-arrival gaps are drawn. */
-enum class ArrivalKind : std::uint8_t
-{
-    POISSON = 0, ///< exponential gaps (memoryless open queue; default)
-    UNIFORM,     ///< constant gaps at exactly the configured rate
-};
-
 /** One session arrival. */
 struct Arrival
 {
@@ -43,10 +36,10 @@ struct Arrival
     }
 };
 
-/** Everything that determines an arrival schedule. */
+/** Everything that determines an arrival schedule. Inter-arrival gaps
+ *  are exponential: a Poisson process, the memoryless open queue. */
 struct ArrivalConfig
 {
-    ArrivalKind kind = ArrivalKind::POISSON;
     /** Offered load in sessions per simulated second (> 0). */
     double lambdaPerSec = 100.0;
     /** Sessions to generate (> 0). */

@@ -1,7 +1,6 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <thread>
@@ -226,21 +225,9 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
 }
 
 unsigned
-effectiveDomains(const SysConfig &cfg)
+effectiveDomains(const SysConfig &)
 {
-    // Same strict shared parsing as IRONHIDE_THREADS (parseEnvUnsigned),
-    // with the domains-specific semantics on top: 0 = hardware
-    // concurrency, anything invalid/unset = the config knob.
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_DOMAINS",
-                         std::getenv("IRONHIDE_DOMAINS"), 256, v)) {
-        if (v == 0) {
-            const unsigned hw = std::thread::hardware_concurrency();
-            return std::clamp(hw, 1u, 256u);
-        }
-        return static_cast<unsigned>(v);
-    }
-    return cfg.domains;
+    return knobWorkers(Knob::DOMAINS);
 }
 
 ExperimentResult
@@ -289,7 +276,7 @@ runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
 double
 benchScale()
 {
-    return envPositiveDouble("IRONHIDE_SCALE", 1.0);
+    return knobReal(Knob::SCALE);
 }
 
 SysConfig

@@ -64,14 +64,15 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
             std::uint64_t probe_interactions, unsigned domains = 1);
 
 /**
- * Intra-run worker count actually in effect: the IRONHIDE_DOMAINS env
- * var when set (0 = hardware concurrency, capped like
- * IRONHIDE_THREADS), else cfg.domains. The knob trades host wall time
- * only — simulated results are byte-identical at every value. Note
- * the knobs multiply: IRONHIDE_THREADS sweep workers each run their
- * jobs' probe pools at this count, so threads x domains concurrent
- * simulations can exist at once; size the product to the host (the
- * perf_smoke legs keep threads at 1 for exactly this reason).
+ * Intra-run worker count in effect: the IRONHIDE_DOMAINS knob
+ * (knobWorkers: default 1, 0 = hardware concurrency, at most 256). The
+ * config parameter is unused; it stays for perfbench/, which calls
+ * this. The knob trades host wall time only — simulated results are
+ * byte-identical at every value. Note the knobs multiply:
+ * IRONHIDE_THREADS sweep workers each run their jobs' probe pools at
+ * this count, so threads x domains concurrent simulations can exist at
+ * once; size the product to the host (the perf_smoke legs keep threads
+ * at 1 for exactly this reason).
  */
 unsigned effectiveDomains(const SysConfig &cfg);
 

@@ -61,8 +61,8 @@ FaultPlan::parse(const std::string &spec)
 FaultPlan
 FaultPlan::fromEnv()
 {
-    const char *env = std::getenv("IH_FAULT_INJECT");
-    if (!env || !*env)
+    const char *env = knobText(Knob::FAULT_INJECT);
+    if (!env)
         return {};
     try {
         FaultPlan plan = parse(env);

@@ -3,7 +3,7 @@
  * Deterministic fork-join primitive for independent simulation jobs.
  *
  * Both levels of host-side parallelism in the harness — the sweep
- * runner (one worker per experiment) and the intra-run domain workers
+ * workers (one per experiment) and the intra-run domain workers
  * (one worker per split-decision probe) — need the same contract: run N
  * independent closures on up to K threads such that nothing observable
  * depends on the schedule. parallelForIndex() is that contract in one
@@ -16,9 +16,8 @@
  *    exception that propagates to the caller is the one with the
  *    *smallest index* — exactly what a serial `for` loop would have
  *    produced — regardless of which worker happened to fail first in
- *    wall-clock time. (The sweep runner previously kept whichever
- *    exception won the wall-clock race, so a multi-failure sweep could
- *    surface different errors run to run.)
+ *    wall-clock time. (A sweep that kept whichever exception won the
+ *    wall-clock race could surface different errors run to run.)
  *
  * The canonical-failure guarantee relies on the closures being
  * deterministic per index: any job below a thrown index has been

@@ -1,11 +1,14 @@
 #include "harness/report.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <thread>
 
 #include <unistd.h>
 
@@ -254,32 +257,6 @@ parsePositiveDouble(const char *name, const char *value, double fallback)
     return v;
 }
 
-double
-envPositiveDouble(const char *name, double fallback)
-{
-    return parsePositiveDouble(name, std::getenv(name), fallback);
-}
-
-bool
-parseEnvUnsigned(const char *name, const char *value,
-                 unsigned long max_value, unsigned long &out)
-{
-    if (!value || !*value)
-        return false;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    // strtoul silently wraps negatives, so reject them explicitly,
-    // along with partial parses ("4abc") and absurd magnitudes
-    // (overflow lands on ULONG_MAX and fails the cap).
-    if (value[0] == '-' || end == value || *end != '\0' ||
-        v > max_value) {
-        warn("ignoring invalid %s='%s'", name, value);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
 bool
 parseShardSpec(const char *name, const char *value,
                unsigned long max_count, unsigned long &index,
@@ -287,8 +264,8 @@ parseShardSpec(const char *name, const char *value,
 {
     if (!value || !*value)
         return false;
-    // Both halves follow the parseEnvUnsigned rules (complete decimal,
-    // no sign, no trailing garbage), with the shard-specific shape and
+    // Both halves follow the count-knob rules (complete decimal, no
+    // sign, no trailing garbage), with the shard-specific shape and
     // range constraints on top: exactly one '/', count in
     // [1, max_count], index < count. A typo here must never silently
     // run the wrong slice of a grid.
@@ -312,6 +289,100 @@ parseShardSpec(const char *name, const char *value,
     warn("ignoring invalid %s='%s' (want \"<i>/<N>\" with i < N)", name,
          value);
     return false;
+}
+
+namespace
+{
+
+struct KnobRow
+{
+    const char *name;
+    unsigned long min, max; ///< count knobs only
+    double def;             ///< count and real knobs only
+};
+
+// The knob registry: one row per knob, in Knob order (the row order of
+// README.md's knob table). scripts/ih_lint.py reads these rows, one per
+// line, and checks them against that table.
+constexpr KnobRow kKnobs[] = {
+    {"IRONHIDE_SCALE", 0, 0, 1.0},
+    {"IRONHIDE_THREADS", 0, 4096, 0},
+    {"IRONHIDE_DOMAINS", 0, 256, 1},
+    {"IRONHIDE_SHARD", 0, 0, 0},
+    {"IRONHIDE_JOB_TIMEOUT_MS", 0, 86400000, 0},
+    {"IRONHIDE_JOB_RETRIES", 0, 16, 1},
+    {"IRONHIDE_ATTACK_TRIALS", 0, 4096, 24},
+    {"IRONHIDE_MAX_LOAD_STEPS", 0, 64, 6},
+    {"IRONHIDE_SERVE_SESSIONS", 1, 1000000, 48},
+    {"IRONHIDE_SERVE_APPS", 0, 9, 9},
+    {"IRONHIDE_SERVE_SEED", 0, 0xFFFFFFFF, 0xC0FFEE},
+    {"IRONHIDE_SERVE_LAMBDA0", 0, 0, 0.0},
+    {"IRONHIDE_SERVE_CALIB", 0, 0, 0},
+    {"IRONHIDE_PERF_SCALE", 0, 0, 0.1},
+    {"IRONHIDE_PERF_REPEATS", 1, 1000, 1},
+    {"IRONHIDE_PERF_TOLERANCE", 0, 0, 0.15},
+    {"IRONHIDE_MICRO_MS", 0, 0, 20.0},
+    {"IH_FAULT_INJECT", 0, 0, 0},
+    {"IH_DUMP_GOLDEN", 0, 0, 0},
+};
+static_assert(std::size(kKnobs) ==
+                  static_cast<std::size_t>(Knob::DUMP_GOLDEN) + 1,
+              "one registry row per Knob");
+
+const KnobRow &
+row(Knob k)
+{
+    return kKnobs[static_cast<std::size_t>(k)];
+}
+
+/** The tree's one getenv call. */
+const char *
+envValue(Knob k)
+{
+    return std::getenv(row(k).name);
+}
+
+} // namespace
+
+unsigned long
+knobCount(Knob k)
+{
+    const KnobRow &r = row(k);
+    const char *value = envValue(k);
+    if (!value || !*value)
+        return static_cast<unsigned long>(r.def);
+    char *end = nullptr;
+    const unsigned long v = std::strtoul(value, &end, 10);
+    // strtoul silently wraps negatives, so reject them explicitly,
+    // along with partial parses ("4abc") and absurd magnitudes
+    // (overflow lands on ULONG_MAX and fails the bound).
+    if (value[0] == '-' || end == value || *end != '\0' || v < r.min ||
+        v > r.max) {
+        warn("ignoring invalid %s='%s'", r.name, value);
+        return static_cast<unsigned long>(r.def);
+    }
+    return v;
+}
+
+unsigned
+knobWorkers(Knob k)
+{
+    const unsigned long n = knobCount(k);
+    const unsigned long hw = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(std::clamp(n ? n : hw, 1ul, row(k).max));
+}
+
+double
+knobReal(Knob k)
+{
+    return parsePositiveDouble(row(k).name, envValue(k), row(k).def);
+}
+
+const char *
+knobText(Knob k)
+{
+    const char *value = envValue(k);
+    return value && *value ? value : nullptr;
 }
 
 std::vector<std::string>

@@ -3,7 +3,8 @@
  * Reporting: fixed-width plain-text tables, normalization helpers and
  * geomean rows shared by every bench binary so the regenerated figures
  * all read the same way, plus a minimal streaming JSON writer for the
- * machine-readable sweep reports.
+ * machine-readable sweep reports, the strict parsers, and the knob
+ * registry that reads every environment knob.
  */
 
 #ifndef IH_HARNESS_REPORT_HH
@@ -83,6 +84,52 @@ class JsonWriter
 };
 
 /**
+ * Every environment knob, in the row order of README.md's knob table.
+ * The registry in report.cc holds one row per knob (name, bounds,
+ * default); the four accessors below are the only readers of the
+ * environment, and scripts/ih_lint.py checks the rows against the
+ * README table.
+ */
+enum class Knob : std::uint8_t
+{
+    SCALE = 0,      ///< IRONHIDE_SCALE (real)
+    THREADS,        ///< IRONHIDE_THREADS (workers)
+    DOMAINS,        ///< IRONHIDE_DOMAINS (workers)
+    SHARD,          ///< IRONHIDE_SHARD (text: parseShardSpec)
+    JOB_TIMEOUT_MS, ///< IRONHIDE_JOB_TIMEOUT_MS (count)
+    JOB_RETRIES,    ///< IRONHIDE_JOB_RETRIES (count)
+    ATTACK_TRIALS,  ///< IRONHIDE_ATTACK_TRIALS (count)
+    MAX_LOAD_STEPS, ///< IRONHIDE_MAX_LOAD_STEPS (count)
+    SERVE_SESSIONS, ///< IRONHIDE_SERVE_SESSIONS (count)
+    SERVE_APPS,     ///< IRONHIDE_SERVE_APPS (count)
+    SERVE_SEED,     ///< IRONHIDE_SERVE_SEED (count)
+    SERVE_LAMBDA0,  ///< IRONHIDE_SERVE_LAMBDA0 (real)
+    SERVE_CALIB,    ///< IRONHIDE_SERVE_CALIB (text: pinned|per-arch)
+    PERF_SCALE,     ///< IRONHIDE_PERF_SCALE (real)
+    PERF_REPEATS,   ///< IRONHIDE_PERF_REPEATS (count)
+    PERF_TOLERANCE, ///< IRONHIDE_PERF_TOLERANCE (real)
+    MICRO_MS,       ///< IRONHIDE_MICRO_MS (real)
+    FAULT_INJECT,   ///< IH_FAULT_INJECT (text: FaultPlan::parse)
+    DUMP_GOLDEN,    ///< IH_DUMP_GOLDEN (text: presence flag)
+};
+
+/** A count knob: unset or empty gives the row's default silently;
+ *  anything but a complete unsigned decimal in the row's [min, max]
+ *  warns and gives the default. */
+unsigned long knobCount(Knob k);
+
+/** A workers knob: knobCount() with 0 meaning the hardware
+ *  concurrency, clamped to [1, the row's max]. */
+unsigned knobWorkers(Knob k);
+
+/** A real knob: parsePositiveDouble() with the row's default. */
+double knobReal(Knob k);
+
+/** A text knob's raw value, for its own strict parser; nullptr when
+ *  unset or empty. */
+const char *knobText(Knob k);
+
+/**
  * Strictly-validated positive-double parsing for environment knobs.
  * Unlike std::atof — which silently accepts trailing garbage
  * ("0.15abc" parses as 0.15) and non-finite values ("inf" would
@@ -93,20 +140,6 @@ class JsonWriter
  */
 double parsePositiveDouble(const char *name, const char *value,
                            double fallback);
-
-/** parsePositiveDouble() over getenv(@p name). */
-double envPositiveDouble(const char *name, double fallback);
-
-/**
- * Strictly-validated unsigned parsing for the worker-count environment
- * knobs (IRONHIDE_THREADS, IRONHIDE_DOMAINS): a complete decimal
- * number with no leading '-' (std::strtoul silently wraps negatives)
- * and at most @p max_value. On success sets @p out and returns true;
- * anything else warns (naming @p name) and returns false, except a
- * null/empty @p value, which fails silently (unset knob).
- */
-bool parseEnvUnsigned(const char *name, const char *value,
-                      unsigned long max_value, unsigned long &out);
 
 /**
  * Strictly-validated "index/count" shard-spec parsing for

@@ -1,8 +1,8 @@
 #include "harness/serve.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdlib>
 
 #include "core/session_server.hh"
 #include "harness/percentile.hh"
@@ -19,17 +19,12 @@ runOpenLoop(ArchKind kind, const SysConfig &cfg,
 {
     IH_ASSERT(!apps.empty(), "serving needs at least one app");
     IH_ASSERT(opts.sessions > 0, "serving needs at least one session");
-    IH_ASSERT(opts.mix.empty() || opts.mix.size() == apps.size(),
-              "mix (%zu) must be index-parallel to apps (%zu)",
-              opts.mix.size(), apps.size());
 
     ArrivalConfig acfg;
     acfg.lambdaPerSec = lambdaPerSec;
     acfg.sessions = opts.sessions;
     acfg.seed = opts.seed;
-    acfg.mix = opts.mix.empty()
-                   ? std::vector<double>(apps.size(), 1.0)
-                   : opts.mix;
+    acfg.mix = std::vector<double>(apps.size(), 1.0);
     const std::vector<Arrival> schedule =
         ArrivalProcess(acfg).schedule();
 
@@ -87,6 +82,14 @@ runOpenLoop(ArchKind kind, const SysConfig &cfg,
 namespace
 {
 
+/** Geometric escalation factor between rungs. */
+constexpr double kLadderGrowth = 2.0;
+
+/** Saturation: stop once a rung's goodput gain over the previous rung
+ *  falls below this fraction — more load is no longer buying
+ *  throughput, only latency. */
+constexpr double kFlattenPct = 0.05;
+
 /** Base load from one back-to-back session per app on @p calib_arch:
  *  the pinned-INSECURE default keeps the origin arch-independent (the
  *  curves share absolute loads); per-arch calibration passes the
@@ -117,7 +120,6 @@ runLoadLadder(ArchKind kind, const SysConfig &cfg,
               const LoadLadderOptions &opts)
 {
     IH_ASSERT(opts.maxSteps >= 1, "a ladder needs at least one rung");
-    IH_ASSERT(opts.growth > 1.0, "ladder growth must escalate");
 
     LoadLadderResult out;
     out.arch = archName(kind);
@@ -129,10 +131,10 @@ runLoadLadder(ArchKind kind, const SysConfig &cfg,
             : calibratedLambda0(cfg, apps, opts.serve,
                                 opts.perArchCalib ? kind
                                                   : ArchKind::INSECURE);
+    // Saturation: stop once a rung's peak queue depth reaches half the
+    // session count — the open queue is diverging.
     const std::uint64_t depthLimit =
-        opts.queueDepthLimit
-            ? opts.queueDepthLimit
-            : std::max<std::uint64_t>(2, opts.serve.sessions / 2);
+        std::max<std::uint64_t>(2, opts.serve.sessions / 2);
 
     double lambda = lambda0;
     for (unsigned step = 0; step < opts.maxSteps; ++step) {
@@ -146,12 +148,12 @@ runLoadLadder(ArchKind kind, const SysConfig &cfg,
         if (out.steps.size() >= 2) {
             const double prev =
                 out.steps[out.steps.size() - 2].goodputPerSec;
-            if (cell.goodputPerSec - prev < opts.flattenPct * prev) {
+            if (cell.goodputPerSec - prev < kFlattenPct * prev) {
                 out.stopReason = kStopGoodputFlattened;
                 break;
             }
         }
-        lambda *= opts.growth;
+        lambda *= kLadderGrowth;
     }
     return out;
 }
@@ -246,12 +248,9 @@ deserializeLadder(const std::string &payload, LoadLadderResult &r)
 unsigned
 maxLoadSteps()
 {
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_MAX_LOAD_STEPS",
-                         std::getenv("IRONHIDE_MAX_LOAD_STEPS"), 64ul,
-                         v))
-        return std::max(1u, static_cast<unsigned>(v));
-    return 6;
+    // 0 is clamped to one rung: a ladder always runs at least one.
+    return static_cast<unsigned>(
+        std::max(1ul, knobCount(Knob::MAX_LOAD_STEPS)));
 }
 
 } // namespace ih

@@ -44,10 +44,8 @@ struct ServeOptions
     std::uint64_t sessions = 64;
     /** Interactions per session (the session "length"). */
     std::uint64_t interactionsPerSession = 4;
-    /** Arrival-process seed. */
+    /** Arrival-process seed. Sessions draw uniformly over the apps. */
     std::uint64_t seed = 0xC0FFEE;
-    /** Session mix weights (empty = uniform over the app list). */
-    std::vector<double> mix;
     /** Per-app IRONHIDE split targets (see SessionOptions::splits). */
     std::vector<unsigned> splits;
 };
@@ -111,21 +109,8 @@ struct LoadLadderOptions
      * the cross-architecture curves no longer sharing absolute loads.
      */
     bool perArchCalib = false;
-    /** Geometric escalation factor between rungs (> 1). */
-    double growth = 2.0;
     /** Hard rung bound (IRONHIDE_MAX_LOAD_STEPS; >= 1). */
     unsigned maxSteps = 6;
-    /**
-     * Saturation: stop once a rung's goodput gain over the previous
-     * rung falls below this fraction — more load is no longer buying
-     * throughput, only latency.
-     */
-    double flattenPct = 0.05;
-    /**
-     * Saturation: stop once a rung's peak queue depth reaches this
-     * (0 = half the session count) — the open queue is diverging.
-     */
-    std::uint64_t queueDepthLimit = 0;
     ServeOptions serve;
 };
 
@@ -138,8 +123,8 @@ struct LoadLadderResult
 };
 
 /**
- * Escalate offered load under @p opts until saturation or the rung
- * bound. At least one rung always runs.
+ * Escalate offered load under @p opts, doubling it per rung, until
+ * saturation or the rung bound. At least one rung always runs.
  */
 LoadLadderResult runLoadLadder(ArchKind kind, const SysConfig &cfg,
                                const std::vector<AppSpec> &apps,

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/parallel.hh"
 #include "harness/report.hh"
@@ -161,19 +159,6 @@ SweepGrid::jobs() const
 }
 
 // --------------------------------------------------------------------------
-// SweepRunner
-// --------------------------------------------------------------------------
-
-SweepRunner::SweepRunner(unsigned threads) : threads_(threads)
-{
-    if (threads_ == 0) {
-        threads_ = std::thread::hardware_concurrency();
-        if (threads_ == 0)
-            threads_ = 1;
-    }
-}
-
-// --------------------------------------------------------------------------
 // Summaries
 // --------------------------------------------------------------------------
 
@@ -262,18 +247,6 @@ summarize(const SweepOutcome &o)
         out.byArch.push_back(a.agg);
     }
     return out;
-}
-
-unsigned
-sweepThreads()
-{
-    // Strict shared parsing (see parseEnvUnsigned): the 4096 cap
-    // rejects counts that would oversubscribe any plausible host.
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_THREADS",
-                         std::getenv("IRONHIDE_THREADS"), 4096, v))
-        return static_cast<unsigned>(v);
-    return 0;
 }
 
 // --------------------------------------------------------------------------
@@ -367,8 +340,8 @@ SweepCells::failedCells() const
 ShardSpec
 sweepShard()
 {
-    const char *env = std::getenv("IRONHIDE_SHARD");
-    if (!env || !*env)
+    const char *env = knobText(Knob::SHARD);
+    if (!env)
         return {};
     unsigned long idx = 0, cnt = 0;
     if (!parseShardSpec("IRONHIDE_SHARD", env, 4096, idx, cnt)) {
@@ -388,7 +361,7 @@ SweepRunOptions
 sweepRunFromArgs(int argc, char **argv)
 {
     SweepRunOptions o;
-    o.threads = sweepThreads();
+    o.threads = knobWorkers(Knob::THREADS);
     o.shard = sweepShard();
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--isolate") == 0) {
@@ -405,14 +378,8 @@ sweepRunFromArgs(int argc, char **argv)
                 fatal("--merge requires at least one journal path");
         }
     }
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_JOB_TIMEOUT_MS",
-                         std::getenv("IRONHIDE_JOB_TIMEOUT_MS"),
-                         86400000ul, v))
-        o.timeoutMs = v;
-    if (parseEnvUnsigned("IRONHIDE_JOB_RETRIES",
-                         std::getenv("IRONHIDE_JOB_RETRIES"), 16ul, v))
-        o.retries = static_cast<unsigned>(v);
+    o.timeoutMs = knobCount(Knob::JOB_TIMEOUT_MS);
+    o.retries = static_cast<unsigned>(knobCount(Knob::JOB_RETRIES));
     return o;
 }
 
@@ -491,7 +458,7 @@ runFaultTolerantPayloadSweep(
         // The supervisor forks; it must own the only thread in this
         // process, so the children *are* the parallelism here.
         IsolateConfig icfg;
-        icfg.workers = SweepRunner(opts.threads).threads();
+        icfg.workers = opts.threads;
         icfg.timeoutMs = opts.timeoutMs;
         icfg.retries = opts.retries;
         std::vector<RawIsolatedCell> cells = superviseRawJobs(
@@ -514,11 +481,11 @@ runFaultTolerantPayloadSweep(
             }
         }
     } else {
-        // Inline: the SweepRunner thread pool, but a throwing cell is
-        // caught and marked FAILED instead of aborting the sweep. Crashes/hangs still take the process down — that is
-        // what --isolate is for.
-        const SweepRunner runner(opts.threads);
-        parallelForIndex(pending.size(), runner.threads(),
+        // Inline: opts.threads sweep workers, but a throwing cell is
+        // caught and marked FAILED instead of aborting the sweep.
+        // Crashes/hangs still take the process down — that is what
+        // --isolate is for.
+        parallelForIndex(pending.size(), opts.threads,
                          [&](std::size_t k) {
                              const std::size_t i = pending[k];
                              try {

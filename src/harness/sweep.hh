@@ -7,12 +7,12 @@
  * machine inside runExperiment(), so cells share no simulator state and
  * can run concurrently. SweepGrid enumerates such cross products in a
  * canonical order (app-major, then arch, then options),
- * runFaultTolerantSweep() fans the jobs out over a thread pool and
- * collects the results in job order regardless of scheduling, and
- * summarize() folds the results into per-architecture geomean/ratio
- * aggregates backed by a StatGroup. sweepToJson() renders the outcome
- * as the machine-readable "sweep/v2" report through the harness/report
- * JSON writer.
+ * runFaultTolerantSweep() fans the jobs out over opts.threads sweep
+ * workers (parallelForIndex) and collects the results in job order
+ * regardless of scheduling, and summarize() folds the results into
+ * per-architecture geomean/ratio aggregates backed by a StatGroup.
+ * sweepToJson() renders the outcome as the machine-readable "sweep/v2"
+ * report through the harness/report JSON writer.
  *
  * Determinism contract: results depend only on the job list, never on
  * the worker count or interleaving. A sweep at 1 thread and at N
@@ -45,7 +45,6 @@
 #include "harness/experiment.hh"
 #include "harness/isolate.hh"
 #include "harness/journal.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "sim/stats.hh"
 
@@ -115,43 +114,6 @@ class SweepGrid
     std::vector<std::pair<IronhideOptions, std::string>> opts_;
     std::vector<unsigned> tlbEntries_;
     std::vector<unsigned> tlbWays_;
-};
-
-/**
- * Thread-pool runner for indexed job grids.
- *
- * Workers claim jobs from a shared index and write results into the
- * slot of the job they ran, so the output order is the input order and
- * the parallel schedule is unobservable.
- */
-class SweepRunner
-{
-  public:
-    /** @param threads worker count; 0 = hardware concurrency. */
-    explicit SweepRunner(unsigned threads = 0);
-
-    /** Effective worker count (>= 1). */
-    unsigned threads() const { return threads_; }
-
-    /**
-     * Evaluate fn(0..n-1) over the worker pool: results land in index
-     * order, and a multi-failure run rethrows the error of the
-     * smallest failing index — the error a serial loop would have
-     * produced. For job grids that are not runExperiment() cells
-     * (e.g. the attack-scenario grid).
-     */
-    template <typename R>
-    std::vector<R>
-    map(std::size_t n, const std::function<R(std::size_t)> &fn) const
-    {
-        std::vector<R> out(n);
-        parallelForIndex(n, threads_,
-                         [&](std::size_t i) { out[i] = fn(i); });
-        return out;
-    }
-
-  private:
-    unsigned threads_;
 };
 
 /** Per-architecture aggregate over a sweep's results. */
@@ -228,7 +190,7 @@ struct CellOutcome
  */
 struct SweepRunOptions
 {
-    unsigned threads = 0;        ///< workers (0 = hardware concurrency)
+    unsigned threads = 1;        ///< inline workers / isolated children
     bool isolate = false;        ///< fork each job into a child
     std::string journalPath;     ///< crash-safe resume log; "" = none
     ShardSpec shard;             ///< this process's job partition
@@ -356,10 +318,6 @@ SweepOutcome runBenchSweep(int argc, char **argv,
 /** Fold only the OK cells of @p o into aggregates — the degraded-sweep
  *  summary is honest about covering survivors only. */
 SweepSummary summarize(const SweepOutcome &o);
-
-/** Bench worker count from the IRONHIDE_THREADS env var
- *  (0 / unset = hardware concurrency). */
-unsigned sweepThreads();
 
 /** Writes cell i's own fields into its report record. */
 using CellWriter = std::function<void(JsonWriter &, std::size_t)>;

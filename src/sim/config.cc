@@ -46,8 +46,6 @@ SysConfig::validate() const
         fatal("numRegions must be a multiple of numMcs");
     if (meshHeight < 2)
         fatal("mesh must have at least two rows to form two clusters");
-    if (domains == 0 || domains > 256)
-        fatal("domains must be in [1, 256] (got %u)", domains);
 }
 
 SysConfig

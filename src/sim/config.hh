@@ -91,17 +91,8 @@ struct SysConfig
 
     // --- Misc -------------------------------------------------------------
     std::uint64_t seed = 0xC0FFEE;
-    /**
-     * Intra-run parallelism: host worker count for the independent
-     * sub-simulations inside one experiment (the IRONHIDE
-     * split-decision probes, each a fresh machine). 1 (the default) is
-     * today's fully serial path; any value produces byte-identical
-     * results — the workers only overlap pure probe evaluations whose
-     * values the serial search then consumes in canonical order
-     * (pinned by tests/test_domains.cc). Overridable per process with
-     * the IRONHIDE_DOMAINS env var (see effectiveDomains()).
-     */
-    unsigned domains = 1;
+    // Host parallelism is not configuration: the intra-run probe
+    // workers come from the IRONHIDE_DOMAINS knob (effectiveDomains()).
 
     /** The phase engine (fixed: see EngineKind). */
     static constexpr EngineKind engine = EngineKind::SERIAL;

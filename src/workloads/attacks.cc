@@ -537,7 +537,7 @@ runAttack(AttackChannel channel, ArchKind kind, const SysConfig &base_cfg,
     scenario->setup(rig);
 
     const std::vector<unsigned> bits =
-        balancedSecretBits(opts.trials, opts.seed);
+        balancedSecretBits(opts.trials, kAttackSeed);
 
     // Two unrecorded warmup rounds (one per class): the attacker's
     // primed state and the allocators reach their steady state before

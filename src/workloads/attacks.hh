@@ -65,13 +65,15 @@ const char *attackChannelName(AttackChannel c);
 /** All four channels, in enum order (the canonical report order). */
 std::vector<AttackChannel> standardAttackChannels();
 
+/** Seed of every attack run's balanced secret-bit schedule. */
+constexpr std::uint64_t kAttackSeed = 0xA77AC4ULL;
+
 /** Options of one attack run. */
 struct AttackRunOptions
 {
     /** Recorded trials; must be a positive multiple of 4 so both the
      *  calibration and the evaluation half contain both classes. */
     unsigned trials = 24;
-    std::uint64_t seed = 0xA77AC4ULL;
 };
 
 /** Leakage metrics of one (channel, arch) attack run. */

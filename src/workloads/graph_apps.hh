@@ -33,7 +33,6 @@ struct GraphAppParams
     double shortcutFrac = 0.15;
     unsigned updatesPerInteraction = 256;
     unsigned ssspRelaxCap = 24000;  ///< max edge relaxations/interaction
-    unsigned prEdgesPerInteraction = 0; ///< 0 = full iteration
     unsigned tcWindow = 96;         ///< vertices examined/interaction
 
     /** Scale every size by @p s (bench/test shrinking). */

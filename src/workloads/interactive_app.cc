@@ -259,8 +259,7 @@ InteractiveApp::run(const RunOptions &opts)
     const std::uint64_t n =
         opts.maxInteractions ? opts.maxInteractions : spec_.interactions;
     const std::uint64_t warmup = std::min(opts.warmup, n / 2);
-    const unsigned depth = std::max(
-        1u, opts.ipcRingDepth ? opts.ipcRingDepth : spec_.pipelineDepth);
+    const unsigned depth = std::max(1u, spec_.pipelineDepth);
 
     RunResult res;
     Cycle prod_t = 0;

@@ -71,7 +71,6 @@ struct RunOptions
     std::uint64_t warmup = 8;     ///< untimed interactions
     std::optional<unsigned> reconfigTarget; ///< IRONHIDE rebind target
     std::uint64_t maxInteractions = 0;      ///< 0 = spec default
-    unsigned ipcRingDepth = 0;    ///< 0 = use the spec's pipelineDepth
 };
 
 /** Measured outcome of one run. */

@@ -2,22 +2,27 @@
 //
 //  - ordered std::map iteration (deterministic order);
 //  - unordered_map used for lookup only, never iterated;
-//  - env values routed through the strict helpers (the call below is
-//    textual — this file is never compiled);
-//  - a documented knob literal ("IRONHIDE_THREADS" is in the README
-//    reference table);
+//  - a knob-registry row that matches its row in the knob table of
+//    this directory's README.md (no getenv outside the registry);
 //  - comments may name forbidden functions freely: atof, rand(),
 //    steady_clock and strtod in this sentence must not trip the lint.
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
 
 namespace fixture
 {
 
-unsigned long parseEnvUnsigned_stub(const char *, const char *,
-                                    unsigned long);
+struct KnobRow
+{
+    const char *name;
+    unsigned long min, max;
+    double def;
+};
+
+constexpr KnobRow kKnobs[] = {
+    {"IRONHIDE_SERVE_SEED", 0, 0xFFFFFFFF, 0xC0FFEE},
+};
 
 struct CleanTable
 {
@@ -34,13 +39,5 @@ struct CleanTable
         return it == lookupOnly_.end() ? n : it->second;
     }
 };
-
-unsigned long
-strictKnob()
-{
-    // Strict consumer on the same statement as getenv: approved.
-    return parseEnvUnsigned_stub("IRONHIDE_THREADS",
-                                 std::getenv("IRONHIDE_THREADS"), 4096);
-}
 
 } // namespace fixture

@@ -2,8 +2,7 @@
  * @file
  * Unit tests of the attack-scenario framework: the leakage analysis
  * math, the balanced secret-bit schedule, end-to-end run determinism,
- * the generic SweepRunner::map fan-out and the SweepGrid TLB-size axis
- * the abl_tlb bench uses.
+ * and the SweepGrid TLB-size axis the abl_tlb bench uses.
  */
 
 #include <gtest/gtest.h>
@@ -129,20 +128,6 @@ TEST(RunAttack, ScenarioConfigTweaksDoNotLeakIntoCaller)
     runAttack(AttackChannel::TLB_PRIME_PROBE, ArchKind::IRONHIDE, cfg,
               opts);
     EXPECT_EQ(cfg.tlbWays, ways_before);
-}
-
-TEST(SweepRunnerMap, ThreadCountIsUnobservable)
-{
-    const auto square = [](std::size_t i) {
-        return static_cast<double>(i) * static_cast<double>(i);
-    };
-    const std::vector<double> serial =
-        SweepRunner(1).map<double>(37, square);
-    const std::vector<double> parallel =
-        SweepRunner(4).map<double>(37, square);
-    ASSERT_EQ(serial.size(), 37u);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_DOUBLE_EQ(serial[6], 36.0);
 }
 
 TEST(SweepGridTlbEntries, SizeAxisMultipliesAndTags)

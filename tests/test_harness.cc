@@ -1,8 +1,8 @@
 /**
  * @file
  * Harness tests: table rendering, experiment plumbing, the split
- * decision policies, environment-knob parsing, and the deterministic
- * fork-join primitive.
+ * decision policies, the knob registry and its strict parsers, and the
+ * deterministic fork-join primitive.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -114,19 +115,129 @@ TEST(ParsePositiveDouble, RejectsNonPositiveAndOutOfRange)
     EXPECT_DOUBLE_EQ(parsePositiveDouble("T", "abc", 0.15), 0.15);
 }
 
-TEST(ParseEnvUnsigned, SharedWorkerKnobParsing)
+// ---- The knob registry ----------------------------------------------------
+
+namespace
 {
-    unsigned long v = 99;
-    EXPECT_TRUE(parseEnvUnsigned("T", "4", 256, v));
-    EXPECT_EQ(v, 4u);
-    EXPECT_TRUE(parseEnvUnsigned("T", "0", 256, v)); // 0 is the caller's
-    EXPECT_EQ(v, 0u);                                // sentinel, valid here
-    EXPECT_FALSE(parseEnvUnsigned("T", nullptr, 256, v));
-    EXPECT_FALSE(parseEnvUnsigned("T", "", 256, v));
-    EXPECT_FALSE(parseEnvUnsigned("T", "-2", 256, v));   // strtoul wraps
-    EXPECT_FALSE(parseEnvUnsigned("T", "4abc", 256, v)); // partial parse
-    EXPECT_FALSE(parseEnvUnsigned("T", "257", 256, v));  // over the cap
-    EXPECT_FALSE(parseEnvUnsigned("T", "99999999999999999999", 256, v));
+
+/** A count knob with README.md's default and its first rejected value
+ *  above the registry row's bound. */
+struct CountKnob
+{
+    Knob knob;
+    const char *name;
+    const char *overBound;
+    unsigned long def;
+};
+
+const CountKnob kCountKnobs[] = {
+    {Knob::THREADS, "IRONHIDE_THREADS", "4097", 0},
+    {Knob::DOMAINS, "IRONHIDE_DOMAINS", "257", 1},
+    {Knob::JOB_TIMEOUT_MS, "IRONHIDE_JOB_TIMEOUT_MS", "86400001", 0},
+    {Knob::JOB_RETRIES, "IRONHIDE_JOB_RETRIES", "17", 1},
+    {Knob::ATTACK_TRIALS, "IRONHIDE_ATTACK_TRIALS", "4097", 24},
+    {Knob::MAX_LOAD_STEPS, "IRONHIDE_MAX_LOAD_STEPS", "65", 6},
+    {Knob::SERVE_SESSIONS, "IRONHIDE_SERVE_SESSIONS", "1000001", 48},
+    {Knob::SERVE_APPS, "IRONHIDE_SERVE_APPS", "10", 9},
+    {Knob::SERVE_SEED, "IRONHIDE_SERVE_SEED", "4294967296", 0xC0FFEE},
+    {Knob::PERF_REPEATS, "IRONHIDE_PERF_REPEATS", "1001", 1},
+};
+
+} // namespace
+
+TEST(Knobs, CountKnobsRejectAboveBoundAndGarbage)
+{
+    for (const CountKnob &k : kCountKnobs) {
+        SCOPED_TRACE(k.name);
+        unsetenv(k.name);
+        EXPECT_EQ(knobCount(k.knob), k.def);
+        setenv(k.name, k.overBound, 1);
+        EXPECT_EQ(knobCount(k.knob), k.def);
+        setenv(k.name, "4junk", 1);
+        EXPECT_EQ(knobCount(k.knob), k.def);
+        setenv(k.name, "4", 1); // within every count knob's bounds
+        EXPECT_EQ(knobCount(k.knob), 4u);
+        unsetenv(k.name);
+    }
+}
+
+TEST(Knobs, CountParsingIsStrict)
+{
+    setenv("IRONHIDE_DOMAINS", "0", 1); // the caller's sentinel: valid
+    EXPECT_EQ(knobCount(Knob::DOMAINS), 0u);
+    for (const char *bad : {"", "-2", "4abc", "99999999999999999999"}) {
+        setenv("IRONHIDE_DOMAINS", bad, 1); // strtoul would wrap "-2"
+        EXPECT_EQ(knobCount(Knob::DOMAINS), 1u) << bad;
+    }
+    unsetenv("IRONHIDE_DOMAINS");
+}
+
+TEST(Knobs, ZeroBelowTheLowerBoundGivesTheDefault)
+{
+    setenv("IRONHIDE_SERVE_SESSIONS", "0", 1);
+    EXPECT_EQ(knobCount(Knob::SERVE_SESSIONS), 48u);
+    setenv("IRONHIDE_PERF_REPEATS", "0", 1);
+    EXPECT_EQ(knobCount(Knob::PERF_REPEATS), 1u);
+    unsetenv("IRONHIDE_SERVE_SESSIONS");
+    unsetenv("IRONHIDE_PERF_REPEATS");
+}
+
+TEST(Knobs, ZeroWorkersIsTheHardwareConcurrencyWithinTheBound)
+{
+    setenv("IRONHIDE_DOMAINS", "0", 1);
+    const unsigned hw = knobWorkers(Knob::DOMAINS);
+    EXPECT_GE(hw, 1u);
+    EXPECT_LE(hw, 256u);
+    setenv("IRONHIDE_DOMAINS", "3", 1);
+    EXPECT_EQ(knobWorkers(Knob::DOMAINS), 3u);
+    unsetenv("IRONHIDE_DOMAINS");
+    EXPECT_EQ(knobWorkers(Knob::DOMAINS), 1u);
+}
+
+TEST(Knobs, RealKnobsRejectInfAndTrailingGarbage)
+{
+    const struct
+    {
+        Knob knob;
+        const char *name;
+        double def;
+    } reals[] = {
+        {Knob::SCALE, "IRONHIDE_SCALE", 1.0},
+        {Knob::SERVE_LAMBDA0, "IRONHIDE_SERVE_LAMBDA0", 0.0},
+        {Knob::PERF_SCALE, "IRONHIDE_PERF_SCALE", 0.1},
+        {Knob::PERF_TOLERANCE, "IRONHIDE_PERF_TOLERANCE", 0.15},
+        {Knob::MICRO_MS, "IRONHIDE_MICRO_MS", 20.0},
+    };
+    for (const auto &k : reals) {
+        SCOPED_TRACE(k.name);
+        setenv(k.name, "inf", 1);
+        EXPECT_EQ(knobReal(k.knob), k.def);
+        setenv(k.name, "0.15abc", 1);
+        EXPECT_EQ(knobReal(k.knob), k.def);
+        setenv(k.name, "0.25", 1);
+        EXPECT_EQ(knobReal(k.knob), 0.25);
+        unsetenv(k.name);
+        EXPECT_EQ(knobReal(k.knob), k.def);
+    }
+}
+
+TEST(Knobs, EmptyTextKnobReadsAsUnset)
+{
+    const std::pair<Knob, const char *> texts[] = {
+        {Knob::SHARD, "IRONHIDE_SHARD"},
+        {Knob::SERVE_CALIB, "IRONHIDE_SERVE_CALIB"},
+        {Knob::FAULT_INJECT, "IH_FAULT_INJECT"},
+        {Knob::DUMP_GOLDEN, "IH_DUMP_GOLDEN"},
+    };
+    for (const auto &[knob, name] : texts) {
+        SCOPED_TRACE(name);
+        setenv(name, "", 1);
+        EXPECT_EQ(knobText(knob), nullptr);
+        setenv(name, "x", 1);
+        EXPECT_STREQ(knobText(knob), "x");
+        unsetenv(name);
+        EXPECT_EQ(knobText(knob), nullptr);
+    }
 }
 
 TEST(ParallelForIndex, VisitsEveryIndexExactlyOnce)

@@ -17,11 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "harness/report.hh"
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
 
@@ -247,7 +247,7 @@ TEST(StatsParity, FixedWorkloadCounterMapMatchesGolden)
     runFixedWorkload(m);
     const Snapshot actual = snapshot(m);
 
-    if (std::getenv("IH_DUMP_GOLDEN")) {
+    if (knobText(Knob::DUMP_GOLDEN)) {
         std::printf("const Snapshot kGolden = {\n");
         for (const auto &[name, value] : actual) {
             std::printf("    {\"%s\", %lluu},\n", name.c_str(),

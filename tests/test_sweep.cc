@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -173,7 +174,7 @@ TEST(SweepGrid, TlbWaysDimensionIsInnermostAndTagged)
     EXPECT_EQ(tagged[0].tag, "base tlb=4way");
 }
 
-TEST(SweepRunner, TlbWaysDimensionRunsEndToEnd)
+TEST(ParallelSweep, TlbWaysDimensionRunsEndToEnd)
 {
     // The set-associative TLB exercised through a real sweep config:
     // every geometry cell must complete (and deterministically so —
@@ -191,12 +192,12 @@ TEST(SweepRunner, TlbWaysDimensionRunsEndToEnd)
         EXPECT_GT(res.run.completion, 0u);
 }
 
-TEST(SweepRunner, EmptyGridYieldsEmptyResults)
+TEST(ParallelSweep, EmptyGridYieldsEmptyResults)
 {
     EXPECT_TRUE(sweep({}, 4).results.empty());
 }
 
-TEST(SweepRunner, SingleJob)
+TEST(ParallelSweep, SingleJob)
 {
     std::vector<SweepJob> jobs;
     SweepJob job;
@@ -212,7 +213,7 @@ TEST(SweepRunner, SingleJob)
     EXPECT_GT(r[0].run.completion, 0u);
 }
 
-TEST(SweepRunner, ResultsArriveInJobOrder)
+TEST(ParallelSweep, ResultsArriveInJobOrder)
 {
     const std::vector<SweepJob> jobs = testJobs();
     const std::vector<ExperimentResult> r = sweep(jobs, 4).results;
@@ -223,7 +224,7 @@ TEST(SweepRunner, ResultsArriveInJobOrder)
     }
 }
 
-TEST(SweepRunner, ParallelMatchesSerialExactly)
+TEST(ParallelSweep, ParallelMatchesSerialExactly)
 {
     const std::vector<SweepJob> jobs = testJobs();
     const std::vector<ExperimentResult> serial = sweep(jobs, 1).results;
@@ -233,7 +234,7 @@ TEST(SweepRunner, ParallelMatchesSerialExactly)
         expectSameResult(serial[i], parallel[i]);
 }
 
-TEST(SweepRunner, ThreadCountDoesNotChangeResults)
+TEST(ParallelSweep, ThreadCountDoesNotChangeResults)
 {
     const std::vector<SweepJob> jobs = testJobs();
     const std::vector<ExperimentResult> base = sweep(jobs, 2).results;
@@ -245,10 +246,20 @@ TEST(SweepRunner, ThreadCountDoesNotChangeResults)
     }
 }
 
-TEST(SweepRunner, ZeroMeansHardwareConcurrency)
+TEST(ParallelSweep, ZeroThreadsMeansHardwareConcurrency)
 {
-    EXPECT_GE(SweepRunner(0).threads(), 1u);
-    EXPECT_EQ(SweepRunner(5).threads(), 5u);
+    // sweepRunFromArgs resolves IRONHIDE_THREADS with knobWorkers: 0
+    // and unset are the hardware concurrency, within the row's 4096.
+    char name[] = "bench";
+    char *argv[] = {name, nullptr};
+    setenv("IRONHIDE_THREADS", "0", 1);
+    const unsigned hw = sweepRunFromArgs(1, argv).threads;
+    EXPECT_GE(hw, 1u);
+    EXPECT_LE(hw, 4096u);
+    setenv("IRONHIDE_THREADS", "5", 1);
+    EXPECT_EQ(sweepRunFromArgs(1, argv).threads, 5u);
+    unsetenv("IRONHIDE_THREADS");
+    EXPECT_EQ(sweepRunFromArgs(1, argv).threads, hw);
 }
 
 TEST(FaultTolerantSweep, AThrowingAppFactoryFailsOnlyItsCell)
