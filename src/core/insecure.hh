@@ -21,8 +21,10 @@ class InsecureBaseline : public SecurityModel
     explicit InsecureBaseline(System &sys);
 
     Cycle configure(const std::vector<Process *> &procs, Cycle t) override;
-    Cycle enclaveEnter(Process &proc, Cycle t) override;
-    Cycle enclaveExit(Process &proc, Cycle t) override;
+
+  protected:
+    /** The same sharing under another name (SgxLike). */
+    InsecureBaseline(System &sys, std::string name);
 };
 
 } // namespace ih

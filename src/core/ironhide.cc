@@ -110,24 +110,6 @@ Ironhide::configure(const std::vector<Process *> &procs, Cycle t)
 }
 
 Cycle
-Ironhide::enclaveEnter(Process &proc, Cycle t)
-{
-    // The secure process is pinned inside its spatially isolated
-    // cluster: interactions need no state purge and no constant cost.
-    enclaves_.of(proc.id()).enter(t, t);
-    sys_.audit().record(AuditKind::ENCLAVE_ENTER, t, proc.id());
-    return t;
-}
-
-Cycle
-Ironhide::enclaveExit(Process &proc, Cycle t)
-{
-    enclaves_.of(proc.id()).exit(t, t);
-    sys_.audit().record(AuditKind::ENCLAVE_EXIT, t, proc.id());
-    return t;
-}
-
-Cycle
 Ironhide::reconfigure(unsigned secure_cores, Cycle t)
 {
     if (secure_cores == secureCores_)

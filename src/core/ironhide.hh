@@ -40,8 +40,6 @@ class Ironhide : public SecurityModel
     explicit Ironhide(System &sys);
 
     Cycle configure(const std::vector<Process *> &procs, Cycle t) override;
-    Cycle enclaveEnter(Process &proc, Cycle t) override;
-    Cycle enclaveExit(Process &proc, Cycle t) override;
     Cycle reconfigure(unsigned secure_cores, Cycle t) override;
 
     bool spatial() const override { return true; }
@@ -79,7 +77,6 @@ class Ironhide : public SecurityModel
      */
     void setInitialSplit(unsigned s) { initialSplit_ = s; }
 
-    SecureKernel &kernel() { return kernel_; }
     const RegionOwnership &regions() const { return regions_; }
 
   private:

@@ -59,27 +59,9 @@ MulticoreMi6::configure(const std::vector<Process *> &procs, Cycle t)
 }
 
 Cycle
-MulticoreMi6::transitionPurge(Cycle t)
+MulticoreMi6::transition(Cycle t)
 {
     return purge_.fullPurge(allTiles(), allMcs(), t);
-}
-
-Cycle
-MulticoreMi6::enclaveEnter(Process &proc, Cycle t)
-{
-    const Cycle done = transitionPurge(t);
-    enclaves_.of(proc.id()).enter(t, done);
-    sys_.audit().record(AuditKind::ENCLAVE_ENTER, done, proc.id());
-    return done;
-}
-
-Cycle
-MulticoreMi6::enclaveExit(Process &proc, Cycle t)
-{
-    const Cycle done = transitionPurge(t);
-    enclaves_.of(proc.id()).exit(t, done);
-    sys_.audit().record(AuditKind::ENCLAVE_EXIT, done, proc.id());
-    return done;
 }
 
 } // namespace ih

@@ -36,23 +36,22 @@ class MulticoreMi6 : public SecurityModel
     explicit MulticoreMi6(System &sys);
 
     Cycle configure(const std::vector<Process *> &procs, Cycle t) override;
-    Cycle enclaveEnter(Process &proc, Cycle t) override;
-    Cycle enclaveExit(Process &proc, Cycle t) override;
 
     /** The full entry/exit purge makes secure execution exclusive: no
      *  insecure observer runs concurrently with the enclave. */
     bool exclusiveSecureExecution() const override { return true; }
 
-    SecureKernel &kernel() { return kernel_; }
     const RegionOwnership &regions() const { return regions_; }
 
     /** Default vendor key used to provision honest secure processes. */
     static SecureKernel::Key defaultVendorKey();
 
-  private:
-    /** The full entry/exit purge sequence. */
-    Cycle transitionPurge(Cycle t);
+  protected:
+    /** Every entry and exit purges all private state and drains every
+     *  controller. */
+    Cycle transition(Cycle t) override;
 
+  private:
     SecureKernel kernel_;
     RegionOwnership regions_;
 };

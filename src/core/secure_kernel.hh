@@ -6,10 +6,9 @@
  * attests secure processes before they may enter the secure cluster or
  * an enclave: the process carries a SHA-256 measurement of its image and
  * a vendor signature (HMAC-SHA-256 under the vendor key); the kernel
- * recomputes and verifies both. Under IRONHIDE the kernel additionally
- * orchestrates dynamic hardware isolation: it owns the core
- * re-allocation predictor's decision and executes the (single,
- * per-application-invocation) cluster reconfiguration.
+ * recomputes and verifies both. Attestation is all it does here: under
+ * IRONHIDE the split decision is decideSplit()'s (src/harness) and the
+ * cluster reconfiguration is Ironhide::reconfigure()'s.
  */
 
 #ifndef IH_CORE_SECURE_KERNEL_HH
@@ -24,7 +23,7 @@
 namespace ih
 {
 
-/** Trusted kernel: attestation and reconfiguration orchestration. */
+/** Trusted kernel: secure-process attestation. */
 class SecureKernel
 {
   public:

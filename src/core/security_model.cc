@@ -43,6 +43,32 @@ SecurityModel::SecurityModel(System &sys, std::string name)
 {
 }
 
+Cycle
+SecurityModel::enclaveEnter(Process &proc, Cycle t)
+{
+    IH_ASSERT(inside_ == INVALID_PROC, "double enclave entry");
+    inside_ = proc.id();
+    return charge(AuditKind::ENCLAVE_ENTER, proc, t);
+}
+
+Cycle
+SecurityModel::enclaveExit(Process &proc, Cycle t)
+{
+    IH_ASSERT(inside_ == proc.id(), "enclave exit without entry");
+    inside_ = INVALID_PROC;
+    return charge(AuditKind::ENCLAVE_EXIT, proc, t);
+}
+
+Cycle
+SecurityModel::charge(AuditKind kind, const Process &proc, Cycle t)
+{
+    const Cycle done = transition(t);
+    ++transitions_;
+    transitionOverhead_ += done - t;
+    sys_.audit().record(kind, done, proc.id());
+    return done;
+}
+
 void
 SecurityModel::assignWholeMachine(const std::vector<Process *> &procs)
 {

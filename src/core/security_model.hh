@@ -6,14 +6,16 @@
  * cluster confinement), (2) how shared state is partitioned (L2 slices,
  * DRAM regions, memory controllers, homing policy), and (3) what happens
  * at every secure-process entry and exit (purges, constant costs,
- * nothing). The interactive-application driver calls enclaveEnter/Exit
- * around every interaction and reads the accumulated overheads back for
- * the completion-time breakdowns.
+ * nothing). The interaction loop (AppInstance::interact) calls
+ * enclaveEnter/Exit around every consume phase and reads the
+ * accumulated overheads back for the completion-time breakdowns. The
+ * entry/exit protocol itself is the base class's; an architecture
+ * supplies only the cost of one transition (transition()).
  *
  * Four architectures are provided:
  *  - InsecureBaseline: no protection, the normalization baseline.
- *  - SgxLike:          Intel-SGX-style enclaves; constant 5 us per
- *                      entry/exit, no partitioning, no purging.
+ *  - SgxLike:          Intel-SGX-style enclaves: the insecure baseline
+ *                      plus a constant 5 us per entry/exit.
  *  - MulticoreMi6:     SGX execution model + strong isolation: static
  *                      L2/DRAM partitioning, full purge of private state
  *                      and MC queues at *every* entry/exit.
@@ -29,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "core/enclave.hh"
 #include "core/purge_engine.hh"
 #include "core/system.hh"
 
@@ -63,11 +64,16 @@ class SecurityModel
     virtual Cycle configure(const std::vector<Process *> &procs,
                             Cycle t) = 0;
 
-    /** Secure-process entry protocol; returns the post-entry time. */
-    virtual Cycle enclaveEnter(Process &proc, Cycle t) = 0;
+    /**
+     * Secure-process entry protocol starting at @p t: charges the
+     * architecture's transition() and returns the post-entry time.
+     * Entering while a process is inside panics.
+     */
+    Cycle enclaveEnter(Process &proc, Cycle t);
 
-    /** Secure-process exit protocol; returns the post-exit time. */
-    virtual Cycle enclaveExit(Process &proc, Cycle t) = 0;
+    /** Exit protocol of @p proc, which must be the process inside;
+     *  returns the post-exit time. */
+    Cycle enclaveExit(Process &proc, Cycle t);
 
     /**
      * Dynamic hardware isolation (IRONHIDE only): rebind the cluster
@@ -108,18 +114,21 @@ class SecurityModel
 
     /** Cycles spent in enclave transitions (includes purges and
      *  constant entry/exit costs). */
-    Cycle transitionOverhead() const { return enclaves_.totalOverhead(); }
+    Cycle transitionOverhead() const { return transitionOverhead_; }
 
     /** Total enclave entry+exit events. */
-    std::uint64_t transitions() const
-    {
-        return enclaves_.totalTransitions();
-    }
+    std::uint64_t transitions() const { return transitions_; }
 
     /** One-time setup/reconfiguration overhead (IRONHIDE). */
     Cycle reconfigOverhead() const { return reconfigOverhead_; }
 
   protected:
+    /**
+     * The architecture's part of one enclave entry or exit starting at
+     * @p t; returns when it completes. Default: free.
+     */
+    virtual Cycle transition(Cycle t) { return t; }
+
     /** Give every process every core with machine-wide scope. */
     void assignWholeMachine(const std::vector<Process *> &procs);
 
@@ -134,8 +143,15 @@ class SecurityModel
     const std::vector<CoreId> allTiles_;
     const std::vector<McId> allMcs_;
     PurgeEngine purge_;
-    EnclaveTable enclaves_;
     Cycle reconfigOverhead_ = 0;
+
+  private:
+    /** Charge one transition of @p proc at @p t and audit it. */
+    Cycle charge(AuditKind kind, const Process &proc, Cycle t);
+
+    ProcId inside_ = INVALID_PROC; ///< the entered process, if any
+    std::uint64_t transitions_ = 0;
+    Cycle transitionOverhead_ = 0;
 };
 
 /** Construct the architecture @p kind over @p sys. */

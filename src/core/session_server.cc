@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/ironhide.hh"
-#include "core/mi6.hh"
-#include "core/secure_kernel.hh"
 #include "sim/log.hh"
 
 namespace ih
@@ -23,22 +21,14 @@ SessionServer::SessionServer(const SysConfig &cfg, ArchKind kind,
     // Admit every app's process pair up front, in app-index order, so
     // process ids — and with them every downstream simulated address —
     // are a pure function of the app list.
-    SecureKernel vendor(sys_, MulticoreMi6::defaultVendorKey());
+    apps_.reserve(apps.size());
     std::vector<Process *> procs;
     for (const AppSpec &spec : apps) {
-        Context c;
-        c.spec = spec;
-        c.insecure = &sys_.createProcess(spec.insecureName,
-                                         Domain::INSECURE,
-                                         spec.insecureThreads);
-        c.secure = &sys_.createProcess(spec.secureName, Domain::SECURE,
-                                       spec.secureThreads);
-        vendor.provision(*c.secure);
-        c.ipc = std::make_unique<IpcBuffer>(*c.insecure, 8, 512);
-        procs.push_back(c.insecure);
-        procs.push_back(c.secure);
-        ctxs_.push_back(std::move(c));
+        AppInstance &a = apps_.emplace_back(sys_, *model_, spec);
+        procs.push_back(&a.insecureProc());
+        procs.push_back(&a.secureProc());
     }
+    next_.assign(apps.size(), 0);
 
     // One configure over the whole population: the models (IRONHIDE in
     // particular) *replace* their process list on configure, so a
@@ -54,21 +44,15 @@ SessionServer::SessionServer(const SysConfig &cfg, ArchKind kind,
         ironhide_->setReconfigLimit(~0u);
     }
 
-    for (Context &c : ctxs_) {
-        c.wl = c.spec.make(sys_.config());
-        IH_ASSERT(c.wl.insecure && c.wl.secure,
-                  "app factory returned nulls");
-        c.wl.insecure->setup(*c.insecure, *c.ipc);
-        c.wl.secure->setup(*c.secure, *c.ipc);
-    }
+    for (AppInstance &a : apps_)
+        a.setup();
 }
 
 Cycle
 SessionServer::serve(std::size_t appIndex, Cycle arrival)
 {
-    IH_ASSERT(appIndex < ctxs_.size(), "app index %zu out of range",
+    IH_ASSERT(appIndex < apps_.size(), "app index %zu out of range",
               appIndex);
-    Context &c = ctxs_[appIndex];
     Cycle t = std::max(arrival, busyUntil_);
 
     const bool appSwitch =
@@ -91,43 +75,22 @@ SessionServer::serve(std::size_t appIndex, Cycle arrival)
         }
     }
 
-    // The session proper: the closed-loop interaction protocol of
-    // InteractiveApp::run, but with this context's persistent
-    // interaction index so back-to-back sessions keep streaming fresh
-    // inputs. Entry/exit are charged per interaction by the model
-    // (MI6 purges, SGX constants, IRONHIDE free) — that is the
-    // continuous churn cost this mode exists to measure.
+    // The session proper, continuing this app's interaction index so
+    // back-to-back sessions keep streaming fresh inputs. Entry/exit are
+    // charged per interaction by the model (MI6 purges, SGX constants,
+    // IRONHIDE free) — that is the continuous churn cost this mode
+    // exists to measure.
     const std::uint64_t n = std::max<std::uint64_t>(
         1, opts_.interactionsPerSession);
-    const unsigned depth = std::max(1u, c.spec.pipelineDepth);
-    Cycle prod_t = t;
-    Cycle cons_t = t;
-    std::vector<Cycle> cons_finish(n, 0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= depth)
-            prod_t = std::max(prod_t, cons_finish[i - depth]);
-        c.wl.insecure->beginPhase(PhaseKind::PRODUCE, c.interaction,
-                                  c.insecure->requestedThreads());
-        prod_t = sys_.engine()
-                     .runPhase(*c.insecure, *c.wl.insecure, prod_t)
-                     .finish;
+    AppInstance &app = apps_[appIndex];
+    InteractionClock clock = app.clockAt(t);
+    app.interact(next_[appIndex], n, clock);
+    next_[appIndex] += n;
 
-        Cycle start = std::max(cons_t, prod_t);
-        start = model_->enclaveEnter(*c.secure, start);
-        c.wl.secure->beginPhase(PhaseKind::CONSUME, c.interaction,
-                                c.secure->requestedThreads());
-        const PhaseResult pr =
-            sys_.engine().runPhase(*c.secure, *c.wl.secure, start);
-        cons_t = model_->enclaveExit(*c.secure, pr.finish);
-        cons_finish[i] = cons_t;
-        ++c.interaction;
-    }
-
-    const Cycle finish = std::max(prod_t, cons_t);
-    busyUntil_ = finish;
+    busyUntil_ = clock.now();
     lastApp_ = static_cast<std::ptrdiff_t>(appIndex);
     ++sessions_;
-    return finish;
+    return busyUntil_;
 }
 
 } // namespace ih

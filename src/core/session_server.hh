@@ -12,15 +12,15 @@
  * cluster when the arriving session's app distrusts the previous one),
  * the IRONHIDE reconfiguration decision (rebinding the cluster split
  * to the arriving app's preferred split), the session's interactions
- * under the model's entry/exit protocol, and teardown (the next
- * distrusting arrival's purge is exactly the teardown scrub, charged
- * where it is observable — on the critical path of the *next*
- * session).
+ * (AppInstance::interact, the loop InteractiveApp::run drives too), and
+ * teardown (the next distrusting arrival's purge is exactly the
+ * teardown scrub, charged where it is observable — on the critical path
+ * of the *next* session).
  *
  * The server is a single-server FIFO queue in simulated time: sessions
  * are served in arrival order, each starting no earlier than both its
- * arrival and the previous session's finish. Per-app workload contexts
- * are built once and reused across sessions with a monotonically
+ * arrival and the previous session's finish. Each app's AppInstance is
+ * built once and reused across sessions with a monotonically
  * increasing interaction index (the workloads are streaming
  * generators; the physical allocator is a bump allocator, so fresh
  * allocations per session would exhaust a region under sustained
@@ -86,22 +86,13 @@ class SessionServer
     System &system() { return sys_; }
 
   private:
-    /** One app's long-lived processes + workloads + IPC ring. */
-    struct Context
-    {
-        AppSpec spec;
-        Process *insecure = nullptr;
-        Process *secure = nullptr;
-        std::unique_ptr<IpcBuffer> ipc;
-        WorkloadPair wl;
-        std::uint64_t interaction = 0; ///< continues across sessions
-    };
-
     System sys_;
     std::unique_ptr<SecurityModel> model_;
     Ironhide *ironhide_ = nullptr; ///< non-null when kind == IRONHIDE
     SessionOptions opts_;
-    std::vector<Context> ctxs_;
+    std::vector<AppInstance> apps_;
+    /** Per app: the next interaction index, continued across sessions. */
+    std::vector<std::uint64_t> next_;
     Cycle busyUntil_ = 0;
     std::ptrdiff_t lastApp_ = -1; ///< -1 until the first session
     std::uint64_t sessions_ = 0;

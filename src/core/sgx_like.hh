@@ -5,27 +5,33 @@
  * the HotCalls-measured cost of the pipeline flush plus data
  * encryption/decryption and memory-integrity verification — but shared
  * caches, TLBs, DRAM and memory controllers stay temporally shared and
- * unpartitioned, so the secure process's microarchitectural footprint
- * remains fully observable (no strong isolation).
+ * unpartitioned exactly as in the insecure baseline, so the secure
+ * process's microarchitectural footprint remains fully observable (no
+ * strong isolation).
  */
 
 #ifndef IH_CORE_SGX_LIKE_HH
 #define IH_CORE_SGX_LIKE_HH
 
-#include "core/security_model.hh"
+#include "core/insecure.hh"
 
 namespace ih
 {
 
 /** Intel-SGX-style enclave execution model. */
-class SgxLike : public SecurityModel
+class SgxLike : public InsecureBaseline
 {
   public:
-    explicit SgxLike(System &sys);
+    explicit SgxLike(System &sys) : InsecureBaseline(sys, "sgx") {}
 
-    Cycle configure(const std::vector<Process *> &procs, Cycle t) override;
-    Cycle enclaveEnter(Process &proc, Cycle t) override;
-    Cycle enclaveExit(Process &proc, Cycle t) override;
+  protected:
+    /** Constant ECALL/OCALL cost: pipeline flush + crypto + integrity
+     *  checks. */
+    Cycle
+    transition(Cycle t) override
+    {
+        return t + sys_.config().sgxEnterExitCycles;
+    }
 };
 
 } // namespace ih

@@ -1,6 +1,7 @@
 #include "harness/journal.hh"
 
 #include <cinttypes>
+#include <limits>
 #include <vector>
 
 #include <unistd.h>
@@ -82,7 +83,13 @@ deserializeResult(const std::string &payload, ExperimentResult &r)
         dst = u;
         return true;
     };
-    std::uint64_t secure = 0, decided = 0, probes = 0;
+    const auto getU32 = [&](unsigned &dst) {
+        std::uint64_t v = 0;
+        if (!getU(v) || v > std::numeric_limits<std::uint32_t>::max())
+            return false;
+        dst = static_cast<unsigned>(v);
+        return true;
+    };
     if (!getU(out.run.completion) || !getU(out.run.purgeCycles) ||
         !getU(out.run.transitionCycles) ||
         !getU(out.run.reconfigCycles) || !getU(out.run.transitions))
@@ -91,14 +98,11 @@ deserializeResult(const std::string &payload, ExperimentResult &r)
         !parseF64(f[i++], out.run.l2MissRate) ||
         !parseF64(f[i++], out.run.interactivityPerSec))
         return false;
-    if (!getU(secure) || !getU(out.run.instructions) ||
+    if (!getU32(out.run.secureCores) || !getU(out.run.instructions) ||
         !getU(out.run.isolationViolations) ||
-        !getU(out.run.blockedAccesses) || !getU(decided) ||
-        !getU(probes))
+        !getU(out.run.blockedAccesses) || !getU32(out.decidedSplit) ||
+        !getU32(out.probes))
         return false;
-    out.run.secureCores = static_cast<unsigned>(secure);
-    out.decidedSplit = static_cast<unsigned>(decided);
-    out.probes = static_cast<unsigned>(probes);
     r = std::move(out);
     return true;
 }

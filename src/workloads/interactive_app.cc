@@ -181,8 +181,8 @@ findApp(const std::string &name, double scale)
     fatal("unknown application '%s'", name.c_str());
 }
 
-InteractiveApp::InteractiveApp(System &sys, SecurityModel &model,
-                               const AppSpec &spec)
+AppInstance::AppInstance(System &sys, SecurityModel &model,
+                         const AppSpec &spec)
     : sys_(sys), model_(model), spec_(spec)
 {
     insecure_ = &sys.createProcess(spec.insecureName, Domain::INSECURE,
@@ -196,16 +196,60 @@ InteractiveApp::InteractiveApp(System &sys, SecurityModel &model,
     vendor.provision(*secure_);
 
     ipc_ = std::make_unique<IpcBuffer>(*insecure_, 8, 512);
-    wl_ = spec_.make(sys.config());
+    wl_ = spec_.make(sys_.config());
     IH_ASSERT(wl_.insecure && wl_.secure, "app factory returned nulls");
+}
 
-    // IMPORTANT: the security model must partition *before* the
-    // workloads allocate, so pages land in the right regions/slices.
-    model_.configure({insecure_, secure_}, 0);
+void
+AppInstance::setup()
+{
     wl_.insecure->setup(*insecure_, *ipc_);
     wl_.secure->setup(*secure_, *ipc_);
 }
 
+InteractionClock
+AppInstance::clockAt(Cycle t) const
+{
+    return InteractionClock(t, spec_.pipelineDepth);
+}
+
+std::uint64_t
+AppInstance::interact(std::uint64_t first, std::uint64_t count,
+                      InteractionClock &clock)
+{
+    ExecEngine &engine = sys_.engine();
+    std::uint64_t instructions = 0;
+    for (std::uint64_t i = first; i < first + count; ++i) {
+        // Producer pipelines ahead, bounded by the IPC ring depth.
+        Cycle &slot = clock.exits[i % clock.exits.size()];
+        wl_.insecure->beginPhase(PhaseKind::PRODUCE, i,
+                                 insecure_->requestedThreads());
+        clock.producer =
+            engine
+                .runPhase(*insecure_, *wl_.insecure,
+                          std::max(clock.producer, slot))
+                .finish;
+
+        // Consumer starts when its input batch is ready.
+        const Cycle start = model_.enclaveEnter(
+            *secure_, std::max(clock.consumer, clock.producer));
+        wl_.secure->beginPhase(PhaseKind::CONSUME, i,
+                               secure_->requestedThreads());
+        const PhaseResult pr =
+            engine.runPhase(*secure_, *wl_.secure, start);
+        clock.consumer = slot = model_.enclaveExit(*secure_, pr.finish);
+        instructions += pr.instructions;
+    }
+    return instructions;
+}
+
+InteractiveApp::InteractiveApp(System &sys, SecurityModel &model,
+                               const AppSpec &spec)
+    : sys_(sys), model_(model), app_(sys, model, spec)
+{
+    model_.configure({&app_.insecureProc(), &app_.secureProc()}, 0);
+    app_.setup();
+}
 
 namespace
 {
@@ -256,55 +300,25 @@ finishResult(RunResult &res, System &sys, SecurityModel &model,
 RunResult
 InteractiveApp::run(const RunOptions &opts)
 {
-    const std::uint64_t n =
-        opts.maxInteractions ? opts.maxInteractions : spec_.interactions;
+    const std::uint64_t n = opts.maxInteractions ? opts.maxInteractions
+                                                 : app_.spec().interactions;
     const std::uint64_t warmup = std::min(opts.warmup, n / 2);
-    const unsigned depth = std::max(1u, spec_.pipelineDepth);
 
     RunResult res;
-    Cycle prod_t = 0;
-    Cycle cons_t = 0;
-    Cycle timed_start = 0;
-    StatSnap snap = StatSnap::take(sys_, model_);
-    std::vector<Cycle> cons_finish(n, 0);
-    std::vector<Cycle> prod_finish(n, 0);
+    InteractionClock clock = app_.clockAt(0);
+    res.instructions = app_.interact(0, warmup, clock);
 
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i == warmup) {
-            timed_start = std::max(prod_t, cons_t);
-            snap = StatSnap::take(sys_, model_);
-            if (opts.reconfigTarget && model_.spatial()) {
-                // One-time dynamic hardware isolation: the system stalls
-                // while cores and pages move between the clusters.
-                const Cycle done = model_.reconfigure(*opts.reconfigTarget,
-                                                      timed_start);
-                prod_t = cons_t = done;
-            }
-        }
-
-        // Producer pipelines ahead, bounded by the IPC ring depth.
-        if (i >= depth)
-            prod_t = std::max(prod_t, cons_finish[i - depth]);
-        wl_.insecure->beginPhase(PhaseKind::PRODUCE, i,
-                                 insecure_->requestedThreads());
-        prod_t =
-            sys_.engine().runPhase(*insecure_, *wl_.insecure, prod_t)
-                .finish;
-        prod_finish[i] = prod_t;
-
-        // Consumer starts when its input batch is ready.
-        Cycle start = std::max(cons_t, prod_finish[i]);
-        start = model_.enclaveEnter(*secure_, start);
-        wl_.secure->beginPhase(PhaseKind::CONSUME, i,
-                               secure_->requestedThreads());
-        const PhaseResult pr =
-            sys_.engine().runPhase(*secure_, *wl_.secure, start);
-        cons_t = model_.enclaveExit(*secure_, pr.finish);
-        cons_finish[i] = cons_t;
-        res.instructions += pr.instructions;
+    const Cycle timed_start = clock.now();
+    const StatSnap snap = StatSnap::take(sys_, model_);
+    if (warmup < n && opts.reconfigTarget && model_.spatial()) {
+        // One-time dynamic hardware isolation: the system stalls while
+        // cores and pages move between the clusters.
+        clock.producer = clock.consumer =
+            model_.reconfigure(*opts.reconfigTarget, timed_start);
     }
+    res.instructions += app_.interact(warmup, n - warmup, clock);
 
-    res.completion = std::max(prod_t, cons_t) - timed_start;
+    res.completion = clock.now() - timed_start;
     finishResult(res, sys_, model_, snap);
     return res;
 }

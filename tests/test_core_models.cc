@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of the security-architecture layer: audit log, secure kernel
- * attestation, enclave lifecycle, purge engine, region ownership, the
- * four architecture models' partitioning decisions, IRONHIDE's dynamic
- * reconfiguration (and its leakage bound), and the re-allocation
- * predictor.
+ * attestation, the enclave entry/exit protocol, purge engine, region
+ * ownership, the four architecture models' partitioning decisions,
+ * IRONHIDE's dynamic reconfiguration (and its leakage bound), and the
+ * re-allocation predictor.
  */
 
 #include <gtest/gtest.h>
@@ -92,23 +92,27 @@ TEST(SecureKernel, RejectsWrongVendorKey)
     EXPECT_FALSE(kernel.attest(*r.secure, t));
 }
 
-TEST(Enclave, LifecycleAccounting)
+TEST(EnclaveDeathTest, EveryModelRejectsDoubleEntryAndStrayExit)
 {
-    EnclaveTable table;
-    table.of(3).enter(100, 150);
-    table.of(3).exit(200, 280);
-    EXPECT_EQ(table.of(3).entries(), 1u);
-    EXPECT_EQ(table.of(3).exits(), 1u);
-    EXPECT_EQ(table.of(3).transitionOverhead(), 130u);
-    EXPECT_EQ(table.totalTransitions(), 2u);
-    EXPECT_FALSE(table.of(3).inside());
-}
-
-TEST(EnclaveDeathTest, DoubleEnterPanics)
-{
-    EnclaveContext ctx;
-    ctx.enter(0, 0);
-    EXPECT_DEATH(ctx.enter(1, 1), "double enclave entry");
+    for (ArchKind kind : {ArchKind::INSECURE, ArchKind::SGX_LIKE,
+                          ArchKind::MI6, ArchKind::IRONHIDE}) {
+        Rig r;
+        const std::unique_ptr<SecurityModel> model =
+            createModel(kind, r.sys);
+        model->configure(r.procs(), 0);
+        EXPECT_DEATH(model->enclaveExit(*r.secure, 0),
+                     "enclave exit without entry")
+            << archName(kind);
+        const Cycle t = model->enclaveEnter(*r.secure, 0);
+        EXPECT_DEATH(model->enclaveEnter(*r.secure, t),
+                     "double enclave entry")
+            << archName(kind);
+        EXPECT_DEATH(model->enclaveExit(*r.insecure, t),
+                     "enclave exit without entry")
+            << archName(kind);
+        model->enclaveExit(*r.secure, t);
+        EXPECT_EQ(model->transitions(), 2u) << archName(kind);
+    }
 }
 
 TEST(RegionOwnership, EvenSplitAndChecker)

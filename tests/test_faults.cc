@@ -233,6 +233,14 @@ TEST(WireFormat, RejectsDamagedPayloads)
     std::string garbled = good;
     garbled.replace(garbled.rfind('|') + 1, std::string::npos, "x");
     EXPECT_FALSE(deserializeResult(garbled, r));
+    // The unsigned fields (secure_cores, decided_split, probes) reject a
+    // value above UINT32_MAX rather than truncating it.
+    const std::string head = "ihres1|a|mi6|0|0|0|0|0|0|0|0|";
+    ASSERT_TRUE(deserializeResult(head + "3|0|0|0|9|4294967295", r));
+    EXPECT_EQ(r.probes, 4294967295u);
+    EXPECT_FALSE(deserializeResult(head + "4294967296|0|0|0|9|1", r));
+    EXPECT_FALSE(deserializeResult(head + "3|0|0|0|4294967296|1", r));
+    EXPECT_FALSE(deserializeResult(head + "3|0|0|0|9|4294967297", r));
 }
 
 TEST(WireFormat, ChecksumIsStableAndSensitive)

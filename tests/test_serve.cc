@@ -10,7 +10,9 @@
  * provably fires on a deliberately overloaded cell instead of walking
  * the whole rung bound, and a whole ladder — wire round trip included
  * — is byte-identical at any IRONHIDE_THREADS / IRONHIDE_DOMAINS
- * setting.
+ * setting. A lone session also finishes exactly where a warmup-free
+ * InteractiveApp::run completes: serving and runs share one admission
+ * order and one interaction loop.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/session_server.hh"
 #include "harness/arrival.hh"
 #include "harness/percentile.hh"
 #include "harness/serve.hh"
@@ -207,6 +210,32 @@ TEST_F(ArrivalTest, ZeroWeightAppsAreNeverDrawn)
         sawHeavy |= a.appIndex == 2;
     }
     EXPECT_TRUE(sawHeavy);
+}
+
+// --------------------------------------------------------------------------
+// One interaction protocol for serving and runs
+// --------------------------------------------------------------------------
+
+TEST(SessionServer, LoneSessionFinishesAtTheWarmupFreeRunsCompletion)
+{
+    const SysConfig cfg = SysConfig::smallTest();
+    RunOptions ropts;
+    ropts.warmup = 0;
+    for (const AppSpec &spec : standardApps(0.05)) {
+        SessionOptions sopts;
+        sopts.interactionsPerSession = spec.interactions;
+        for (ArchKind kind : {ArchKind::INSECURE, ArchKind::SGX_LIKE,
+                              ArchKind::MI6, ArchKind::IRONHIDE}) {
+            System sys(cfg);
+            const std::unique_ptr<SecurityModel> model =
+                createModel(kind, sys);
+            const RunResult run =
+                InteractiveApp(sys, *model, spec).run(ropts);
+            SessionServer server(cfg, kind, {spec}, sopts);
+            EXPECT_EQ(server.serve(0, 0), run.completion)
+                << spec.name << " under " << archName(kind);
+        }
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "core/insecure.hh"
+#include "core/ironhide.hh"
 #include "workloads/convnet.hh"
 #include "workloads/graph_apps.hh"
 #include "workloads/interactive_app.hh"
@@ -150,6 +151,26 @@ TEST(Workloads, InteractivityScalesWithWorkPerInteraction)
     const RunResult ru = u.app.run(RunOptions{.warmup = 0});
     const RunResult ro = o.app.run(RunOptions{.warmup = 0});
     EXPECT_GT(ro.interactivityPerSec, ru.interactivityPerSec * 5);
+}
+
+TEST(InteractiveApp, TheWarmupBoundaryNeedsAnInteraction)
+{
+    // The timed-region boundary — snapshot plus the one IRONHIDE
+    // reconfiguration — comes after the warmup, so a run with no
+    // interactions never reaches it; a single interaction does.
+    for (const std::uint64_t n : {0u, 1u}) {
+        System sys(SysConfig::smallTest());
+        Ironhide model(sys);
+        AppSpec spec = tinyApp("<SSSP, GRAPH>");
+        spec.interactions = n;
+        RunOptions opts;
+        opts.reconfigTarget = 4; // the initial split is 8 of 16 tiles
+        const RunResult r = InteractiveApp(sys, model, spec).run(opts);
+        EXPECT_EQ(model.reconfigCount(), n);
+        EXPECT_EQ(r.reconfigCycles > 0, n > 0);
+        EXPECT_EQ(r.completion > 0, n > 0);
+        EXPECT_EQ(r.transitions, 2 * n);
+    }
 }
 
 TEST(ConvNet, LayerGeometry)
