@@ -3,18 +3,10 @@
 namespace ih
 {
 
-Core::Core(CoreId id, const SysConfig &cfg)
-    : id_(id), cfg_(cfg), stats_(strprintf("core.%u", id)),
-      statInstructions_(stats_.counter("instructions")),
-      statPipelineFlushes_(stats_.counter("pipeline_flushes"))
+Core::Core(CoreId id)
+    : id_(id), stats_(strprintf("core.%u", id)),
+      statInstructions_(stats_.counter("instructions"))
 {
-}
-
-Cycle
-Core::flushPipeline(Cycle when)
-{
-    statPipelineFlushes_.inc();
-    return when + cfg_.pipelineFlushCycles;
 }
 
 void

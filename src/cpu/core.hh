@@ -3,14 +3,12 @@
  * Per-tile core model. Cores are in-order, single-issue (1 IPC for
  * non-memory work) and block on memory operations; the heavy lifting of
  * timing lives in the memory system and the execution engine. The core
- * object tracks occupancy and retirement statistics and charges the
- * pipeline-flush cost used by enclave transitions.
+ * object tracks occupancy and retirement statistics.
  */
 
 #ifndef IH_CPU_CORE_HH
 #define IH_CPU_CORE_HH
 
-#include "sim/config.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -22,10 +20,7 @@ namespace ih
 class Core
 {
   public:
-    Core(CoreId id, const SysConfig &cfg);
-
-    /** Flush the pipeline at @p when; returns the completion time. */
-    Cycle flushPipeline(Cycle when);
+    explicit Core(CoreId id);
 
     /** Account retired instructions. */
     void retire(std::uint64_t instructions);
@@ -43,13 +38,11 @@ class Core
 
   private:
     CoreId id_;
-    const SysConfig &cfg_;
     Cycle busyUntil_ = 0;
     StatGroup stats_;
     // Bound once (StatGroup references are stable); retire() runs per
-    // phase thread and flushPipeline() per enclave transition.
+    // phase thread.
     Counter &statInstructions_;
-    Counter &statPipelineFlushes_;
 };
 
 } // namespace ih

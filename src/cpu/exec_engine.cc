@@ -58,7 +58,7 @@ ExecEngine::ExecEngine(const SysConfig &cfg, MemorySystem &mem)
       coreFree_(mem.numTiles(), 0)
 {
     for (CoreId c = 0; c < mem.numTiles(); ++c)
-        cores_.push_back(std::make_unique<Core>(c, cfg));
+        cores_.push_back(std::make_unique<Core>(c));
 }
 
 PhaseResult

@@ -247,6 +247,13 @@ parseJournal(const std::string &path, const std::string &text,
             reason = "job id outside this sweep/shard";
         } else if (!validate(payload)) {
             reason = "undecodable payload";
+        } else if (line.find("\"attempts\"") != std::string::npos &&
+                   (!jsonUnsignedField(line, "attempts", attempts) ||
+                    attempts == 0 ||
+                    attempts > std::numeric_limits<unsigned>::max())) {
+            // The checksum covers only the payload, so a damaged count
+            // is caught here; an absent key means one attempt.
+            reason = "malformed attempts count";
         }
         if (!reason.empty()) {
             if (last) {
@@ -262,7 +269,6 @@ parseJournal(const std::string &path, const std::string &text,
                 "corruption beyond the crash model)",
                 path.c_str(), li, reason.c_str()));
         }
-        jsonUnsignedField(line, "attempts", attempts);
         e.attempts = static_cast<unsigned>(attempts);
         e.payload = std::move(payload);
         const auto it = done.find(job);

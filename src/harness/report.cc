@@ -578,9 +578,9 @@ jsonUnsignedField(const std::string &json, const std::string &key,
 {
     std::size_t p = 0;
     while ((p = jsonKeyValuePos(json, key, p)) != std::string::npos) {
-        // Bare decimal digits only: signs, fractions and exponents are
-        // not integers, and strtoull's silent negative wrap must never
-        // fabricate a huge counter value.
+        // Bare decimal digits only: signs, fractions, exponents and
+        // trailing junk are not integers, and strtoull's silent negative
+        // wrap must never fabricate a huge counter value.
         if (!std::isdigit(static_cast<unsigned char>(json[p]))) {
             ++p;
             continue;
@@ -590,7 +590,8 @@ jsonUnsignedField(const std::string &json, const std::string &key,
         errno = 0;
         const unsigned long long v = std::strtoull(start, &end, 10);
         if (end == start || errno == ERANGE ||
-            (*end == '.' || *end == 'e' || *end == 'E')) {
+            (*end != '\0' && *end != ',' && *end != '}' && *end != ']' &&
+             !isJsonWs(*end))) {
             ++p;
             continue;
         }

@@ -204,8 +204,8 @@ bool jsonNumberField(const std::string &json, const std::string &key,
  * jsonNumberField's exact-integer sibling: extract the unsigned
  * integer under @p key without the 2^53 precision loss a double
  * round-trip would introduce (cycle counters are full uint64). The
- * value must be a bare decimal integer — a sign, fraction or exponent
- * never matches.
+ * value must be a bare decimal integer — a sign, fraction, exponent or
+ * trailing junk never matches.
  */
 bool jsonUnsignedField(const std::string &json, const std::string &key,
                        std::uint64_t &out);

@@ -19,13 +19,6 @@ Network::Network(const SysConfig &cfg, const Topology &topo)
 {
 }
 
-Cycle
-Network::unloadedLatency(CoreId src, CoreId dst) const
-{
-    return static_cast<Cycle>(topo_.hopDistance(src, dst)) *
-           cfg_.hopLatency;
-}
-
 void
 Network::resetLinkState()
 {

@@ -38,8 +38,8 @@ class Network
      * injected at time @p when, using dimension order chosen for
      * @p cluster (pass the full-machine range when clustering is off).
      *
-     * Defined inline (together with the router walk it calls) because
-     * every L1 miss pays at least two traversals.
+     * Defined inline (together with walkLeg) because every L1 miss pays
+     * at least two traversals.
      *
      * @return arrival time at @p dst.
      */
@@ -79,13 +79,9 @@ class Network
         return walkLeg(b, cb, ca, arrive, rsp_flits, cluster);
     }
 
-    /** Latency (no state update) of a one-way traversal without load. */
-    Cycle unloadedLatency(CoreId src, CoreId dst) const;
-
     /** Reset all link reservations (used between experiment phases). */
     void resetLinkState();
 
-    const Router &router() const { return router_; }
     StatGroup &stats() { return stats_; }
     std::uint64_t isolationViolations() const
     {
@@ -93,16 +89,27 @@ class Network
     }
 
   private:
+    /** Directed link off a router: its offset in the tile's quad of
+     *  link_free_ slots. */
+    enum Direction : unsigned
+    {
+        EAST = 0,  ///< x + 1
+        WEST = 1,  ///< x - 1
+        SOUTH = 2, ///< y + 1
+        NORTH = 3, ///< y - 1
+    };
+
     /**
      * One directed leg of a traversal from @p src (at coordinate
-     * @p s) to the tile at coordinate @p e (the endpoints differ).
+     * @p s) to the tile at coordinate @p e (the endpoints differ). The
+     * simulation's only route walk; tests/test_noc.cc checks it link by
+     * link against Router::path.
      *
      * Wormhole-ish model: head flit pays hop latency + link wait per
      * hop; body flits stream behind (serialization charged once at the
      * end). The reservation loop carries the base index of the current
      * tile's link quad over the raw link_free_ array — one +-4 (X hop)
-     * or +-4*width (Y hop) stride per hop instead of re-deriving
-     * linkIndex(from, dir) from scratch — so the per-hop work is a
+     * or +-4*width (Y hop) stride per hop — so the per-hop work is a
      * compare, two adds and a store.
      */
     Cycle
@@ -133,15 +140,15 @@ class Network
         int y = s.y;
         const auto walk_x = [&]() {
             for (; x < e.x; ++x, li += 4)
-                reserve(li + Router::EAST);
+                reserve(li + EAST);
             for (; x > e.x; --x, li -= 4)
-                reserve(li + Router::WEST);
+                reserve(li + WEST);
         };
         const auto walk_y = [&]() {
             for (; y < e.y; ++y, li += ystride)
-                reserve(li + Router::SOUTH);
+                reserve(li + SOUTH);
             for (; y > e.y; --y, li -= ystride)
-                reserve(li + Router::NORTH);
+                reserve(li + NORTH);
         };
         if (order == RouteOrder::XY) {
             walk_x();
@@ -158,7 +165,7 @@ class Network
     const SysConfig &cfg_;
     const Topology &topo_;
     Router router_;
-    /** next-free-time per directed link (4 per tile). */
+    /** next-free-time per directed link: tile * 4 + Direction. */
     std::vector<Cycle> link_free_;
     StatGroup stats_;
     // Per-packet counters bound once (StatGroup references are stable).

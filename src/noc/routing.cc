@@ -51,12 +51,4 @@ Router::pathContained(const std::vector<CoreId> &p,
     return true;
 }
 
-bool
-Router::routeContained(CoreId src, CoreId dst,
-                       const ClusterRange &cluster) const
-{
-    const RouteOrder order = selectOrder(src, cluster);
-    return orderedRouteContained(src, dst, order, cluster);
-}
-
 } // namespace ih

@@ -9,8 +9,9 @@
  * (insecure) of the tile space, choosing Y-X for packets *sourced in the
  * cluster's boundary (partially owned) row* and X-Y otherwise guarantees
  * every intra-cluster route stays on routers owned by that cluster
- * (IRONHIDE paper, Section III-B2). routeContained() lets callers (and
- * the property tests) verify the guarantee.
+ * (IRONHIDE paper, Section III-B2). path() is the reference walk of a
+ * route and pathContained() checks the guarantee on it; the network's
+ * per-packet check is the O(1) orderedRouteContained().
  */
 
 #ifndef IH_NOC_ROUTING_HH
@@ -53,132 +54,19 @@ struct ClusterRange
 class Router
 {
   public:
-    /** Directed link direction off a router, in the order the network's
-     *  per-tile link array stores them. */
-    enum Direction : unsigned
-    {
-        EAST = 0,  ///< x + 1
-        WEST = 1,  ///< x - 1
-        SOUTH = 2, ///< y + 1
-        NORTH = 3, ///< y - 1
-    };
-
     explicit Router(const Topology &topo) : topo_(topo) {}
 
     /**
      * Enumerate the routers a packet visits from @p src to @p dst
      * (inclusive of both endpoints) under @p order.
      *
-     * This materializes the hop list and is kept as the reference
-     * implementation (and for callers that genuinely need the vector);
-     * the simulation hot path uses the allocation-free forEachHop() /
-     * forEachLink() walks, whose equivalence with path() is pinned by
-     * tests/test_noc.cc.
+     * The reference walk of a route. The simulation's only walk is
+     * Network::walkLeg's strided link reservation, which
+     * tests/test_noc.cc checks hop by hop against consecutive path()
+     * tiles.
      */
     std::vector<CoreId> path(CoreId src, CoreId dst,
                              RouteOrder order) const;
-
-    /**
-     * Visit the routers of the @p order route @p src -> @p dst
-     * (inclusive of both endpoints, in traversal order) without
-     * materializing them: fn(CoreId tile). Tile ids are maintained
-     * incrementally (+/-1 per X hop, +/-width per Y hop), so the walk
-     * performs no per-hop coordinate math.
-     */
-    template <typename Fn>
-    void
-    forEachHop(CoreId src, CoreId dst, RouteOrder order, Fn &&fn) const
-    {
-        const Coord s = topo_.coordOf(src);
-        const Coord e = topo_.coordOf(dst);
-        const CoreId w = topo_.width();
-        CoreId id = src;
-        int x = s.x;
-        int y = s.y;
-        fn(id);
-        auto walk_x = [&]() {
-            while (x != e.x) {
-                if (e.x > x) {
-                    ++x;
-                    ++id;
-                } else {
-                    --x;
-                    --id;
-                }
-                fn(id);
-            }
-        };
-        auto walk_y = [&]() {
-            while (y != e.y) {
-                if (e.y > y) {
-                    ++y;
-                    id += w;
-                } else {
-                    --y;
-                    id -= w;
-                }
-                fn(id);
-            }
-        };
-        if (order == RouteOrder::XY) {
-            walk_x();
-            walk_y();
-        } else {
-            walk_y();
-            walk_x();
-        }
-    }
-
-    /**
-     * Visit the directed links of the @p order route @p src -> @p dst in
-     * traversal order: fn(CoreId from, CoreId to, Direction dir). Same
-     * incremental walk as forEachHop(); the (from, dir) pair identifies
-     * the link without re-deriving coordinates per hop.
-     */
-    template <typename Fn>
-    void
-    forEachLink(CoreId src, CoreId dst, RouteOrder order, Fn &&fn) const
-    {
-        const Coord s = topo_.coordOf(src);
-        const Coord e = topo_.coordOf(dst);
-        const CoreId w = topo_.width();
-        CoreId id = src;
-        int x = s.x;
-        int y = s.y;
-        auto walk_x = [&]() {
-            while (x != e.x) {
-                if (e.x > x) {
-                    fn(id, id + 1, EAST);
-                    ++x;
-                    ++id;
-                } else {
-                    fn(id, id - 1, WEST);
-                    --x;
-                    --id;
-                }
-            }
-        };
-        auto walk_y = [&]() {
-            while (y != e.y) {
-                if (e.y > y) {
-                    fn(id, id + w, SOUTH);
-                    ++y;
-                    id += w;
-                } else {
-                    fn(id, id - w, NORTH);
-                    --y;
-                    id -= w;
-                }
-            }
-        };
-        if (order == RouteOrder::XY) {
-            walk_x();
-            walk_y();
-        } else {
-            walk_y();
-            walk_x();
-        }
-    }
 
     /**
      * Select the dimension order for a packet of a cluster: Y-X when the
@@ -228,27 +116,17 @@ class Router
                        const ClusterRange &cluster) const;
 
     /**
-     * Containment of the @p order route @p src -> @p dst (endpoints
-     * included) in @p cluster, computed analytically — O(1), no walk.
+     * Containment of the @p order route from coordinate @p s to
+     * coordinate @p d (endpoints included) in @p cluster, computed
+     * analytically — O(1), no walk. Network::walkLeg runs it per packet
+     * on the endpoint coordinates it already holds.
      *
      * A dimension-ordered route is two straight segments, and a cluster
      * is one contiguous row-major id interval; an id interval contains a
      * tile set iff it contains the set's minimum and maximum tile ids,
      * which for straight segments lie at the segment endpoints. The
-     * equivalence with walking pathContained() over path() is pinned by
-     * tests/test_noc.cc. Inline: runs per packet.
-     */
-    bool
-    orderedRouteContained(CoreId src, CoreId dst, RouteOrder order,
-                          const ClusterRange &cluster) const
-    {
-        return orderedRouteContained(topo_.coordOf(src),
-                                     topo_.coordOf(dst), order, cluster);
-    }
-
-    /**
-     * orderedRouteContained() over precomputed endpoint coordinates
-     * (again for the network walk, which already holds them).
+     * equivalence with pathContained() over path() is pinned by
+     * tests/test_noc.cc.
      */
     bool
     orderedRouteContained(const Coord &s, const Coord &d, RouteOrder order,
@@ -276,15 +154,6 @@ class Router
         }
         return cluster.contains(min_id) && cluster.contains(max_id);
     }
-
-    /**
-     * Convenience: route src->dst for @p cluster traffic and report
-     * whether the route is contained in the cluster.
-     */
-    bool routeContained(CoreId src, CoreId dst,
-                        const ClusterRange &cluster) const;
-
-    const Topology &topology() const { return topo_; }
 
   private:
     const Topology &topo_;

@@ -16,15 +16,11 @@ Topology::Topology(const SysConfig &cfg)
     IH_ASSERT(per_edge <= width_, "more MCs per edge than columns");
 
     // Top-edge MCs at columns 0,1,...; bottom-edge MCs at W-1,W-2,...
-    for (unsigned i = 0; i < per_edge; ++i) {
+    for (unsigned i = 0; i < per_edge; ++i)
         mcTiles_.push_back(tileAt({static_cast<int>(i), 0}));
-        mcTop_.push_back(true);
-    }
-    for (unsigned i = 0; i < per_edge; ++i) {
+    for (unsigned i = 0; i < per_edge; ++i)
         mcTiles_.push_back(tileAt({static_cast<int>(width_ - 1 - i),
                                    static_cast<int>(height_ - 1)}));
-        mcTop_.push_back(false);
-    }
 }
 
 CoreId
@@ -32,13 +28,6 @@ Topology::mcAttachTile(McId mc) const
 {
     IH_ASSERT(mc < mcTiles_.size(), "MC id %u out of range", mc);
     return mcTiles_[mc];
-}
-
-bool
-Topology::mcOnTopEdge(McId mc) const
-{
-    IH_ASSERT(mc < mcTop_.size(), "MC id %u out of range", mc);
-    return mcTop_[mc];
 }
 
 } // namespace ih

@@ -75,9 +75,6 @@ class Topology
     /** Edge router a memory controller attaches to. */
     CoreId mcAttachTile(McId mc) const;
 
-    /** True when @p mc attaches on the top edge (secure side). */
-    bool mcOnTopEdge(McId mc) const;
-
     /** Manhattan hop distance between two tiles. */
     unsigned
     hopDistance(CoreId a, CoreId b) const
@@ -92,7 +89,6 @@ class Topology
     unsigned width_;
     unsigned height_;
     std::vector<CoreId> mcTiles_;
-    std::vector<bool> mcTop_;
 };
 
 } // namespace ih

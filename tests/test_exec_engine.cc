@@ -202,12 +202,3 @@ TEST(ExecEngine, TaskExceptionLeavesEngineReusable)
     EXPECT_EQ(res.finish, 170u);
     EXPECT_EQ(res.instructions, 4u * 10 * 7);
 }
-
-TEST(ExecEngine, PipelineFlushCharges)
-{
-    Rig r;
-    Core &core = r.sys.engine().core(0);
-    EXPECT_EQ(core.flushPipeline(100),
-              100 + r.sys.config().pipelineFlushCycles);
-    EXPECT_EQ(core.stats().value("pipeline_flushes"), 1u);
-}

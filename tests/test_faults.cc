@@ -145,6 +145,30 @@ garbleRecordSum(const std::string &path, std::size_t nth)
     writeTextFile(path, text);
 }
 
+/**
+ * Overwrite the value of the @p nth "attempts" key (0-based, counting
+ * only the records that carry one) in the journal at @p path with
+ * @p value, verbatim.
+ */
+void
+setRecordAttempts(const std::string &path, std::size_t nth,
+                  const std::string &value)
+{
+    std::string text = readTextFile(path);
+    const std::string key = "\"attempts\":";
+    std::size_t pos = 0;
+    for (std::size_t seen = 0;; ++seen) {
+        pos = text.find(key, pos);
+        ASSERT_NE(pos, std::string::npos);
+        if (seen == nth)
+            break;
+        ++pos;
+    }
+    pos += key.size();
+    text.replace(pos, text.find(',', pos) - pos, value);
+    writeTextFile(path, text);
+}
+
 } // namespace
 
 // --------------------------------------------------------------------------
@@ -352,6 +376,57 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
     EXPECT_THROW(PayloadJournal::load(path, "unit", 6, isResult),
                  JournalError);
 }
+
+// The record checksum covers only the payload, so a damaged attempts
+// count must trip the same contract: anything but a bare decimal in
+// [1, UINT32_MAX] is damage, dropped on the final record and refused
+// anywhere else. A record without the key means one attempt.
+class AttemptsDamage : public testing::TestWithParam<const char *>
+{
+  protected:
+    /** A fresh three-record journal; records 0 and 2 carry attempts 3,
+     *  record 1 carries no attempts key. */
+    std::string
+    writeJournal(const char *name)
+    {
+        const std::string path = journalPath(name);
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
+        j.open();
+        j.append(0, payload, 3);
+        j.append(1, payload, 1);
+        j.append(2, payload, 3);
+        return path;
+    }
+
+    const std::string payload = serializeResult(nastyResult());
+};
+
+TEST_P(AttemptsDamage, OnTheFinalRecordItIsDroppedAndReRuns)
+{
+    const std::string path = writeJournal("journal_attempts_final.jsonl");
+    setRecordAttempts(path, 1, GetParam());
+    PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
+    const auto done = j.open();
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_FALSE(done.count(2));
+    EXPECT_EQ(done.at(0).attempts, 3u); // the intact records load
+    EXPECT_EQ(done.at(1).attempts, 1u); // unchanged
+}
+
+TEST_P(AttemptsDamage, OnAMiddleRecordItIsRefused)
+{
+    const std::string path = writeJournal("journal_attempts_middle.jsonl");
+    setRecordAttempts(path, 0, GetParam());
+    EXPECT_THROW(
+        PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
+    EXPECT_THROW(PayloadJournal::load(path, "unit", 6, isResult),
+                 JournalError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Journal, AttemptsDamage,
+                         testing::Values("4294967297", "\"x\"", "0",
+                                         "3x"));
 
 TEST(Journal, DuplicateRecordsCollapseUnlessTheyDisagree)
 {

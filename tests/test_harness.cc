@@ -606,6 +606,9 @@ TEST(JsonUnsignedField, ReadsExactBigIntegers)
     EXPECT_EQ(v, 18446744073709551615ull);
     EXPECT_TRUE(jsonUnsignedField("{\"a\":1,\"c\":0}", "c", v));
     EXPECT_EQ(v, 0u);
+    // Whitespace may follow the digits.
+    EXPECT_TRUE(jsonUnsignedField("{\"c\":12 }", "c", v));
+    EXPECT_EQ(v, 12u);
 }
 
 TEST(JsonUnsignedField, RejectsNonIntegersAndOverflow)
@@ -615,6 +618,7 @@ TEST(JsonUnsignedField, RejectsNonIntegersAndOverflow)
     EXPECT_FALSE(jsonUnsignedField("{\"c\":1.5}", "c", v));
     EXPECT_FALSE(jsonUnsignedField("{\"c\":1e3}", "c", v));
     EXPECT_FALSE(jsonUnsignedField("{\"c\":\"12\"}", "c", v));
+    EXPECT_FALSE(jsonUnsignedField("{\"c\":3x}", "c", v));
     EXPECT_FALSE(
         jsonUnsignedField("{\"c\":18446744073709551616}", "c", v));
 }

@@ -1,17 +1,23 @@
 /**
  * @file
- * NoC tests: topology geometry, dimension-ordered routing, and the
+ * NoC tests: topology geometry, dimension-ordered routing, the
  * central strong-isolation property — for every legal cluster split,
  * every intra-cluster route (including memory-controller traffic) stays
  * on routers owned by that cluster under the bidirectional X-Y/Y-X
- * policy.
+ * policy — and the network's link walk checked against Router::path,
+ * the one reference walk.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "noc/network.hh"
 #include "noc/routing.hh"
 #include "noc/topology.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -24,6 +30,16 @@ cfg8x8()
     SysConfig cfg;
     cfg.validate();
     return cfg;
+}
+
+/** The route the policy picks for @p cl traffic src -> dst stays on
+ *  routers @p cl owns, checked on the reference path(). */
+bool
+policyRouteContained(const Router &router, CoreId src, CoreId dst,
+                     const ClusterRange &cl)
+{
+    return router.pathContained(
+        router.path(src, dst, router.selectOrder(src, cl)), cl);
 }
 
 } // namespace
@@ -47,12 +63,9 @@ TEST(Topology, McAttachmentsAtCorners)
     // Top-edge MCs at the top-left corner columns.
     EXPECT_EQ(topo.mcAttachTile(0), 0u);
     EXPECT_EQ(topo.mcAttachTile(1), 1u);
-    EXPECT_TRUE(topo.mcOnTopEdge(0));
-    EXPECT_TRUE(topo.mcOnTopEdge(1));
     // Bottom-edge MCs at the bottom-right corner columns.
     EXPECT_EQ(topo.mcAttachTile(2), 63u);
     EXPECT_EQ(topo.mcAttachTile(3), 62u);
-    EXPECT_FALSE(topo.mcOnTopEdge(2));
 }
 
 TEST(Topology, HopDistance)
@@ -131,8 +144,8 @@ TEST(Routing, XyOnlyViolatesPartialRowClusters)
     // The policy picks Y-X for boundary-row sources, which is contained.
     EXPECT_EQ(router.selectOrder(topo.tileAt({1, 1}), secure),
               RouteOrder::YX);
-    EXPECT_TRUE(router.routeContained(topo.tileAt({1, 1}),
-                                      topo.tileAt({7, 0}), secure));
+    EXPECT_TRUE(policyRouteContained(router, topo.tileAt({1, 1}),
+                                     topo.tileAt({7, 0}), secure));
 }
 
 /**
@@ -157,7 +170,7 @@ TEST_P(ContainmentProperty, AllIntraClusterRoutesContained)
     for (const ClusterRange &cl : {secure, insecure}) {
         for (CoreId s = cl.first; s < cl.first + cl.count; ++s) {
             for (CoreId d = cl.first; d < cl.first + cl.count; ++d) {
-                EXPECT_TRUE(router.routeContained(s, d, cl))
+                EXPECT_TRUE(policyRouteContained(router, s, d, cl))
                     << "split=" << split << " src=" << s << " dst=" << d;
             }
         }
@@ -180,9 +193,9 @@ TEST_P(ContainmentProperty, McTrafficContained)
             if (!cl.contains(attach))
                 continue;
             for (CoreId s = cl.first; s < cl.first + cl.count; ++s) {
-                EXPECT_TRUE(router.routeContained(s, attach, cl))
+                EXPECT_TRUE(policyRouteContained(router, s, attach, cl))
                     << "split=" << split << " src=" << s << " mc=" << m;
-                EXPECT_TRUE(router.routeContained(attach, s, cl))
+                EXPECT_TRUE(policyRouteContained(router, attach, s, cl))
                     << "split=" << split << " mc=" << m << " dst=" << s;
             }
         }
@@ -208,16 +221,6 @@ TEST_P(ContainmentProperty, EachClusterOwnsAController)
 
 INSTANTIATE_TEST_SUITE_P(AllSplits, ContainmentProperty,
                          testing::Range(1u, 64u));
-
-TEST(Network, UnloadedLatencyScalesWithDistance)
-{
-    const SysConfig cfg = cfg8x8();
-    const Topology topo(cfg);
-    Network net(cfg, topo);
-    EXPECT_EQ(net.unloadedLatency(0, 0), 0u);
-    EXPECT_EQ(net.unloadedLatency(0, 7), 7 * cfg.hopLatency);
-    EXPECT_EQ(net.unloadedLatency(0, 63), 14 * cfg.hopLatency);
-}
 
 TEST(Network, TraverseChargesHopsAndSerialization)
 {
@@ -294,91 +297,6 @@ meshCfg(unsigned w, unsigned h)
 
 } // namespace
 
-// The allocation-free hop walk must visit exactly the tile sequence the
-// reference path() materializes — for every (src, dst, order) pair on
-// 4x4 and 6x6 meshes.
-TEST(Routing, HopWalkMatchesPathEverywhere)
-{
-    for (const auto &[w, h] :
-         {std::pair<unsigned, unsigned>{4, 4}, {6, 6}, {4, 6}, {6, 4}}) {
-        const SysConfig cfg = meshCfg(w, h);
-        const Topology topo(cfg);
-        const Router router(topo);
-        const unsigned n = topo.numTiles();
-        for (CoreId src = 0; src < n; ++src) {
-            for (CoreId dst = 0; dst < n; ++dst) {
-                for (const RouteOrder order :
-                     {RouteOrder::XY, RouteOrder::YX}) {
-                    const std::vector<CoreId> ref =
-                        router.path(src, dst, order);
-                    std::vector<CoreId> walked;
-                    router.forEachHop(src, dst, order, [&](CoreId t) {
-                        walked.push_back(t);
-                    });
-                    ASSERT_EQ(walked, ref)
-                        << w << "x" << h << " src=" << src
-                        << " dst=" << dst << " order="
-                        << (order == RouteOrder::XY ? "XY" : "YX");
-                }
-            }
-        }
-    }
-}
-
-// The link walk must traverse the same hop sequence edge by edge, with
-// each (from, to) adjacent and each direction matching the coordinate
-// delta the network's link array expects.
-TEST(Routing, LinkWalkMatchesPathEdges)
-{
-    for (const auto &[w, h] :
-         {std::pair<unsigned, unsigned>{4, 4}, {6, 6}, {4, 6}, {6, 4}}) {
-        const SysConfig cfg = meshCfg(w, h);
-        const Topology topo(cfg);
-        const Router router(topo);
-        const unsigned n = topo.numTiles();
-        for (CoreId src = 0; src < n; ++src) {
-            for (CoreId dst = 0; dst < n; ++dst) {
-                for (const RouteOrder order :
-                     {RouteOrder::XY, RouteOrder::YX}) {
-                    const std::vector<CoreId> ref =
-                        router.path(src, dst, order);
-                    std::size_t i = 0;
-                    router.forEachLink(
-                        src, dst, order,
-                        [&](CoreId from, CoreId to,
-                            Router::Direction dir) {
-                            ASSERT_LT(i + 1, ref.size());
-                            EXPECT_EQ(from, ref[i]);
-                            EXPECT_EQ(to, ref[i + 1]);
-                            const Coord a = topo.coordOf(from);
-                            const Coord b = topo.coordOf(to);
-                            switch (dir) {
-                              case Router::EAST:
-                                EXPECT_EQ(b.x, a.x + 1);
-                                EXPECT_EQ(b.y, a.y);
-                                break;
-                              case Router::WEST:
-                                EXPECT_EQ(b.x, a.x - 1);
-                                EXPECT_EQ(b.y, a.y);
-                                break;
-                              case Router::SOUTH:
-                                EXPECT_EQ(b.y, a.y + 1);
-                                EXPECT_EQ(b.x, a.x);
-                                break;
-                              case Router::NORTH:
-                                EXPECT_EQ(b.y, a.y - 1);
-                                EXPECT_EQ(b.x, a.x);
-                                break;
-                            }
-                            ++i;
-                        });
-                    EXPECT_EQ(i + 1, ref.size());
-                }
-            }
-        }
-    }
-}
-
 // The O(1) analytic containment check must agree with scanning the
 // materialized path, for every (src, dst, order) pair and every
 // contiguous cluster range (including empty and full-machine ranges).
@@ -401,7 +319,8 @@ TEST(Routing, AnalyticContainmentMatchesPathScan)
                              ++count) {
                             const ClusterRange cl{first, count};
                             ASSERT_EQ(router.orderedRouteContained(
-                                          src, dst, order, cl),
+                                          topo.coordOf(src),
+                                          topo.coordOf(dst), order, cl),
                                       router.pathContained(ref, cl))
                                 << w << "x" << h << " src=" << src
                                 << " dst=" << dst << " first=" << first
@@ -414,89 +333,180 @@ TEST(Routing, AnalyticContainmentMatchesPathScan)
     }
 }
 
-// The strided link-reservation walk inside Network::traverse (walkLeg
-// carries the link_free_ base index with +-4 / +-4*width strides) must
-// reserve exactly the links, in exactly the order, that the reference
-// Router::forEachLink walk yields — same arrival times, same stall and
-// latency counters, for every (src, dst) pair, under both a
-// whole-machine cluster (X-Y routes) and a partial-row cluster (Y-X
-// routes from the boundary row), with link state carried across packets
-// so contention is exercised too.
-TEST(Network, TraverseMatchesForEachLinkReservationModel)
+
+namespace
 {
-    for (const auto &[w, h] : {std::pair<unsigned, unsigned>{4, 4},
-                               std::pair<unsigned, unsigned>{6, 6}}) {
+
+/**
+ * Reference model of Network::traverse/roundTrip. Each leg walks
+ * consecutive Router::path tiles under the policy order and keys a
+ * link's next-free time by its directed (from, to) tile pair, so it
+ * shares no link indexing, stride or containment arithmetic with
+ * Network::walkLeg. It counts what the network's stats group counts.
+ */
+class ShadowNetwork
+{
+  public:
+    ShadowNetwork(const SysConfig &cfg, const Router &router)
+        : hop_(cfg.hopLatency), router_(router)
+    {
+    }
+
+    Cycle
+    traverse(CoreId src, CoreId dst, Cycle when, unsigned flits,
+             const ClusterRange &cl)
+    {
+        if (src == dst)
+            return when; // nothing is sent
+        ++packets;
+        this->flits += flits;
+        return leg(src, dst, when, flits, cl);
+    }
+
+    Cycle
+    roundTrip(CoreId a, CoreId b, Cycle when, unsigned req_flits,
+              unsigned rsp_flits, const ClusterRange &cl)
+    {
+        if (a == b)
+            return when;
+        packets += 2;
+        flits += req_flits + rsp_flits;
+        return leg(b, a, leg(a, b, when, req_flits, cl), rsp_flits, cl);
+    }
+
+    std::uint64_t packets = 0;
+    std::uint64_t flits = 0;
+    std::uint64_t link_stall_cycles = 0;
+    std::uint64_t total_latency = 0;
+    std::uint64_t isolation_violations = 0;
+
+  private:
+    Cycle
+    leg(CoreId src, CoreId dst, Cycle when, unsigned flits,
+        const ClusterRange &cl)
+    {
+        const std::vector<CoreId> p =
+            router_.path(src, dst, router_.selectOrder(src, cl));
+        if (!router_.pathContained(p, cl))
+            ++isolation_violations;
+        Cycle t = when;
+        for (std::size_t i = 1; i < p.size(); ++i) {
+            Cycle &slot = linkFree_[{p[i - 1], p[i]}];
+            if (slot > t) {
+                link_stall_cycles += slot - t;
+                t = slot;
+            }
+            slot = t + flits;
+            t += hop_;
+        }
+        t += flits > 1 ? flits - 1 : 0;
+        total_latency += t - when;
+        return t;
+    }
+
+    Cycle hop_;
+    const Router &router_;
+    std::map<std::pair<CoreId, CoreId>, Cycle> linkFree_;
+};
+
+/** The contiguous clusters a mesh's traffic is replayed under: the
+ *  whole machine, a row-cutting secure prefix and insecure suffix, and
+ *  @p extra random ranges drawn from @p rng. */
+std::vector<ClusterRange>
+testClusters(const Topology &topo, Rng &rng, unsigned extra)
+{
+    const unsigned w = topo.width();
+    const unsigned tiles = topo.numTiles();
+    std::vector<ClusterRange> out = {ClusterRange{0, tiles}};
+    if (w > 1) {
+        // A split inside row 1 leaves both clusters one partial row.
+        const unsigned split = w + 1 + static_cast<unsigned>(
+                                           rng.nextRange(w - 1));
+        out.push_back(ClusterRange{0, split});
+        out.push_back(ClusterRange{split, tiles - split});
+    }
+    for (unsigned i = 0; i < extra; ++i) {
+        const auto first = static_cast<CoreId>(rng.nextRange(tiles));
+        const auto count =
+            static_cast<unsigned>(rng.nextBetween(1, tiles - first));
+        out.push_back(ClusterRange{first, count});
+    }
+    return out;
+}
+
+} // namespace
+
+// Network::walkLeg, the simulation's only route walk, must reserve
+// exactly the links of Router::path, in path order: same arrival time
+// for every traverse and roundTrip, and the same packets, flits,
+// link_stall_cycles, total_latency and isolation_violations counters as
+// the shadow model. Link state carries across packets (staggered
+// injection keeps links contended), every (src, dst) pair runs under
+// the whole machine, row-cutting prefix and suffix clusters and random
+// contiguous ranges, and a violation is a policy route that leaves its
+// cluster on path(). Meshes: the square and rectangular ones the
+// routing tests use plus seeded random geometries with two memory
+// controllers.
+TEST(Network, TraverseAndRoundTripMatchPathReservationModel)
+{
+    Rng rng(0x1f0c5eedULL);
+    std::uint64_t stalls = 0;
+    std::uint64_t violations = 0;
+    std::vector<std::pair<unsigned, unsigned>> meshes = {
+        {4, 4}, {6, 6}, {4, 6}, {6, 4}};
+    for (int i = 0; i < 24; ++i)
+        meshes.emplace_back(static_cast<unsigned>(rng.nextBetween(1, 9)),
+                            static_cast<unsigned>(rng.nextBetween(2, 9)));
+
+    for (const auto &[w, h] : meshes) {
         const SysConfig cfg = meshCfg(w, h);
         const Topology topo(cfg);
         const Router router(topo);
         Network net(cfg, topo);
+        ShadowNetwork shadow(cfg, router);
         const unsigned tiles = topo.numTiles();
-        // 10 tiles: rows 0-1 plus part of row 2 on the 4x4 mesh — a
-        // partially owned boundary row, so sources there select Y-X.
-        const std::vector<ClusterRange> clusters = {
-            ClusterRange{0, tiles}, ClusterRange{0, 2 * w + w / 2}};
-
-        // Shadow reservation model, advanced in lockstep with the real
-        // network (which never resets between packets here).
-        std::vector<Cycle> shadow(static_cast<std::size_t>(tiles) * 4, 0);
         Cycle when = 0;
-        std::uint64_t stalls = 0;
-        std::uint64_t latency = 0;
-        const auto reference = [&](CoreId src, CoreId dst, Cycle t0,
-                                   unsigned flits,
-                                   const ClusterRange &cluster) {
-            const RouteOrder order = router.selectOrder(src, cluster);
-            Cycle t = t0;
-            router.forEachLink(
-                src, dst, order,
-                [&](CoreId from, CoreId, Router::Direction dir) {
-                    Cycle &slot =
-                        shadow[static_cast<std::size_t>(from) * 4 + dir];
-                    if (slot > t) {
-                        stalls += slot - t;
-                        t = slot;
-                    }
-                    slot = t + flits;
-                    t += cfg.hopLatency;
-                });
-            t += flits > 1 ? (flits - 1) : 0;
-            latency += t - t0;
-            return t;
-        };
-
-        for (const ClusterRange &cluster : clusters) {
+        for (const ClusterRange &cl : testClusters(topo, rng, 3)) {
+            const auto where = [&](CoreId src, CoreId dst) {
+                return testing::Message()
+                       << w << "x" << h << " src " << src << " dst " << dst
+                       << " cluster [" << cl.first << "," << cl.count
+                       << ")";
+            };
             for (CoreId src = 0; src < tiles; ++src) {
                 for (CoreId dst = 0; dst < tiles; ++dst) {
-                    if (src == dst)
-                        continue;
                     const unsigned flits = 1 + (src + dst) % 5;
-                    const Cycle expect =
-                        reference(src, dst, when, flits, cluster);
-                    const Cycle got =
-                        net.traverse(src, dst, when, flits, cluster);
-                    ASSERT_EQ(got, expect)
-                        << w << "x" << h << " src " << src << " dst "
-                        << dst << " cluster [" << cluster.first << ","
-                        << cluster.count << ")";
+                    ASSERT_EQ(net.traverse(src, dst, when, flits, cl),
+                              shadow.traverse(src, dst, when, flits, cl))
+                        << where(src, dst);
                     // Staggered injection keeps some links contended.
                     when += (src * 7 + dst) % 3;
                 }
             }
+            for (CoreId a = 0; a < tiles; ++a) {
+                for (CoreId b = 0; b < tiles; ++b) {
+                    ASSERT_EQ(net.roundTrip(a, b, when, 1, 5, cl),
+                              shadow.roundTrip(a, b, when, 1, 5, cl))
+                        << "round trip " << where(a, b);
+                    when += (a + b * 5) % 4;
+                }
+            }
         }
-        // The fused round trip must equal two reference legs.
-        for (CoreId src = 0; src < tiles; ++src) {
-            const CoreId dst = (src * 13 + 5) % tiles;
-            if (src == dst)
-                continue;
-            const Cycle mid = reference(src, dst, when, 1, clusters[0]);
-            const Cycle expect =
-                reference(dst, src, mid, 5, clusters[0]);
-            ASSERT_EQ(net.roundTrip(src, dst, when, 1, 5, clusters[0]),
-                      expect)
-                << w << "x" << h << " round trip " << src;
-            when += 11;
-        }
-        EXPECT_EQ(net.stats().value("link_stall_cycles"), stalls);
-        EXPECT_EQ(net.stats().value("total_latency"), latency);
+        const StatGroup &st = net.stats();
+        EXPECT_EQ(st.value("packets"), shadow.packets) << w << "x" << h;
+        EXPECT_EQ(st.value("flits"), shadow.flits) << w << "x" << h;
+        EXPECT_EQ(st.value("link_stall_cycles"), shadow.link_stall_cycles)
+            << w << "x" << h;
+        EXPECT_EQ(st.value("total_latency"), shadow.total_latency)
+            << w << "x" << h;
+        EXPECT_EQ(st.value("isolation_violations"),
+                  shadow.isolation_violations)
+            << w << "x" << h;
+        stalls += shadow.link_stall_cycles;
+        violations += shadow.isolation_violations;
     }
+    // The traffic exercises contention and cross-cluster routes, so
+    // neither counter comparison is vacuous.
+    EXPECT_GT(stalls, 0u);
+    EXPECT_GT(violations, 0u);
 }
