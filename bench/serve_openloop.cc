@@ -27,12 +27,9 @@
  * 48), IRONHIDE_SERVE_APPS (serve only the first n paper apps),
  * IRONHIDE_SERVE_SEED (arrival-process seed),
  * IRONHIDE_SERVE_LAMBDA0 (first rung's offered load in sessions/s;
- * unset = calibrate off the insecure machine),
- * IRONHIDE_SERVE_CALIB (pinned = calibrate the ladder origin on the
- * INSECURE machine so every architecture runs the same absolute
- * loads, the default; per-arch = calibrate on the architecture under
- * test, starting each ladder the same relative distance below its own
- * knee), IRONHIDE_MAX_LOAD_STEPS (rung bound, default 6).
+ * unset = calibrate off the insecure machine, so every architecture
+ * runs the same absolute loads), IRONHIDE_MAX_LOAD_STEPS (rung bound,
+ * default 6).
  */
 
 #include <cinttypes>
@@ -63,14 +60,6 @@ ladderOptions()
     opts.lambda0 = knobReal(Knob::SERVE_LAMBDA0);
     opts.serve.sessions = knobCount(Knob::SERVE_SESSIONS);
     opts.serve.seed = knobCount(Knob::SERVE_SEED);
-    if (const char *calib = knobText(Knob::SERVE_CALIB)) {
-        const std::string s = calib;
-        if (s == "per-arch")
-            opts.perArchCalib = true;
-        else if (s != "pinned")
-            fatal("unknown IRONHIDE_SERVE_CALIB '%s' (pinned|per-arch)",
-                  calib);
-    }
     return opts;
 }
 

@@ -111,31 +111,11 @@ ALLOWLIST = [
     },
     {
         "rule": "wall-clock",
-        "file": "bench/perf_smoke.cc",
-        "contains": "std::chrono::steady_clock",
-        "why": (
-            "perf_smoke's quantity of interest is host wall time (the "
-            "simulator-performance trajectory). The measured time is "
-            "reported beside — never folded into — the simulated "
-            "determinism checksum the gate compares."
-        ),
-    },
-    {
-        "rule": "wall-clock",
         "file": "bench/micro_components.cc",
         "contains": "std::chrono::steady_clock",
         "why": (
             "Self-timed component microbenchmark: host wall time is the "
             "output. No simulated result or checksum is derived from it."
-        ),
-    },
-    {
-        "rule": "raw-getenv",
-        "file": "bench/perf_smoke.cc",
-        "contains": "GITHUB_STEP_SUMMARY",
-        "why": (
-            "CI-provided output *path*, appended to verbatim — never "
-            "parsed as a value, and absent outside CI."
         ),
     },
 ]

@@ -71,8 +71,7 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
  * byte-identical at every value. Note the knobs multiply:
  * IRONHIDE_THREADS sweep workers each run their jobs' probe pools at
  * this count, so threads x domains concurrent simulations can exist at
- * once; size the product to the host (the perf_smoke legs keep threads
- * at 1 for exactly this reason).
+ * once; size the product to the host.
  */
 unsigned effectiveDomains(const SysConfig &cfg);
 

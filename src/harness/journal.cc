@@ -128,6 +128,55 @@ checksumHex(const std::string &payload)
 // PayloadJournal
 // --------------------------------------------------------------------------
 
+namespace
+{
+
+/** Bump when the header or record layout changes. */
+constexpr const char *kJournalFormat = "ih-sweep-journal/v2";
+
+/** A record's "sum": it covers the job id and the attempts count as
+ *  well as the payload, so damage to any of them is caught. */
+std::string
+recordSum(std::uint64_t job, std::uint64_t attempts,
+          const std::string &payload)
+{
+    return checksumHex(
+        strprintf("%" PRIu64 "|%" PRIu64 "|", job, attempts) + payload);
+}
+
+/** The one encoding of a header line, without its newline. */
+std::string
+headerLine(const std::string &sweep_id, std::size_t jobs,
+           const ShardSpec &shard)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.key("journal").value(kJournalFormat);
+    w.key("sweep").value(sweep_id);
+    w.key("jobs").value(std::uint64_t{jobs});
+    w.key("shard").value(shard.str());
+    w.endObject();
+    return w.str();
+}
+
+/** The one encoding of a record line, without its newline. */
+std::string
+recordLine(std::uint64_t job, std::uint64_t attempts,
+           const std::string &payload)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.key("job").value(job);
+    if (attempts > 1)
+        w.key("attempts").value(attempts);
+    w.key("sum").value(recordSum(job, attempts, payload));
+    w.key("payload").value(payload);
+    w.endObject();
+    return w.str();
+}
+
+} // namespace
+
 PayloadJournal::PayloadJournal(std::string path, std::string sweep_id,
                                std::size_t jobs, ShardSpec shard,
                                Validator validate)
@@ -142,19 +191,6 @@ PayloadJournal::~PayloadJournal()
 {
     if (f_)
         std::fclose(f_);
-}
-
-std::string
-PayloadJournal::headerLine() const
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("journal").value("ih-sweep-journal/v1");
-    w.key("sweep").value(sweepId_);
-    w.key("jobs").value(std::uint64_t{jobs_});
-    w.key("shard").value(shard_.str());
-    w.endObject();
-    return w.str() + "\n";
 }
 
 namespace
@@ -207,9 +243,9 @@ parseJournal(const std::string &path, const std::string &text,
     std::uint64_t hjobs = 0;
     unsigned long sidx = 0, scnt = 0;
     if (lines.empty() || !jsonStringField(lines[0], "journal", hsweep) ||
-        hsweep != "ih-sweep-journal/v1")
-        throw JournalError("'" + path +
-                           "' is not an ih-sweep-journal/v1 file");
+        hsweep != kJournalFormat)
+        throw JournalError("'" + path + "' is not an " + kJournalFormat +
+                           " file");
     if (!jsonStringField(lines[0], "sweep", hsweep) ||
         !jsonUnsignedField(lines[0], "jobs", hjobs) ||
         !jsonStringField(lines[0], "shard", hshard) ||
@@ -225,6 +261,11 @@ parseJournal(const std::string &path, const std::string &text,
             path.c_str(), hsweep.c_str(), hjobs, hshard.c_str(),
             sweep_id.c_str(), jobs, expect ? ", shard " : "",
             expect ? expect->str().c_str() : ""));
+    // The fields check out but the line is not the one open() writes:
+    // bytes outside them changed, or a lost newline ran the first
+    // record into the header.
+    if (lines[0] != headerLine(sweep_id, jobs, shard))
+        throw JournalError("journal '" + path + "' has a malformed header");
 
     std::map<std::size_t, PayloadJournal::Entry> done;
     for (std::size_t li = 1; li < lines.size(); ++li) {
@@ -241,19 +282,23 @@ parseJournal(const std::string &path, const std::string &text,
             !jsonStringField(line, "sum", sum) ||
             !jsonStringField(line, "payload", payload)) {
             reason = "unparseable record";
-        } else if (checksumHex(payload) != sum) {
-            reason = "checksum mismatch";
-        } else if (job >= jobs || !shard.owns(job)) {
-            reason = "job id outside this sweep/shard";
-        } else if (!validate(payload)) {
-            reason = "undecodable payload";
         } else if (line.find("\"attempts\"") != std::string::npos &&
                    (!jsonUnsignedField(line, "attempts", attempts) ||
                     attempts == 0 ||
                     attempts > std::numeric_limits<unsigned>::max())) {
-            // The checksum covers only the payload, so a damaged count
-            // is caught here; an absent key means one attempt.
+            // An absent key means one attempt; the checksum below
+            // covers the count either way.
             reason = "malformed attempts count";
+        } else if (recordSum(job, attempts, payload) != sum) {
+            reason = "checksum mismatch";
+        } else if (line != recordLine(job, attempts, payload)) {
+            // As for the header: a changed byte outside the fields, or
+            // two records run together by a lost newline.
+            reason = "malformed record";
+        } else if (job >= jobs || !shard.owns(job)) {
+            reason = "job id outside this sweep/shard";
+        } else if (!validate(payload)) {
+            reason = "undecodable payload";
         }
         if (!reason.empty()) {
             if (last) {
@@ -273,10 +318,10 @@ parseJournal(const std::string &path, const std::string &text,
         e.payload = std::move(payload);
         const auto it = done.find(job);
         if (it != done.end()) {
-            if (checksumHex(it->second.payload) != checksumHex(e.payload))
+            if (it->second.payload != e.payload)
                 throw JournalError(strprintf(
                     "journal '%s': job %" PRIu64
-                    " recorded twice with different checksums "
+                    " recorded twice with different payloads "
                     "(determinism violation)",
                     path.c_str(), job));
             continue; // idempotent replayed append
@@ -298,7 +343,7 @@ PayloadJournal::open()
         // Bootstrap: the header goes through the atomic temp+rename
         // writeTextFile, so a crash mid-bootstrap leaves no file at
         // all — never a half-written header a resume would misparse.
-        writeTextFile(path_, headerLine());
+        writeTextFile(path_, headerLine(sweepId_, jobs_, shard_) + "\n");
     } else {
         done = parseJournal(path_, text, sweepId_, jobs_, &shard_,
                             validate_);
@@ -326,15 +371,7 @@ PayloadJournal::append(std::size_t job, const std::string &payload,
                        unsigned attempts)
 {
     IH_ASSERT(f_, "journal '%s' append before open", path_.c_str());
-    JsonWriter w;
-    w.beginObject();
-    w.key("job").value(std::uint64_t{job});
-    if (attempts > 1)
-        w.key("attempts").value(std::uint64_t{attempts});
-    w.key("sum").value(checksumHex(payload));
-    w.key("payload").value(payload);
-    w.endObject();
-    const std::string line = w.str() + "\n";
+    const std::string line = recordLine(job, attempts, payload) + "\n";
 
     std::lock_guard<std::mutex> lk(mtx_);
     if (std::fwrite(line.data(), 1, line.size(), f_) != line.size() ||

@@ -3,12 +3,14 @@
  * Crash-safe sweep journal + the experiment-result wire format.
  *
  * A journal is an append-only JSONL file: one header line identifying
- * the sweep (id, job count, shard) followed by one checksummed record
- * per *completed* job. The header is bootstrapped via write-temp +
- * fsync + rename (a partially-written journal file can never exist);
- * every record append is fsynced before the runner moves on, so after
- * a kill -9 / power loss the journal holds every job whose completion
- * was acknowledged, plus at most one truncated trailing record.
+ * the format version and the sweep (id, job count, shard) followed by
+ * one record per *completed* job, whose checksum covers its job id,
+ * attempts count and payload. The header is bootstrapped via
+ * write-temp + fsync + rename (a partially-written journal file can
+ * never exist); every record append is fsynced before the runner moves
+ * on, so after a kill -9 / power loss the journal holds every job
+ * whose completion was acknowledged, plus at most one truncated
+ * trailing record.
  *
  * Corruption contract (tests/test_faults.cc pins every arm; open()
  * and the read-only --merge loader load() share it):
@@ -17,8 +19,8 @@
  *  - the same damage on a *non-final* record means the file was
  *    corrupted outside the crash model: load throws JournalError —
  *    never silently drop a middle record;
- *  - duplicate job ids with identical checksums collapse to one entry
- *    (an append replayed across a crash); with different checksums the
+ *  - duplicate job ids with identical payloads collapse to one entry
+ *    (an append replayed across a crash); with different payloads the
  *    journal lies about determinism and load throws.
  *
  * The wire format (serializeResult/deserializeResult) round-trips an
@@ -128,8 +130,6 @@ class PayloadJournal
                 unsigned attempts);
 
   private:
-    std::string headerLine() const;
-
     std::string path_;
     std::string sweepId_;
     std::size_t jobs_;

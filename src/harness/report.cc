@@ -317,10 +317,6 @@ constexpr KnobRow kKnobs[] = {
     {"IRONHIDE_SERVE_APPS", 0, 9, 9},
     {"IRONHIDE_SERVE_SEED", 0, 0xFFFFFFFF, 0xC0FFEE},
     {"IRONHIDE_SERVE_LAMBDA0", 0, 0, 0.0},
-    {"IRONHIDE_SERVE_CALIB", 0, 0, 0},
-    {"IRONHIDE_PERF_SCALE", 0, 0, 0.1},
-    {"IRONHIDE_PERF_REPEATS", 1, 1000, 1},
-    {"IRONHIDE_PERF_TOLERANCE", 0, 0, 0.15},
     {"IRONHIDE_MICRO_MS", 0, 0, 20.0},
     {"IH_FAULT_INJECT", 0, 0, 0},
     {"IH_DUMP_GOLDEN", 0, 0, 0},
@@ -517,8 +513,8 @@ isJsonWs(char c)
  * first value character (past the colon and whitespace), or npos. A
  * bare substring match would also hit the key's text inside a string
  * value (where it is preceded by ':' or '\\') or a same-named key in
- * another position — the perf gate and the journal loader must never
- * pull the wrong field out of a document.
+ * another position — the journal loader must never pull the wrong
+ * field out of a record.
  */
 std::size_t
 jsonKeyValuePos(const std::string &json, const std::string &key,
@@ -552,25 +548,6 @@ jsonKeyValuePos(const std::string &json, const std::string &key,
 }
 
 } // namespace
-
-bool
-jsonNumberField(const std::string &json, const std::string &key,
-                double &out)
-{
-    std::size_t p = 0;
-    while ((p = jsonKeyValuePos(json, key, p)) != std::string::npos) {
-        const char *start = json.c_str() + p;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start) {
-            ++p;
-            continue;
-        }
-        out = v;
-        return true;
-    }
-    return false;
-}
 
 bool
 jsonUnsignedField(const std::string &json, const std::string &key,

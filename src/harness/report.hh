@@ -104,10 +104,6 @@ enum class Knob : std::uint8_t
     SERVE_APPS,     ///< IRONHIDE_SERVE_APPS (count)
     SERVE_SEED,     ///< IRONHIDE_SERVE_SEED (count)
     SERVE_LAMBDA0,  ///< IRONHIDE_SERVE_LAMBDA0 (real)
-    SERVE_CALIB,    ///< IRONHIDE_SERVE_CALIB (text: pinned|per-arch)
-    PERF_SCALE,     ///< IRONHIDE_PERF_SCALE (real)
-    PERF_REPEATS,   ///< IRONHIDE_PERF_REPEATS (count)
-    PERF_TOLERANCE, ///< IRONHIDE_PERF_TOLERANCE (real)
     MICRO_MS,       ///< IRONHIDE_MICRO_MS (real)
     FAULT_INJECT,   ///< IH_FAULT_INJECT (text: FaultPlan::parse)
     DUMP_GOLDEN,    ///< IH_DUMP_GOLDEN (text: presence flag)
@@ -132,11 +128,10 @@ const char *knobText(Knob k);
 /**
  * Strictly-validated positive-double parsing for environment knobs.
  * Unlike std::atof — which silently accepts trailing garbage
- * ("0.15abc" parses as 0.15) and non-finite values ("inf" would
- * disable a gate tolerance outright) — this accepts only a complete,
- * finite, in-range, strictly positive decimal number. Anything else
- * warns (naming @p name) and returns @p fallback; a null/empty
- * @p value returns @p fallback silently.
+ * ("0.15abc" parses as 0.15) and non-finite values ("inf") — this
+ * accepts only a complete, finite, in-range, strictly positive decimal
+ * number. Anything else warns (naming @p name) and returns
+ * @p fallback; a null/empty @p value returns @p fallback silently.
  */
 double parsePositiveDouble(const char *name, const char *value,
                            double fallback);
@@ -171,9 +166,9 @@ std::string fmtDouble(double v);
 /**
  * Write @p text to @p path atomically, fatal() on failure: the bytes
  * go to a same-directory temp file which is fsynced and then renamed
- * over @p path, so a reader (a resume, the CI perf gate) can
- * never observe a truncated report — it sees either the old complete
- * file or the new complete file.
+ * over @p path, so a reader (a resume, a --json consumer) can never
+ * observe a truncated file — it sees either the old complete file or
+ * the new complete file.
  */
 void writeTextFile(const std::string &path, const std::string &text);
 
@@ -188,33 +183,22 @@ void probeWritable(const std::string &path);
 std::string readTextFile(const std::string &path);
 
 /**
- * Extract the number stored under @p key at any nesting depth of
- * @p json (first *key position* wins: the quoted key preceded, modulo
- * whitespace, by '{' or ',' and followed by a single ':' and a number —
- * the key's text inside a string value or bound to a non-number never
- * matches). This is a deliberately small flat-scan — enough to read
- * back the reports JsonWriter produces (the perf-gate baseline), not a
- * general parser.
- * @return true and set @p out when the key was found with a number.
- */
-bool jsonNumberField(const std::string &json, const std::string &key,
-                     double &out);
-
-/**
- * jsonNumberField's exact-integer sibling: extract the unsigned
- * integer under @p key without the 2^53 precision loss a double
- * round-trip would introduce (cycle counters are full uint64). The
- * value must be a bare decimal integer — a sign, fraction, exponent or
- * trailing junk never matches.
+ * Extract the unsigned integer stored under @p key at any nesting
+ * depth of @p json. The first *key position* wins: the quoted key
+ * preceded, modulo whitespace, by '{' or ',' and followed by a single
+ * ':' — the key's text inside a string value never matches. The value
+ * must be a bare decimal integer, read without the 2^53 precision loss
+ * a double round-trip would introduce; a sign, fraction, exponent or
+ * trailing junk never matches. This is a deliberately small flat scan
+ * for the journal lines JsonWriter produces, not a general parser.
  */
 bool jsonUnsignedField(const std::string &json, const std::string &key,
                        std::uint64_t &out);
 
 /**
  * Extract (and unescape) the string bound to @p key under the same
- * key-position rules as jsonNumberField. Like its siblings this is a
- * read-back helper for reports JsonWriter produced, not a general
- * parser.
+ * key-position rules as jsonUnsignedField, and like it a read-back
+ * helper for lines JsonWriter produced, not a general parser.
  */
 bool jsonStringField(const std::string &json, const std::string &key,
                      std::string &out);

@@ -90,17 +90,16 @@ constexpr double kLadderGrowth = 2.0;
  *  throughput, only latency. */
 constexpr double kFlattenPct = 0.05;
 
-/** Base load from one back-to-back session per app on @p calib_arch:
- *  the pinned-INSECURE default keeps the origin arch-independent (the
- *  curves share absolute loads); per-arch calibration passes the
- *  architecture under test instead. */
+/** Base load from one back-to-back session per app on an INSECURE
+ *  machine: the origin is arch-independent, so every architecture's
+ *  curve runs the same absolute loads. */
 double
 calibratedLambda0(const SysConfig &cfg, const std::vector<AppSpec> &apps,
-                  const ServeOptions &opts, ArchKind calib_arch)
+                  const ServeOptions &opts)
 {
     SessionOptions sopts;
     sopts.interactionsPerSession = opts.interactionsPerSession;
-    SessionServer server(cfg, calib_arch, apps, sopts);
+    SessionServer server(cfg, ArchKind::INSECURE, apps, sopts);
     for (std::size_t i = 0; i < apps.size(); ++i)
         server.serve(i, 0);
     const double meanService =
@@ -125,12 +124,9 @@ runLoadLadder(ArchKind kind, const SysConfig &cfg,
     out.arch = archName(kind);
     out.stopReason = kStopMaxSteps;
 
-    const double lambda0 =
-        opts.lambda0 > 0.0
-            ? opts.lambda0
-            : calibratedLambda0(cfg, apps, opts.serve,
-                                opts.perArchCalib ? kind
-                                                  : ArchKind::INSECURE);
+    const double lambda0 = opts.lambda0 > 0.0
+                               ? opts.lambda0
+                               : calibratedLambda0(cfg, apps, opts.serve);
     // Saturation: stop once a rung's peak queue depth reaches half the
     // session count — the open queue is diverging.
     const std::uint64_t depthLimit =

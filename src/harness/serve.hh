@@ -100,15 +100,6 @@ struct LoadLadderOptions
      * the curves compare) and start at 1/4 of that service rate.
      */
     double lambda0 = 0.0;
-    /**
-     * Calibrate the lambda0 = 0 origin on the architecture under test
-     * instead of the pinned INSECURE machine (IRONHIDE_SERVE_CALIB=
-     * per-arch). Each architecture's ladder then starts at the same
-     * *relative* distance below its own knee — the right origin when
-     * studying one architecture's saturation shape — at the cost of
-     * the cross-architecture curves no longer sharing absolute loads.
-     */
-    bool perArchCalib = false;
     /** Hard rung bound (IRONHIDE_MAX_LOAD_STEPS; >= 1). */
     unsigned maxSteps = 6;
     ServeOptions serve;

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "harness/journal.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "sim/log.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -146,27 +150,37 @@ garbleRecordSum(const std::string &path, std::size_t nth)
 }
 
 /**
- * Overwrite the value of the @p nth "attempts" key (0-based, counting
- * only the records that carry one) in the journal at @p path with
- * @p value, verbatim.
+ * Overwrite the value of @p key in record @p record (0-based, counting
+ * record lines only — the header is line 0) of the journal at @p path
+ * with @p value, verbatim.
  */
 void
-setRecordAttempts(const std::string &path, std::size_t nth,
-                  const std::string &value)
+setRecordField(const std::string &path, std::size_t record,
+               const std::string &key, const std::string &value)
 {
     std::string text = readTextFile(path);
-    const std::string key = "\"attempts\":";
     std::size_t pos = 0;
-    for (std::size_t seen = 0;; ++seen) {
-        pos = text.find(key, pos);
-        ASSERT_NE(pos, std::string::npos);
-        if (seen == nth)
-            break;
-        ++pos;
-    }
-    pos += key.size();
+    for (std::size_t line = 0; line <= record; ++line)
+        pos = text.find('\n', pos) + 1;
+    const std::string needle = "\"" + key + "\":";
+    pos = text.find(needle, pos);
+    ASSERT_NE(pos, std::string::npos);
+    pos += needle.size();
     text.replace(pos, text.find(',', pos) - pos, value);
     writeTextFile(path, text);
+}
+
+/** One damaged record field: the key and its new value, verbatim. */
+struct FieldDamage
+{
+    const char *key;
+    const char *value;
+};
+
+void
+PrintTo(const FieldDamage &d, std::ostream *os)
+{
+    *os << d.key << ':' << d.value;
 }
 
 } // namespace
@@ -377,11 +391,13 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
                  JournalError);
 }
 
-// The record checksum covers only the payload, so a damaged attempts
-// count must trip the same contract: anything but a bare decimal in
-// [1, UINT32_MAX] is damage, dropped on the final record and refused
-// anywhere else. A record without the key means one attempt.
-class AttemptsDamage : public testing::TestWithParam<const char *>
+// A damaged job id or attempts count trips the same contract as any
+// other damage: dropped with the warning on the final record (its job
+// re-runs) and refused anywhere else. The record checksum covers both
+// fields, so an id changed to another cell of the sweep never files the
+// record under that cell. An attempts count must also be a bare decimal
+// in [1, UINT32_MAX]; a record without the key means one attempt.
+class RecordFieldDamage : public testing::TestWithParam<FieldDamage>
 {
   protected:
     /** A fresh three-record journal; records 0 and 2 carry attempts 3,
@@ -401,22 +417,26 @@ class AttemptsDamage : public testing::TestWithParam<const char *>
     const std::string payload = serializeResult(nastyResult());
 };
 
-TEST_P(AttemptsDamage, OnTheFinalRecordItIsDroppedAndReRuns)
+TEST_P(RecordFieldDamage, OnTheFinalRecordItIsDroppedAndReRuns)
 {
-    const std::string path = writeJournal("journal_attempts_final.jsonl");
-    setRecordAttempts(path, 1, GetParam());
-    PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
-    const auto done = j.open();
+    const std::string path = writeJournal("journal_field_final.jsonl");
+    setRecordField(path, 2, GetParam().key, GetParam().value);
+    testing::internal::CaptureStderr();
+    const auto done =
+        PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open();
+    const std::string err = testing::internal::GetCapturedStderr();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_FALSE(done.count(2));
     EXPECT_EQ(done.at(0).attempts, 3u); // the intact records load
     EXPECT_EQ(done.at(1).attempts, 1u); // unchanged
+    EXPECT_NE(err.find("dropping damaged final record"), std::string::npos)
+        << err;
 }
 
-TEST_P(AttemptsDamage, OnAMiddleRecordItIsRefused)
+TEST_P(RecordFieldDamage, OnAMiddleRecordItIsRefused)
 {
-    const std::string path = writeJournal("journal_attempts_middle.jsonl");
-    setRecordAttempts(path, 0, GetParam());
+    const std::string path = writeJournal("journal_field_middle.jsonl");
+    setRecordField(path, 0, GetParam().key, GetParam().value);
     EXPECT_THROW(
         PayloadJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
         JournalError);
@@ -424,9 +444,115 @@ TEST_P(AttemptsDamage, OnAMiddleRecordItIsRefused)
                  JournalError);
 }
 
-INSTANTIATE_TEST_SUITE_P(Journal, AttemptsDamage,
-                         testing::Values("4294967297", "\"x\"", "0",
-                                         "3x"));
+INSTANTIATE_TEST_SUITE_P(
+    Journal, RecordFieldDamage,
+    testing::Values(FieldDamage{"attempts", "4294967297"},
+                    FieldDamage{"attempts", "\"x\""},
+                    FieldDamage{"attempts", "0"},
+                    FieldDamage{"attempts", "3x"},
+                    FieldDamage{"job", "3"}, FieldDamage{"job", "1"}));
+
+TEST(Journal, AVersionOneJournalIsRefusedByItsVersion)
+{
+    // A v1 record's sum covers only its payload. The header refuses the
+    // file before any record is read.
+    const std::string path = journalPath("journal_v1.jsonl");
+    const std::string payload = serializeResult(nastyResult());
+    writeTextFile(path, "{\"journal\":\"ih-sweep-journal/v1\","
+                        "\"sweep\":\"unit\",\"jobs\":6,\"shard\":\"0/1\"}\n"
+                        "{\"job\":0,\"sum\":\"" +
+                            checksumHex(payload) + "\",\"payload\":\"" +
+                            payload + "\"}\n");
+    try {
+        PayloadJournal::load(path, "unit", 6, isResult);
+        FAIL() << "a v1 journal loaded";
+    } catch (const JournalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "is not an ih-sweep-journal/v2 file"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// Seeded byte mutation of the journal reader. After any single-byte
+// substitution in a valid three-record journal, a load either throws
+// JournalError or returns only entries byte-equal to the original
+// entry of the same job; it returns fewer only with the drop warning.
+// Every byte position is tried with every digit (ids and counts), a
+// newline (a split record) and seeded random bytes.
+TEST(Journal, NoSingleByteSubstitutionAddsOrSwapsAnEntry)
+{
+    const std::string path = journalPath("journal_mutate.jsonl");
+    {
+        PayloadJournal j(path, "unit", 6, ShardSpec{}, isResult);
+        j.open();
+        for (unsigned job : {0u, 2u, 4u}) {
+            ExperimentResult r = nastyResult();
+            r.run.instructions += job; // a distinct payload per job
+            j.append(job, serializeResult(r), job + 1);
+        }
+    }
+    const auto original = PayloadJournal::load(path, "unit", 6, isResult);
+    ASSERT_EQ(original.size(), 3u);
+    const std::string text = readTextFile(path);
+
+    Rng rng(0x6a6f75726e616cull);
+    std::vector<std::string> violations;
+    std::size_t mutants = 0;
+    for (std::size_t pos = 0; pos < text.size(); ++pos) {
+        std::string subs = "0123456789\n";
+        for (int k = 0; k < 3; ++k)
+            subs += static_cast<char>(rng.nextRange(256));
+        for (const char b : subs) {
+            if (b == text[pos])
+                continue;
+            std::string mutant = text;
+            mutant[pos] = b;
+            std::FILE *f = std::fopen(path.c_str(), "wb");
+            ASSERT_NE(f, nullptr);
+            ASSERT_EQ(std::fwrite(mutant.data(), 1, mutant.size(), f),
+                      mutant.size());
+            std::fclose(f);
+            ++mutants;
+
+            std::map<std::size_t, PayloadJournal::Entry> got;
+            bool refused = false;
+            testing::internal::CaptureStderr();
+            try {
+                got = PayloadJournal::load(path, "unit", 6, isResult);
+            } catch (const JournalError &) {
+                refused = true;
+            }
+            const std::string err = testing::internal::GetCapturedStderr();
+            if (refused)
+                continue;
+            const std::string where = strprintf(
+                "byte %zu (0x%02x -> 0x%02x)", pos,
+                static_cast<unsigned char>(text[pos]),
+                static_cast<unsigned char>(b));
+            for (const auto &[job, e] : got) {
+                const auto it = original.find(job);
+                if (it == original.end())
+                    violations.push_back(where + ": added job " +
+                                         std::to_string(job));
+                else if (e.payload != it->second.payload ||
+                         e.attempts != it->second.attempts)
+                    violations.push_back(where + ": changed job " +
+                                         std::to_string(job));
+            }
+            if (got.size() < original.size() &&
+                err.find("dropping damaged final record") ==
+                    std::string::npos)
+                violations.push_back(where + ": dropped an entry silently");
+        }
+    }
+    EXPECT_GT(mutants, 10 * text.size());
+    std::string first;
+    for (std::size_t i = 0; i < violations.size() && i < 8; ++i)
+        first += "\n  " + violations[i];
+    EXPECT_TRUE(violations.empty())
+        << violations.size() << " violations, first:" << first;
+}
 
 TEST(Journal, DuplicateRecordsCollapseUnlessTheyDisagree)
 {

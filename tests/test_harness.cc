@@ -98,9 +98,9 @@ TEST(ParsePositiveDouble, UnsetOrEmptyFallsBackSilently)
 TEST(ParsePositiveDouble, RejectsWhatAtofWouldAccept)
 {
     // Trailing garbage: std::atof would have returned 0.99 here, and
-    // the perf gate would have run with a half-typed tolerance.
+    // the bench would have run with a half-typed value.
     EXPECT_DOUBLE_EQ(parsePositiveDouble("T", "0.99abc", 0.15), 0.15);
-    // Non-finite spellings: "inf" would have disabled the wall gate.
+    // Non-finite spellings: "inf" is no workload scale.
     EXPECT_DOUBLE_EQ(parsePositiveDouble("T", "inf", 0.15), 0.15);
     EXPECT_DOUBLE_EQ(parsePositiveDouble("T", "-inf", 0.15), 0.15);
     EXPECT_DOUBLE_EQ(parsePositiveDouble("T", "nan", 0.15), 0.15);
@@ -140,7 +140,6 @@ const CountKnob kCountKnobs[] = {
     {Knob::SERVE_SESSIONS, "IRONHIDE_SERVE_SESSIONS", "1000001", 48},
     {Knob::SERVE_APPS, "IRONHIDE_SERVE_APPS", "10", 9},
     {Knob::SERVE_SEED, "IRONHIDE_SERVE_SEED", "4294967296", 0xC0FFEE},
-    {Knob::PERF_REPEATS, "IRONHIDE_PERF_REPEATS", "1001", 1},
 };
 
 } // namespace
@@ -176,10 +175,7 @@ TEST(Knobs, ZeroBelowTheLowerBoundGivesTheDefault)
 {
     setenv("IRONHIDE_SERVE_SESSIONS", "0", 1);
     EXPECT_EQ(knobCount(Knob::SERVE_SESSIONS), 48u);
-    setenv("IRONHIDE_PERF_REPEATS", "0", 1);
-    EXPECT_EQ(knobCount(Knob::PERF_REPEATS), 1u);
     unsetenv("IRONHIDE_SERVE_SESSIONS");
-    unsetenv("IRONHIDE_PERF_REPEATS");
 }
 
 TEST(Knobs, ZeroWorkersIsTheHardwareConcurrencyWithinTheBound)
@@ -204,8 +200,6 @@ TEST(Knobs, RealKnobsRejectInfAndTrailingGarbage)
     } reals[] = {
         {Knob::SCALE, "IRONHIDE_SCALE", 1.0},
         {Knob::SERVE_LAMBDA0, "IRONHIDE_SERVE_LAMBDA0", 0.0},
-        {Knob::PERF_SCALE, "IRONHIDE_PERF_SCALE", 0.1},
-        {Knob::PERF_TOLERANCE, "IRONHIDE_PERF_TOLERANCE", 0.15},
         {Knob::MICRO_MS, "IRONHIDE_MICRO_MS", 20.0},
     };
     for (const auto &k : reals) {
@@ -225,7 +219,6 @@ TEST(Knobs, EmptyTextKnobReadsAsUnset)
 {
     const std::pair<Knob, const char *> texts[] = {
         {Knob::SHARD, "IRONHIDE_SHARD"},
-        {Knob::SERVE_CALIB, "IRONHIDE_SERVE_CALIB"},
         {Knob::FAULT_INJECT, "IH_FAULT_INJECT"},
         {Knob::DUMP_GOLDEN, "IH_DUMP_GOLDEN"},
     };
@@ -395,89 +388,6 @@ TEST(Experiment, OptimalNeverWorseThanFixedEndpoints)
     const Cycle at_opt = completion_at(opt.secureCores);
     EXPECT_LE(at_opt, completion_at(2) * 2);
     EXPECT_LE(at_opt, completion_at(cfg.numTiles() - 2) * 2);
-}
-
-// ---- jsonNumberField ------------------------------------------------------
-//
-// The perf gate reads wall_ms_best / sim_completion_cycles_total back out
-// of bench/perf_baseline.json with this scanner; a substring match that
-// hits the key's text inside a string value (or a colon-less sibling)
-// would silently gate against the wrong number.
-
-TEST(JsonNumberField, ReadsTopLevelAndNestedKeys)
-{
-    double v = 0.0;
-    EXPECT_TRUE(jsonNumberField("{\"wall_ms_best\":123.5}", "wall_ms_best",
-                                v));
-    EXPECT_DOUBLE_EQ(v, 123.5);
-    EXPECT_TRUE(jsonNumberField("{\"outer\":{\"cycles\":42}}", "cycles", v));
-    EXPECT_DOUBLE_EQ(v, 42.0);
-    EXPECT_TRUE(jsonNumberField("{ \"a\" : 1 ,\n  \"b\" : -2.5e3 }", "b",
-                                v));
-    EXPECT_DOUBLE_EQ(v, -2500.0);
-}
-
-TEST(JsonNumberField, IgnoresKeyTextInsideStringValues)
-{
-    // The first "wall_ms_best" substring is a string *value*; the real
-    // key comes later and must win.
-    double v = 0.0;
-    EXPECT_TRUE(jsonNumberField(
-        "{\"note\":\"wall_ms_best\",\"wall_ms_best\":7}", "wall_ms_best",
-        v));
-    EXPECT_DOUBLE_EQ(v, 7.0);
-
-    // Escaped quotes inside a string value must not fabricate a key
-    // position either.
-    EXPECT_TRUE(jsonNumberField(
-        "{\"note\":\"x \\\"wall_ms_best\\\": 99\",\"wall_ms_best\":5}",
-        "wall_ms_best", v));
-    EXPECT_DOUBLE_EQ(v, 5.0);
-
-    // A value-only occurrence with no real key anywhere: no match, even
-    // though a number follows later in the document.
-    EXPECT_FALSE(jsonNumberField(
-        "{\"note\":\"wall_ms_best\",\"other\":3}", "wall_ms_best", v));
-}
-
-TEST(JsonNumberField, RequiresSingleColonAndNumber)
-{
-    double v = 0.0;
-    // Arbitrary colon/whitespace runs are not a key-value separator.
-    EXPECT_FALSE(jsonNumberField("{\"k\"::5}", "k", v));
-    // Key bound to a string, not a number.
-    EXPECT_FALSE(jsonNumberField("{\"k\":\"5ms\"}", "k", v));
-    // Whitespace around the single colon is fine.
-    EXPECT_TRUE(jsonNumberField("{\"k\" \n : \t 5}", "k", v));
-    EXPECT_DOUBLE_EQ(v, 5.0);
-}
-
-TEST(JsonNumberField, DoesNotMatchKeySubstringsOrPrefixes)
-{
-    double v = 0.0;
-    // "wall_ms" must not match inside "wall_ms_best" (quoted needle),
-    // and a longer key must not satisfy a shorter lookup.
-    EXPECT_FALSE(jsonNumberField("{\"wall_ms_best\":9}", "wall_ms", v));
-    EXPECT_TRUE(jsonNumberField(
-        "{\"wall_ms_best\":9,\"wall_ms\":4}", "wall_ms", v));
-    EXPECT_DOUBLE_EQ(v, 4.0);
-}
-
-TEST(JsonNumberField, ReadsRealPerfReportShape)
-{
-    // Shape-faithful miniature of bench/perf_baseline.json, including
-    // the "bench":"perf_smoke" string that precedes every numeric key.
-    const std::string report =
-        "{\"schema\":\"BENCH_perf/v1\",\"bench\":\"perf_smoke\","
-        "\"wall_ms\":2383.7,\"wall_ms_best\":2282.2,"
-        "\"sim_completion_cycles_total\":163100589}";
-    double v = 0.0;
-    ASSERT_TRUE(jsonNumberField(report, "wall_ms_best", v));
-    EXPECT_DOUBLE_EQ(v, 2282.2);
-    ASSERT_TRUE(jsonNumberField(report, "sim_completion_cycles_total", v));
-    EXPECT_DOUBLE_EQ(v, 163100589.0);
-    ASSERT_TRUE(jsonNumberField(report, "wall_ms", v));
-    EXPECT_DOUBLE_EQ(v, 2383.7);
 }
 
 // ---- parseShardSpec -------------------------------------------------------

@@ -290,40 +290,6 @@ TEST_F(ServeTest, UnderloadedLadderWalksToTheRungBound)
     EXPECT_GT(r.steps[1].goodputPerSec, r.steps[0].goodputPerSec);
 }
 
-TEST_F(ServeTest, PerArchCalibrationMovesOnlyTheSlowerArchsOrigin)
-{
-    // Pinned (default) calibration serves the probe sessions on the
-    // INSECURE machine for every architecture; per-arch serves them on
-    // the architecture under test. MI6 pays purge overheads the
-    // insecure machine does not, so its unloaded service time is
-    // longer and its per-arch origin strictly lower — while the
-    // INSECURE ladder must be unchanged (both modes calibrate it on
-    // the same machine).
-    LoadLadderOptions opts;
-    opts.maxSteps = 1;
-    opts.serve.sessions = 4;
-    const SysConfig cfg = SysConfig::smallTest();
-    const std::vector<AppSpec> apps = tinyApps();
-
-    LoadLadderOptions per_arch = opts;
-    per_arch.perArchCalib = true;
-
-    const LoadLadderResult ins_pinned =
-        runLoadLadder(ArchKind::INSECURE, cfg, apps, opts);
-    const LoadLadderResult ins_per =
-        runLoadLadder(ArchKind::INSECURE, cfg, apps, per_arch);
-    EXPECT_EQ(serializeLadder(ins_pinned), serializeLadder(ins_per));
-
-    const LoadLadderResult mi6_pinned =
-        runLoadLadder(ArchKind::MI6, cfg, apps, opts);
-    const LoadLadderResult mi6_per =
-        runLoadLadder(ArchKind::MI6, cfg, apps, per_arch);
-    ASSERT_EQ(mi6_pinned.steps.size(), 1u);
-    ASSERT_EQ(mi6_per.steps.size(), 1u);
-    EXPECT_LT(mi6_per.steps[0].offeredPerSec,
-              mi6_pinned.steps[0].offeredPerSec);
-}
-
 TEST_F(ServeTest, LadderIsByteIdenticalUnderHostParallelismKnobs)
 {
     LoadLadderOptions opts;
