@@ -15,7 +15,7 @@ ExecContext::ExecContext(ExecEngine &engine, Process &proc,
 {
 }
 
-void
+AccessResult
 ExecContext::accessShared(AddressSpace &space, VAddr va, MemOp op)
 {
     // IPC traffic crosses clusters by design; give it machine scope so
@@ -26,6 +26,7 @@ ExecContext::accessShared(AddressSpace &space, VAddr va, MemOp op)
     now_ = r.finish;
     ++instructions_;
     engine_->statIpcAccesses_.inc();
+    return r;
 }
 
 void

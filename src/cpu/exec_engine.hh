@@ -53,10 +53,10 @@ class ExecContext
      * with whole-machine scope: it is the one packet class allowed to
      * cross the cluster boundary.
      */
-    void accessShared(AddressSpace &space, VAddr va, MemOp op);
+    AccessResult accessShared(AddressSpace &space, VAddr va, MemOp op);
 
     /** Access this process's space (op selectable). */
-    void access(AddressSpace &space, VAddr va, MemOp op);
+    AccessResult access(AddressSpace &space, VAddr va, MemOp op);
 
     /** Charge @p n non-memory instructions (1 IPC). */
     void compute(std::uint64_t n);
@@ -156,13 +156,14 @@ class ExecEngine
 // L1-hit fast path is itself header-inline — defining this here (after
 // ExecEngine is complete) lets the common hit case run without a single
 // out-of-line call.
-inline void
+inline AccessResult
 ExecContext::access(AddressSpace &space, VAddr va, MemOp op)
 {
     const AccessResult r = engine_->mem_.access(core_, space, va, op, now_,
                                                 proc_->cluster());
     now_ = r.finish;
     ++instructions_;
+    return r;
 }
 
 } // namespace ih

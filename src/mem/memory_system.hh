@@ -337,9 +337,9 @@ class MemorySystem
      * pages, so most calls would repeat the exact map operation a recent
      * call already performed (idempotent either way: same-key
      * try_emplace for local homing, same-key erase for hash homing).
-     * Physical pages are never shared between address spaces, so a
-     * repeat of the same (mode, ppage, home) triple cannot mask another
-     * space's update.
+     * Physical pages are never shared between address spaces, and a
+     * page always lands in the same slot, so a repeat of the same
+     * (mode, ppage, home) triple cannot mask another update.
      */
     void
     noteHome(const AddressSpace &space, const PageInfo &info)
@@ -353,13 +353,26 @@ class MemorySystem
             localHomeByPpage_.empty()) {
             return;
         }
-        NotedHome &slot =
-            noted_[(info.ppage >> pageShift_) & (NOTED_SLOTS - 1)];
+        NotedHome &slot = noted_[notedSlot(info.ppage)];
         if (info.ppage == slot.ppage && mode == slot.mode &&
             info.homeSlice == slot.home) {
             return;
         }
         noteHomeSlow(slot, mode, info);
+    }
+
+    /**
+     * noted_ slot of physical page @p ppage: its page number, with the
+     * DRAM region number in the top three index bits. A space's pages
+     * round-robin over its regions, so pages touched together often
+     * share an in-region ordinal and differ only in their region.
+     */
+    unsigned
+    notedSlot(Addr ppage) const
+    {
+        return static_cast<unsigned>(
+            ((ppage >> pageShift_) ^ (Addr(regionOf(ppage)) << 5)) &
+            (NOTED_SLOTS - 1));
     }
 
     /** The map-updating tail of noteHome() (new/changed page). */
@@ -400,7 +413,7 @@ class MemorySystem
         HomingMode mode = HomingMode::HASH_FOR_HOMING;
         CoreId home = 0;
     };
-    static constexpr unsigned NOTED_SLOTS = 32;
+    static constexpr unsigned NOTED_SLOTS = 256;
     std::array<NotedHome, NOTED_SLOTS> noted_;
     unsigned pageShift_ = 0; ///< log2(cfg.pageBytes)
     std::vector<CoreId> allSlices_;

@@ -134,12 +134,12 @@ class Tlb
     std::uint64_t misses() const { return stats_.value("misses"); }
     StatGroup &stats() { return stats_; }
 
-  private:
     /** Way-predictor slots (power of two). Workloads interleave a
      *  handful of arrays, so a single MRU entry thrashes; indexing the
      *  prediction by page-number bits keeps each stream's entry live. */
-    static constexpr unsigned PRED_SLOTS = 16;
+    static constexpr unsigned PRED_SLOTS = 64;
 
+  private:
     VAddr vpageOf(VAddr vaddr) const { return vaddr & ~pageMask_; }
 
     unsigned predSlot(VAddr vpage) const

@@ -1,7 +1,6 @@
 #include "workloads/convnet.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.hh"
 
@@ -143,8 +142,8 @@ ConvNetWorkload::setup(Process &proc, IpcBuffer &ipc)
                                       layers_[i].outW() * layers_[i].outH()});
     }
 
-    act_[0].init(proc, max_elems, 0.0f);
-    act_[1].init(proc, max_elems, 0.0f);
+    act_[0].init(proc, max_elems);
+    act_[1].init(proc, max_elems);
 
     std::size_t total_w = 0;
     for (const auto &l : layers_) {
@@ -152,10 +151,6 @@ ConvNetWorkload::setup(Process &proc, IpcBuffer &ipc)
         total_w += l.weightCount();
     }
     weights_.init(proc, std::max<std::size_t>(1, total_w));
-    Rng wrng(0xCAFE + weights_.size());
-    for (std::size_t i = 0; i < weights_.size(); ++i)
-        weights_.host(i) =
-            static_cast<float>(wrng.nextDouble() - 0.5) * 0.25f;
 }
 
 void
@@ -186,10 +181,6 @@ ConvNetWorkload::step(ExecContext &ctx)
             const std::size_t b = static_cast<std::size_t>(c) * 256;
             const std::size_t cnt = std::min<std::size_t>(256, n - b);
             vision_.frame().scan(ctx, b, cnt, MemOp::LOAD);
-            const std::uint32_t *const fp = vision_.frame().hostData();
-            float *const ap = act_[0].hostData();
-            for (std::size_t i = b; i < b + cnt; ++i)
-                ap[i] = static_cast<float>(fp[i] & 0x3FF) / 1024.0f;
             act_[0].scan(ctx, b, cnt, MemOp::STORE);
             ctx.compute(cnt);
             if (ingestNext_ == chunks)
@@ -238,8 +229,8 @@ void
 ConvNetWorkload::processConvItem(ExecContext &ctx, const LayerSpec &l,
                                  unsigned row)
 {
-    SimArray<float> &in = act_[bufOfLayerInput_[curLayer_]];
-    SimArray<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
+    SimRegion<float> &in = act_[bufOfLayerInput_[curLayer_]];
+    SimRegion<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
     const unsigned k = l.kernel;
     const unsigned half = k / 2;
     const std::size_t in_row = static_cast<std::size_t>(l.inW) * l.inC;
@@ -254,60 +245,9 @@ ConvNetWorkload::processConvItem(ExecContext &ctx, const LayerSpec &l,
     }
     // Weights of all filters.
     weights_.scan(ctx, wOff_[curLayer_], l.weightCount(), MemOp::LOAD);
-
-    // Host-side math: direct convolution of this row. The loop nest is
-    // the reference dy -> dx -> ic accumulation order (bit-identical
-    // floating-point results); all index arithmetic that is invariant in
-    // the inner loops is hoisted, and the row/weight bases are carried as
-    // raw pointers instead of re-derived per element.
-    const unsigned out_w = l.outW();
-    const unsigned out_c = l.outC;
-    const unsigned in_c = l.inC;
-    const unsigned in_w = l.inW;
-    const unsigned kk = k * k;
-    const float *const in_p = in.hostData();
-    const float *const w_p = weights_.hostData() + wOff_[curLayer_];
-    // Valid input rows of this output row: dy in [dy_lo, dy_hi).
-    const unsigned dy_lo = row < half ? half - row : 0;
-    const unsigned dy_hi = std::min<unsigned>(k, l.inH + half - row);
-    float *const out_row_p =
-        out.hostData() +
-        (static_cast<std::size_t>(row) * out_w) * (out_c + l.outChanBase) +
-        l.outChanBase;
-    for (unsigned x = 0; x < out_w; ++x) {
-        // Valid kernel columns at x: dx in [dx_lo, dx_hi).
-        const unsigned dx_lo = x < half ? half - x : 0;
-        const unsigned dx_hi = std::min<unsigned>(k, in_w + half - x);
-        // Input element at (row - half + dy_lo, x - half + dx_lo).
-        const float *const in_base =
-            in_p + (static_cast<std::size_t>(row - half + dy_lo) * in_w +
-                    (x - half + dx_lo)) *
-                       in_c;
-        for (unsigned c = 0; c < out_c; ++c) {
-            const float *const w_c =
-                w_p + static_cast<std::size_t>(c) * in_c * kk;
-            float acc = 0.0f;
-            const float *in_row_p = in_base;
-            for (unsigned dy = dy_lo; dy < dy_hi; ++dy) {
-                const float *in_px = in_row_p;
-                const float *w_px = w_c + dy * k + dx_lo;
-                for (unsigned dx = dx_lo; dx < dx_hi; ++dx) {
-                    const float *wv = w_px;
-                    for (unsigned ic = 0; ic < in_c; ++ic) {
-                        acc += in_px[ic] * *wv;
-                        wv += kk;
-                    }
-                    in_px += in_c;
-                    ++w_px;
-                }
-                in_row_p += static_cast<std::size_t>(in_w) * in_c;
-            }
-            // ReLU.
-            out_row_p[static_cast<std::size_t>(x) * (out_c +
-                                                     l.outChanBase) +
-                      c] = std::max(0.0f, acc);
-        }
-    }
+    // Direct convolution of this row, then ReLU: one multiply-add per
+    // (output pixel, output channel, kernel tap, input channel), four
+    // per instruction.
     const std::size_t out_cnt =
         static_cast<std::size_t>(l.outW()) * l.outC;
     out.scan(ctx,
@@ -322,39 +262,17 @@ void
 ConvNetWorkload::processPoolItem(ExecContext &ctx, const LayerSpec &l,
                                  unsigned row)
 {
-    SimArray<float> &in = act_[bufOfLayerInput_[curLayer_]];
-    SimArray<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
+    SimRegion<float> &in = act_[bufOfLayerInput_[curLayer_]];
+    SimRegion<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
     const unsigned k = l.kernel;
     const std::size_t in_row = static_cast<std::size_t>(l.inW) * l.inC;
     for (unsigned dy = 0; dy < k; ++dy)
         in.scan(ctx, (static_cast<std::size_t>(row) * k + dy) * in_row,
                 in_row, MemOp::LOAD);
-    // Host-side max pooling with the window/row bases hoisted and carried
-    // as pointers (same dy -> dx visit order as the reference loop).
+    // Max pooling: one compare per (output pixel, channel, window tap),
+    // four per instruction.
     const unsigned out_w = l.outW();
     const unsigned out_c = l.outC;
-    const unsigned in_c = l.inC;
-    const float *const win_base =
-        in.hostData() + static_cast<std::size_t>(row) * k * in_row;
-    float *const out_row_p =
-        out.hostData() + static_cast<std::size_t>(row) * out_w * out_c;
-    for (unsigned x = 0; x < out_w; ++x) {
-        const float *const col_base =
-            win_base + static_cast<std::size_t>(x) * k * in_c;
-        for (unsigned c = 0; c < out_c; ++c) {
-            float m = -1e30f;
-            const float *rp = col_base + c;
-            for (unsigned dy = 0; dy < k; ++dy) {
-                const float *pp = rp;
-                for (unsigned dx = 0; dx < k; ++dx) {
-                    m = std::max(m, *pp);
-                    pp += in_c;
-                }
-                rp += in_row;
-            }
-            out_row_p[static_cast<std::size_t>(x) * out_c + c] = m;
-        }
-    }
     out.scan(ctx,
              static_cast<std::size_t>(row) * out_w * out_c,
              static_cast<std::size_t>(out_w) * out_c, MemOp::STORE);
@@ -365,8 +283,8 @@ void
 ConvNetWorkload::processFcItem(ExecContext &ctx, const LayerSpec &l,
                                unsigned group)
 {
-    SimArray<float> &in = act_[bufOfLayerInput_[curLayer_]];
-    SimArray<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
+    SimRegion<float> &in = act_[bufOfLayerInput_[curLayer_]];
+    SimRegion<float> &out = act_[bufOfLayerInput_[curLayer_ + 1]];
     const std::size_t n_in = l.inSize();
     const unsigned c0 = group * 8;
     const unsigned c1 = std::min(l.outC, c0 + 8);
@@ -375,27 +293,10 @@ ConvNetWorkload::processFcItem(ExecContext &ctx, const LayerSpec &l,
     weights_.scan(ctx, wOff_[curLayer_] + static_cast<std::size_t>(c0) *
                                               n_in,
                   static_cast<std::size_t>(c1 - c0) * n_in, MemOp::LOAD);
-    // Host-side dot products over raw pointers (same i order as the
-    // reference loop; the weight row base advances once per neuron).
-    const float *const in_p = in.hostData();
-    const float *w_row = weights_.hostData() + wOff_[curLayer_] +
-                         static_cast<std::size_t>(c0) * n_in;
-    float *const out_p = out.hostData();
-    for (unsigned c = c0; c < c1; ++c) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < n_in; ++i)
-            acc += in_p[i] * w_row[i];
-        out_p[c] = std::max(0.0f, acc);
-        w_row += n_in;
-    }
+    // Dot products of this group's neurons, then ReLU: one multiply-add
+    // per (neuron, input), four per instruction.
     out.scan(ctx, c0, c1 - c0, MemOp::STORE);
     ctx.compute(static_cast<std::uint64_t>(c1 - c0) * n_in / 4);
-}
-
-float
-ConvNetWorkload::outputOf(std::size_t i) const
-{
-    return act_[bufOfLayerInput_[layers_.size()]].host(i);
 }
 
 } // namespace ih

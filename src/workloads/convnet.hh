@@ -7,8 +7,14 @@
  *
  * Threads cooperate within each layer (output rows are claimed from a
  * shared cursor) and spin at layer boundaries — the barrier behaviour of
- * a real parallel inference runtime. Every tensor access goes through
- * SimArray at cache-line granularity.
+ * a real parallel inference runtime.
+ *
+ * No activation or weight value steers the simulation: every loop
+ * bound and address comes from the layer shapes. So the tensors are
+ * address-only SimRegions, scanned at cache-line granularity, and the
+ * conv/pool/FC arithmetic is modelled by its compute() charge (one
+ * instruction per four multiply-adds or compares) instead of being
+ * evaluated on the host.
  */
 
 #ifndef IH_WORKLOADS_CONVNET_HH
@@ -56,9 +62,6 @@ class ConvNetWorkload : public InteractiveWorkload
                     unsigned num_threads) override;
     bool step(ExecContext &ctx) override;
 
-    /** Output activations of the final layer (host-side). */
-    float outputOf(std::size_t i) const;
-
   private:
     void processConvItem(ExecContext &ctx, const LayerSpec &l,
                          unsigned row);
@@ -73,8 +76,8 @@ class ConvNetWorkload : public InteractiveWorkload
 
     VisionWorkload &vision_;
     std::vector<LayerSpec> layers_;
-    SimArray<float> act_[2];        ///< ping-pong activation buffers
-    SimArray<float> weights_;       ///< all layers, concatenated
+    SimRegion<float> act_[2];       ///< ping-pong activation buffers
+    SimRegion<float> weights_;      ///< all layers, concatenated
     std::vector<std::size_t> wOff_; ///< per-layer weight offset
     std::vector<unsigned> bufOfLayerInput_;
 

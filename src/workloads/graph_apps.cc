@@ -258,8 +258,8 @@ PageRankWorkload::setup(Process &proc, IpcBuffer &ipc)
 {
     GraphConsumerBase::setup(proc, ipc);
     const std::uint32_t v = gen_.staticGraph().numVertices();
-    rank_.init(proc, v, 1.0 / v);
-    nextRank_.init(proc, v, 0.0);
+    rank_.init(proc, v);
+    nextRank_.init(proc, v);
 }
 
 void
@@ -275,29 +275,14 @@ PageRankWorkload::algoBegin(std::uint64_t interaction,
         vCursor_[t] = r.begin;
         vEnd_[t] = r.end;
     }
-    swapped_ = false;
 }
 
 bool
 PageRankWorkload::algoStep(ExecContext &ctx)
 {
     const unsigned t = ctx.threadIndex();
-    if (vCursor_[t] >= vEnd_[t]) {
-        // Thread 0 swaps the rank vectors after everyone's range is done
-        // (barrier modelled by the phase join; swap is host-side).
-        if (t == 0 && !swapped_) {
-            const std::size_t n = rank_.size();
-            const double teleport = 0.15 / static_cast<double>(n);
-            double *const rank_p = rank_.hostData();
-            double *const next_p = nextRank_.hostData();
-            for (std::size_t i = 0; i < n; ++i) {
-                rank_p[i] = teleport + 0.85 * next_p[i];
-                next_p[i] = 0.0;
-            }
-            swapped_ = true;
-        }
+    if (vCursor_[t] >= vEnd_[t])
         return false;
-    }
 
     const std::size_t batch = std::min<std::size_t>(8, vEnd_[t] -
                                                            vCursor_[t]);
@@ -305,14 +290,11 @@ PageRankWorkload::algoStep(ExecContext &ctx)
         const auto u = static_cast<std::uint32_t>(vCursor_[t]++);
         const std::uint32_t beg = rowOff_.read(ctx, u);
         const std::uint32_t end = rowOff_.read(ctx, u + 1);
-        const double ru = rank_.read(ctx, u);
-        const unsigned deg = end - beg;
-        if (deg == 0)
-            continue;
-        const double share = ru / deg;
+        rank_.load(ctx, u);
+        // Push rank(u) / deg(u) to every out-neighbour.
         for (std::uint32_t e = beg; e < end; ++e) {
             const std::uint32_t v = col_.read(ctx, e);
-            nextRank_.update(ctx, v, [&](double &x) { x += share; });
+            nextRank_.update(ctx, v);
             ctx.compute(3);
         }
     }

@@ -133,19 +133,18 @@ class PageRankWorkload : public GraphConsumerBase
 
     void setup(Process &proc, IpcBuffer &ipc) override;
 
-    double rankOf(std::uint32_t v) const { return rank_.host(v); }
-
   protected:
     void algoBegin(std::uint64_t interaction, unsigned num_threads)
         override;
     bool algoStep(ExecContext &ctx) override;
 
   private:
-    SimArray<double> rank_;
-    SimArray<double> nextRank_;
+    // No rank value steers the simulation (the edge walk's bounds come
+    // from rowOff_), so the rank vectors are address-only.
+    SimRegion<double> rank_;
+    SimRegion<double> nextRank_;
     std::vector<std::size_t> vCursor_;
     std::vector<std::size_t> vEnd_;
-    bool swapped_ = false;
 };
 
 /** Triangle counting over a rotating vertex window (sync-heavy). */

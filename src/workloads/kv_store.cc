@@ -27,14 +27,13 @@ KvStoreWorkload::setup(Process &proc, IpcBuffer &ipc)
 {
     (void)ipc;
     slots_.init(proc, capacity_, 0);
-    values_.init(proc, capacity_ * 8, 0); // 64 B per value
+    values_.init(proc, capacity_ * 8); // 64 B per value
     // Pre-populate half the key space (steady-state cache).
     for (std::uint64_t k = 1; k <= os_.params().keySpace / 2; ++k) {
         std::size_t i = hashKey(k) & (capacity_ - 1);
         while (slots_.host(i) != 0)
             i = (i + 1) & (capacity_ - 1);
         slots_.host(i) = k;
-        values_.host(i * 8) = k * 3;
     }
 }
 
@@ -86,8 +85,6 @@ KvStoreWorkload::step(ExecContext &ctx)
         // SET (or insert-on-miss): write the 64-byte value.
         slots_.write(ctx, i, key);
         values_.scan(ctx, i * 8, 8, MemOp::STORE);
-        for (unsigned w = 0; w < 8; ++w)
-            values_.host(i * 8 + w) = key + w;
         ctx.compute(40);
     } else {
         values_.scan(ctx, i * 8, 8, MemOp::LOAD);

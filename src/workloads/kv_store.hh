@@ -40,7 +40,7 @@ class KvStoreWorkload : public InteractiveWorkload
     OsServiceWorkload &os_;
     std::size_t capacity_;
     SimArray<std::uint64_t> slots_;   ///< key per slot (0 = empty)
-    SimArray<std::uint64_t> values_;  ///< 64-byte values (8 words each)
+    SimRegion<std::uint64_t> values_; ///< 64-byte values (8 words each)
     std::vector<std::size_t> cursor_;
     std::vector<std::size_t> limit_;
 };

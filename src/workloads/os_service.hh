@@ -75,7 +75,7 @@ class OsServiceWorkload : public InteractiveWorkload
   private:
     OsAppParams p_;
     ZipfSampler zipf_;
-    SimArray<std::uint64_t> kernelState_; ///< fd table / page cache tags
+    SimRegion<std::uint64_t> kernelState_; ///< fd table / page cache tags
     SimArray<ClientRequest> requests_;    ///< IPC: OS -> server
     SimArray<SyscallRecord> syscalls_;    ///< IPC: server -> OS
     SimArray<std::uint64_t> sysRets_;     ///< IPC: OS -> server

@@ -48,7 +48,7 @@ class WebServerWorkload : public InteractiveWorkload
     OsServiceWorkload &os_;
     WebParams p_;
     SimArray<std::uint64_t> metadata_;   ///< per-page (size, checksum)
-    SimArray<std::uint8_t> docs_;        ///< page bodies
+    SimRegion<std::uint8_t> docs_;       ///< page bodies
     std::vector<std::size_t> cursor_;
     std::vector<std::size_t> limit_;
 };

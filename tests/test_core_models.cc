@@ -3,11 +3,14 @@
  * Tests of the security-architecture layer: audit log, secure kernel
  * attestation, the enclave entry/exit protocol, purge engine, region
  * ownership, the four architecture models' partitioning decisions,
- * IRONHIDE's dynamic reconfiguration (and its leakage bound), and the
- * re-allocation predictor.
+ * IRONHIDE's dynamic reconfiguration (and its leakage bound), the
+ * re-allocation predictor, and the exact relations between architectures.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "core/access_check.hh"
 #include "core/insecure.hh"
@@ -15,6 +18,7 @@
 #include "core/mi6.hh"
 #include "core/realloc_predictor.hh"
 #include "core/sgx_like.hh"
+#include "workloads/interactive_app.hh"
 
 using namespace ih;
 
@@ -199,6 +203,77 @@ TEST(SgxModel, ConstantEntryExitCost)
     EXPECT_EQ(model.enclaveExit(*r.secure, c), 2 * c);
     EXPECT_EQ(model.transitionOverhead(), 2 * c);
     EXPECT_EQ(model.purgeOverhead(), 0u); // SGX never purges caches
+}
+
+namespace
+{
+
+/** What one app run under one architecture touched and retired. */
+struct ArchRun
+{
+    RunResult run;
+    std::map<std::string, std::uint64_t> access;
+    std::uint64_t insecureInstructions = 0;
+    std::uint64_t secureInstructions = 0;
+};
+
+/** Run @p spec alone on a fresh small machine under @p Model. */
+template <typename Model>
+ArchRun
+runUnder(const AppSpec &spec)
+{
+    System sys{SysConfig::smallTest()};
+    Model model{sys};
+    InteractiveApp app(sys, model, spec);
+    ArchRun out;
+    out.run = app.run(RunOptions{.warmup = 2});
+    // Counts of what the accesses did in the L1s, L2s, TLBs and
+    // directory. Time-dependent counters (link stalls, controller
+    // queue waits) are left out: a shift in time may move them.
+    for (const char *name :
+         {"accesses", "tlb_misses", "blocked_accesses", "l1_accesses",
+          "l1_misses", "l2_accesses", "l2_misses", "upgrades",
+          "invalidations_sent", "dirty_forwards", "l1_writebacks",
+          "l2_evictions", "back_invalidations"}) {
+        out.access[name] = sys.mem().stats().value(name);
+    }
+    out.insecureInstructions =
+        app.insecureProc().stats().value("instructions");
+    out.secureInstructions = app.secureProc().stats().value("instructions");
+    return out;
+}
+
+} // namespace
+
+TEST(CrossArch, SgxIsTheBaselinePlusItsTransitionCost)
+{
+    // SGX-like is the insecure baseline plus a fixed cost per enclave
+    // transition: it partitions, purges and re-homes nothing. So on
+    // every app the two make the same cache, TLB and directory events
+    // and retire the same instructions, and SGX's timed region is longer
+    // by at least 0 and at most its transition cycles (some of them
+    // overlap the producer's run-ahead).
+    for (const AppSpec &orig : standardApps(0.05)) {
+        AppSpec spec = orig;
+        spec.interactions = 6;
+        spec.insecureThreads = 4;
+        spec.secureThreads = 4;
+        const ArchRun base = runUnder<InsecureBaseline>(spec);
+        const ArchRun sgx = runUnder<SgxLike>(spec);
+        EXPECT_EQ(base.access, sgx.access) << spec.name;
+        EXPECT_EQ(base.run.instructions, sgx.run.instructions) << spec.name;
+        EXPECT_EQ(base.insecureInstructions, sgx.insecureInstructions)
+            << spec.name;
+        EXPECT_EQ(base.secureInstructions, sgx.secureInstructions)
+            << spec.name;
+        EXPECT_EQ(base.run.transitions, sgx.run.transitions) << spec.name;
+        EXPECT_EQ(base.run.transitionCycles, 0u) << spec.name;
+        EXPECT_GT(sgx.run.transitionCycles, 0u) << spec.name;
+        ASSERT_GE(sgx.run.completion, base.run.completion) << spec.name;
+        EXPECT_LE(sgx.run.completion - base.run.completion,
+                  sgx.run.transitionCycles)
+            << spec.name;
+    }
 }
 
 TEST(Mi6Model, StaticDisjointPartitions)

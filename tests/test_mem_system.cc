@@ -314,6 +314,55 @@ TEST(MemorySystem, RehomeScrubsOldSlicesOnly)
     EXPECT_GT(r.mem.l2(0).validLines() + r.mem.l2(1).validLines(), 0u);
 }
 
+TEST(MemorySystem, HomeNoteSkipNeverHidesAHomeChange)
+{
+    // noteHome() skips a map update its slot says was already made.
+    // Drive the cases where a too-loose skip would leave the
+    // physical-page home map stale: pages that round-robin over all
+    // four DRAM regions with equal in-region ordinals (so they differ
+    // only in their region bits), accesses interleaved across them, a
+    // hash-mode access that erases a page's entry, and a re-homing.
+    Rig r;
+    ASSERT_EQ(r.cfg.numRegions, 4u);
+    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
+    const VAddr page = r.cfg.pageBytes;
+    Cycle t = 0;
+    unsigned n = 0;
+    const auto access = [&](unsigned pg, unsigned line) {
+        const VAddr va = pg * page + line * 64;
+        t = r.acc(n % 4, va, n % 3 ? MemOp::LOAD : MemOp::STORE, t).finish;
+        ++n;
+        const Addr pa =
+            r.space.translate(va)->ppage + (va & (page - 1));
+        EXPECT_EQ(r.mem.homeOfPhys(pa), r.space.homeOf(va))
+            << "access " << n << " page " << pg;
+    };
+    // Map 16 pages: page 4k + j is the k-th page of region j.
+    for (unsigned pg = 0; pg < 16; ++pg) {
+        access(pg, 0);
+        const Addr pp = r.space.translate(pg * page)->ppage;
+        ASSERT_EQ(regionOf(pp), pg % 4);
+        ASSERT_EQ(pp % REGION_BYTES, (pg / 4) * page);
+    }
+    const auto interleave = [&] {
+        for (unsigned round = 0; round < 3; ++round)
+            for (unsigned k = 0; k < 4; ++k)
+                for (unsigned j = 0; j < 4; ++j)
+                    access(4 * k + j, round * 5 + j);
+    };
+    interleave();
+    // A hash-mode access erases page 5's entry; the next local-mode
+    // access to it must put the entry back.
+    r.space.setHomingMode(HomingMode::HASH_FOR_HOMING);
+    access(5, 7);
+    access(1, 7);
+    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
+    interleave();
+    // Re-homing moves most pages; every next access must see the move.
+    EXPECT_GT(r.mem.rehomePages(r.space, {0, 1}), 0u);
+    interleave();
+}
+
 TEST(MemorySystem, L1EvictionWritesBackDirtyLine)
 {
     Rig r;

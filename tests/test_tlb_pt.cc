@@ -459,9 +459,12 @@ TEST(Tlb, StalePredictionFallsBackToSetScanHit)
     // ways): after the second insert retargets the shared slot, looking
     // the first page up again must still *hit* via the set scan, with
     // exactly one hit counted — predictor misses are not TLB misses.
-    Tlb tlb("t", 32, 4096, 2); // 16 sets, predictor has 16 slots
+    Tlb tlb("t", 32, 4096, 2); // 16 sets
     tlb.insert(0x0000, 0xA000, 1, Domain::SECURE);
-    tlb.insert(0x1000 * 16, 0xB000, 1, Domain::SECURE); // same slot, set 0
+    // PRED_SLOTS pages apart: the same predictor slot, and the same
+    // set 0.
+    static_assert(Tlb::PRED_SLOTS % 16 == 0);
+    tlb.insert(0x1000 * Tlb::PRED_SLOTS, 0xB000, 1, Domain::SECURE);
     const std::uint64_t hits_before = tlb.hits();
     TlbEntry *e = tlb.lookup(0x0000, 1);
     ASSERT_NE(e, nullptr);
