@@ -69,48 +69,40 @@ main(int argc, char **argv)
                 "leakage events,\nand sensitivity to the page re-homing "
                 "cost.");
 
-    const SweepOutcome out =
-        runBenchSweep(argc, argv, "abl_reconfig", jobs);
+    const std::vector<ExperimentResult> results =
+        runBenchSweep(argc, argv, jobs);
 
-    // Position-indexed tables only make sense over the full surviving
-    // grid; a sharded or degraded run already reported its cells above.
-    if (out.complete() && !out.sharded()) {
-        const std::vector<ExperimentResult> &results = out.results;
-        Table table({"application", "policy", "completion(ms)",
-                     "reconfig events", "one-time ovh(ms)"});
-        for (std::size_t i = 0; i < grid_jobs; ++i) {
-            const auto &[label, policy] = policies[i % policies.size()];
-            const ExperimentResult &r = results[i];
-            table.addRow({r.app, label,
-                          Table::num(r.run.completionMs(), 3),
-                          policy == SplitPolicy::STATIC_HALF ? "0" : "1",
-                          Table::num(cyclesToMs(r.run.reconfigCycles),
-                                     3)});
-            if (i % policies.size() == policies.size() - 1)
-                table.addSeparator();
-        }
-        table.print();
-
-        // Sensitivity: how expensive could page migration get before
-        // the one-time event mattered?
-        Table sens({"rehome cost (cycles/page)", "completion(ms)",
-                    "one-time ovh(ms)", "ovh share"});
-        for (std::size_t i = 0; i < mults.size(); ++i) {
-            const SweepJob &job = jobs[grid_jobs + i];
-            const ExperimentResult &r = results[grid_jobs + i];
-            sens.addRow(
-                {strprintf("%llu",
-                           (unsigned long long)job.cfg.rehomePerPage),
-                 Table::num(r.run.completionMs(), 3),
-                 Table::num(cyclesToMs(r.run.reconfigCycles), 3),
-                 Table::pct(cyclesToMs(r.run.reconfigCycles) /
-                            r.run.completionMs())});
-        }
-        std::printf("\nRe-homing cost sensitivity (%s):\n",
-                    sens_app.name.c_str());
-        sens.print();
+    Table table({"application", "policy", "completion(ms)",
+                 "reconfig events", "one-time ovh(ms)"});
+    for (std::size_t i = 0; i < grid_jobs; ++i) {
+        const auto &[label, policy] = policies[i % policies.size()];
+        const ExperimentResult &r = results[i];
+        table.addRow({r.app, label, Table::num(r.run.completionMs(), 3),
+                      policy == SplitPolicy::STATIC_HALF ? "0" : "1",
+                      Table::num(cyclesToMs(r.run.reconfigCycles), 3)});
+        if (i % policies.size() == policies.size() - 1)
+            table.addSeparator();
     }
+    table.print();
 
-    maybeWriteJsonReport(argc, argv, "abl_reconfig", jobs, out);
-    return out.exitCode();
+    // Sensitivity: how expensive could page migration get before the
+    // one-time event mattered?
+    Table sens({"rehome cost (cycles/page)", "completion(ms)",
+                "one-time ovh(ms)", "ovh share"});
+    for (std::size_t i = 0; i < mults.size(); ++i) {
+        const SweepJob &job = jobs[grid_jobs + i];
+        const ExperimentResult &r = results[grid_jobs + i];
+        sens.addRow(
+            {strprintf("%llu", (unsigned long long)job.cfg.rehomePerPage),
+             Table::num(r.run.completionMs(), 3),
+             Table::num(cyclesToMs(r.run.reconfigCycles), 3),
+             Table::pct(cyclesToMs(r.run.reconfigCycles) /
+                        r.run.completionMs())});
+    }
+    std::printf("\nRe-homing cost sensitivity (%s):\n",
+                sens_app.name.c_str());
+    sens.print();
+
+    maybeWriteJsonReport(argc, argv, "abl_reconfig", jobs, results);
+    return 0;
 }

@@ -8,9 +8,8 @@
  * better than SGX, ~2.1x better than MI6).
  *
  * The (app x arch) grid fans out over IRONHIDE_THREADS sweep workers
- * like every figure bench, with the standard
- * fault-tolerance flags (IRONHIDE_SHARD, --isolate, --journal,
- * --merge) and `--json <path>` writing the "sweep/v2" report.
+ * like every figure bench, and `--json <path>` writes the "sweep/v2"
+ * report.
  */
 
 #include <vector>
@@ -42,15 +41,8 @@ main(int argc, char **argv)
                 "architectures\n(insecure baseline = 1.0). Paper: SGX "
                 "~1.33x, MI6 ~2.25x, IRONHIDE lowest.");
 
-    const SweepOutcome out =
-        runBenchSweep(argc, argv, "fig1a_overview", jobs);
-    if (!out.complete() || out.sharded()) {
-        // The per-app normalization below needs every cell; a partial
-        // run already reported its cells above.
-        maybeWriteJsonReport(argc, argv, "fig1a_overview", jobs, out);
-        return out.exitCode();
-    }
-    const std::vector<ExperimentResult> &results = out.results;
+    const std::vector<ExperimentResult> results =
+        runBenchSweep(argc, argv, jobs);
 
     constexpr std::size_t kArchs = 4;
     std::vector<std::vector<double>> normalized(kArchs);
@@ -71,6 +63,6 @@ main(int argc, char **argv)
                   "lowest of the secure designs"});
     table.print();
 
-    maybeWriteJsonReport(argc, argv, "fig1a_overview", jobs, out);
-    return out.exitCode();
+    maybeWriteJsonReport(argc, argv, "fig1a_overview", jobs, results);
+    return 0;
 }

@@ -11,9 +11,8 @@
  *
  * The irregular (app x {MI6, 8 IRONHIDE configs}) grid is built as an
  * explicit job vector and fans out over IRONHIDE_THREADS sweep
- * workers like every figure bench, with the standard
- * fault-tolerance flags (IRONHIDE_SHARD, --isolate, --journal,
- * --merge) and `--json <path>` writing the "sweep/v2" report.
+ * workers like every figure bench, and `--json <path>` writes the
+ * "sweep/v2" report.
  */
 
 #include <vector>
@@ -77,15 +76,8 @@ main(int argc, char **argv)
                 "Optimal ~2.3x, Heuristic ~2.1x\nbetter than MI6; "
                 "Heuristic within the +/-5% variations.");
 
-    const SweepOutcome out =
-        runBenchSweep(argc, argv, "fig8_heuristic", jobs);
-    if (!out.complete() || out.sharded()) {
-        // The per-app MI6 normalization below needs every cell; a
-        // partial run already reported its cells above.
-        maybeWriteJsonReport(argc, argv, "fig8_heuristic", jobs, out);
-        return out.exitCode();
-    }
-    const std::vector<ExperimentResult> &results = out.results;
+    const std::vector<ExperimentResult> results =
+        runBenchSweep(argc, argv, jobs);
 
     Table table({"configuration", "normalized completion (MI6=100)",
                  "speedup vs MI6"});
@@ -106,6 +98,6 @@ main(int argc, char **argv)
     }
     table.print();
 
-    maybeWriteJsonReport(argc, argv, "fig8_heuristic", jobs, out);
-    return out.exitCode();
+    maybeWriteJsonReport(argc, argv, "fig8_heuristic", jobs, results);
+    return 0;
 }

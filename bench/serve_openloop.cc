@@ -14,12 +14,8 @@
  * crushes its saturation point, and IRONHIDE serves near the insecure
  * machine's knee while still purging between distrusting apps.
  *
- * One job = one architecture's whole ladder, run through the generic
- * fault-tolerance layer: IRONHIDE_SHARD skips ladders other shards
- * own, --journal resumes completed ladders across crashes, --merge
- * rebuilds the whole report from the shard journals, --isolate
- * forks each ladder into a supervised child (IRONHIDE_JOB_TIMEOUT_MS /
- * IRONHIDE_JOB_RETRIES apply). `--json <path>` writes the
+ * One job = one architecture's whole ladder; the four ladders fan out
+ * over IRONHIDE_THREADS sweep workers. `--json <path>` writes the
  * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS /
  * IRONHIDE_DOMAINS setting (CI diffs 1 vs 4).
  *
@@ -38,6 +34,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/serve.hh"
 #include "harness/sweep.hh"
@@ -64,15 +61,13 @@ ladderOptions()
 }
 
 std::string
-serveToJson(const PayloadOutcome &out)
+serveToJson(const std::vector<LoadLadderResult> &ladders)
 {
     const auto identify = [](JsonWriter &w, std::size_t i) {
         w.key("arch").value(archName(kArchs[i]));
     };
-    const auto body = [&out](JsonWriter &w, std::size_t i) {
-        LoadLadderResult ladder;
-        const bool ok = deserializeLadder(out.payloads[i], ladder);
-        IH_ASSERT(ok, "validated ladder payload failed to decode");
+    const auto body = [&ladders](JsonWriter &w, std::size_t i) {
+        const LoadLadderResult &ladder = ladders[i];
         w.key("stop_reason").value(ladder.stopReason);
         w.key("steps").beginArray();
         for (const ServeCellResult &s : ladder.steps) {
@@ -97,8 +92,8 @@ serveToJson(const PayloadOutcome &out)
         }
         w.endArray();
     };
-    return sweepReportJson("BENCH_serve/v1", "serve_openloop", out,
-                           identify, body);
+    return sweepReportJson("BENCH_serve/v1", "serve_openloop",
+                           ladders.size(), identify, body);
 }
 
 } // namespace
@@ -106,6 +101,7 @@ serveToJson(const PayloadOutcome &out)
 int
 main(int argc, char **argv)
 {
+    const char *json_path = jsonReportPath(argc, argv);
     const SysConfig cfg = benchConfig();
     std::vector<AppSpec> apps = standardApps(benchScale());
     if (const unsigned long n = knobCount(Knob::SERVE_APPS); n > 0)
@@ -121,9 +117,9 @@ main(int argc, char **argv)
 
     // One job per architecture. The IRONHIDE ladder binds each app's
     // preferred split once (the paper's heuristic) and rebinds the
-    // cluster per arriving session; recomputing inside the job keeps
-    // it self-contained under --isolate and resume.
-    const auto runJob = [&](std::size_t i) {
+    // cluster per arriving session.
+    std::vector<LoadLadderResult> ladders(kNumArchs);
+    const auto runLadder = [&](std::size_t i) {
         LoadLadderOptions lopts = base;
         if (kArchs[i] == ArchKind::IRONHIDE) {
             for (const AppSpec &app : apps)
@@ -132,34 +128,13 @@ main(int argc, char **argv)
                                 effectiveDomains(cfg))
                         .secureCores);
         }
-        return serializeLadder(
-            runLoadLadder(kArchs[i], cfg, apps, lopts));
+        ladders[i] = runLoadLadder(kArchs[i], cfg, apps, lopts);
     };
-    const auto validate = [](const std::string &payload) {
-        LoadLadderResult r;
-        return deserializeLadder(payload, r);
-    };
-    const auto perturb = [](const std::string &payload) {
-        LoadLadderResult r;
-        const bool ok = deserializeLadder(payload, r);
-        IH_ASSERT(ok, "NONDET perturbation of an undecodable payload");
-        if (!r.steps.empty())
-            r.steps[0].transitions += 1;
-        return serializeLadder(r);
-    };
-
-    const PayloadOutcome out = runBenchPayloadSweep(
-        argc, argv, "serve_openloop", kNumArchs, runJob, validate, perturb,
-        [](std::size_t i) { return std::string(archName(kArchs[i])); });
+    parallelForIndex(kNumArchs, knobWorkers(Knob::THREADS), runLadder);
 
     Table table({"arch", "offered/s", "goodput/s", "p50(us)", "p99(us)",
                  "p999(us)", "maxq", "reconfigs", "purges", "stop"});
-    for (std::size_t i = 0; i < kNumArchs; ++i) {
-        if (!out.cells[i].ok())
-            continue;
-        LoadLadderResult ladder;
-        const bool ok = deserializeLadder(out.payloads[i], ladder);
-        IH_ASSERT(ok, "validated ladder payload failed to decode");
+    for (const LoadLadderResult &ladder : ladders) {
         for (std::size_t s = 0; s < ladder.steps.size(); ++s) {
             const ServeCellResult &c = ladder.steps[s];
             const bool last = s + 1 == ladder.steps.size();
@@ -178,9 +153,9 @@ main(int argc, char **argv)
     }
     table.print();
 
-    if (const char *path = jsonReportPath(argc, argv)) {
-        writeTextFile(path, serveToJson(out) + "\n");
-        std::printf("wrote JSON report: %s\n", path);
+    if (json_path) {
+        writeTextFile(json_path, serveToJson(ladders) + "\n");
+        std::printf("wrote JSON report: %s\n", json_path);
     }
-    return out.exitCode();
+    return 0;
 }

@@ -20,16 +20,15 @@ corpus) and flags:
   wall-clock
       Host-time and host-entropy sources (steady_clock, system_clock,
       high_resolution_clock, gettimeofday, clock_gettime, time(),
-      clock(), rand(), srand(), random_device) outside the
-      harness/isolate supervisor, which legitimately measures host wall
-      time to enforce job timeouts.  Simulated results must be a pure
-      function of (config, seed); benches that *report* host wall time
-      as their quantity of interest are allowlisted per site.
+      clock(), rand(), srand(), random_device) anywhere.  Simulated
+      results must be a pure function of (config, seed); benches that
+      *report* host wall time as their quantity of interest are
+      allowlisted per site.
 
   raw-parse
       atof/atoi/strtod/strtol/sscanf/stoi-family calls outside
       src/harness/report.cc, where the strict parsers live (knobCount,
-      parsePositiveDouble, parseShardSpec, ...).  Lenient parsing
+      parsePositiveDouble).  Lenient parsing
       accepted "0.15abc" and "inf" and silently disabled a CI gate once
       (PR 5); new parsing must go through the strict helpers or be a
       strict end-checked codec with tests, recorded in the allowlist.
@@ -292,18 +291,13 @@ def rule_unordered_iteration(files_lines):
 def rule_wall_clock(files_lines):
     findings = []
     for path, lines in sorted(files_lines.items()):
-        if path.startswith("src/harness/isolate."):
-            # The --isolate supervisor is *about* host time: wall
-            # timeouts on forked jobs. The one sanctioned consumer.
-            continue
         for ln, line in enumerate(lines[1], 1):
             m = WALL_CLOCK_RE.search(line)
             if m:
                 findings.append(Finding(
                     "wall-clock", path, ln, line,
-                    "host time/entropy source '%s' outside the "
-                    "harness/isolate supervisor: simulated results must "
-                    "be a pure function of (config, seed)"
+                    "host time/entropy source '%s': simulated results "
+                    "must be a pure function of (config, seed)"
                     % m.group(0).strip()))
     return findings
 

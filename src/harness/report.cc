@@ -1,12 +1,10 @@
 #include "harness/report.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <thread>
 
@@ -257,40 +255,6 @@ parsePositiveDouble(const char *name, const char *value, double fallback)
     return v;
 }
 
-bool
-parseShardSpec(const char *name, const char *value,
-               unsigned long max_count, unsigned long &index,
-               unsigned long &count)
-{
-    if (!value || !*value)
-        return false;
-    // Both halves follow the count-knob rules (complete decimal, no
-    // sign, no trailing garbage), with the shard-specific shape and
-    // range constraints on top: exactly one '/', count in
-    // [1, max_count], index < count. A typo here must never silently
-    // run the wrong slice of a grid.
-    const char *slash = std::strchr(value, '/');
-    // Both halves must *start* with a digit: strtoul alone would also
-    // take leading whitespace and '+'/'-' signs.
-    if (slash && slash != value && *(slash + 1) != '\0' &&
-        std::isdigit(static_cast<unsigned char>(value[0])) &&
-        std::isdigit(static_cast<unsigned char>(*(slash + 1)))) {
-        char *end = nullptr;
-        const unsigned long i = std::strtoul(value, &end, 10);
-        if (end == slash) {
-            const unsigned long n = std::strtoul(slash + 1, &end, 10);
-            if (*end == '\0' && n >= 1 && n <= max_count && i < n) {
-                index = i;
-                count = n;
-                return true;
-            }
-        }
-    }
-    warn("ignoring invalid %s='%s' (want \"<i>/<N>\" with i < N)", name,
-         value);
-    return false;
-}
-
 namespace
 {
 
@@ -308,9 +272,6 @@ constexpr KnobRow kKnobs[] = {
     {"IRONHIDE_SCALE", 0, 0, 1.0},
     {"IRONHIDE_THREADS", 0, 4096, 0},
     {"IRONHIDE_DOMAINS", 0, 256, 1},
-    {"IRONHIDE_SHARD", 0, 0, 0},
-    {"IRONHIDE_JOB_TIMEOUT_MS", 0, 86400000, 0},
-    {"IRONHIDE_JOB_RETRIES", 0, 16, 1},
     {"IRONHIDE_ATTACK_TRIALS", 0, 4096, 24},
     {"IRONHIDE_MAX_LOAD_STEPS", 0, 64, 6},
     {"IRONHIDE_SERVE_SESSIONS", 1, 1000000, 48},
@@ -318,7 +279,6 @@ constexpr KnobRow kKnobs[] = {
     {"IRONHIDE_SERVE_SEED", 0, 0xFFFFFFFF, 0xC0FFEE},
     {"IRONHIDE_SERVE_LAMBDA0", 0, 0, 0.0},
     {"IRONHIDE_MICRO_MS", 0, 0, 20.0},
-    {"IH_FAULT_INJECT", 0, 0, 0},
     {"IH_DUMP_GOLDEN", 0, 0, 0},
 };
 static_assert(std::size(kKnobs) ==
@@ -379,54 +339,6 @@ knobText(Knob k)
 {
     const char *value = envValue(k);
     return value && *value ? value : nullptr;
-}
-
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-std::string
-fmtDouble(double v)
-{
-    return strprintf("%.17g", v); // round-trips through strtod exactly
 }
 
 namespace
@@ -495,144 +407,6 @@ readTextFile(const std::string &path)
         fatal("read error on '%s'", path.c_str());
     std::fclose(f);
     return out;
-}
-
-namespace
-{
-
-bool
-isJsonWs(char c)
-{
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/**
- * Find the next *key position* of @p key at or after @p from: the
- * quoted key preceded (modulo whitespace) by '{' or ',' and followed
- * (modulo whitespace) by exactly one ':'. Returns the index of the
- * first value character (past the colon and whitespace), or npos. A
- * bare substring match would also hit the key's text inside a string
- * value (where it is preceded by ':' or '\\') or a same-named key in
- * another position — the journal loader must never pull the wrong
- * field out of a record.
- */
-std::size_t
-jsonKeyValuePos(const std::string &json, const std::string &key,
-                std::size_t from)
-{
-    const std::string needle = "\"" + key + "\"";
-    std::size_t pos = from;
-    while ((pos = json.find(needle, pos)) != std::string::npos) {
-        const std::size_t at = pos;
-        pos += 1; // resume the search inside this occurrence on reject
-        std::size_t before = at;
-        while (before > 0 && isJsonWs(json[before - 1]))
-            --before;
-        if (before == 0 ||
-            (json[before - 1] != '{' && json[before - 1] != ',')) {
-            continue;
-        }
-        std::size_t p = at + needle.size();
-        while (p < json.size() && isJsonWs(json[p]))
-            ++p;
-        if (p >= json.size() || json[p] != ':')
-            continue;
-        ++p; // exactly one colon
-        while (p < json.size() && isJsonWs(json[p]))
-            ++p;
-        if (p >= json.size() || json[p] == ':')
-            continue;
-        return p;
-    }
-    return std::string::npos;
-}
-
-} // namespace
-
-bool
-jsonUnsignedField(const std::string &json, const std::string &key,
-                  std::uint64_t &out)
-{
-    std::size_t p = 0;
-    while ((p = jsonKeyValuePos(json, key, p)) != std::string::npos) {
-        // Bare decimal digits only: signs, fractions, exponents and
-        // trailing junk are not integers, and strtoull's silent negative
-        // wrap must never fabricate a huge counter value.
-        if (!std::isdigit(static_cast<unsigned char>(json[p]))) {
-            ++p;
-            continue;
-        }
-        const char *start = json.c_str() + p;
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long v = std::strtoull(start, &end, 10);
-        if (end == start || errno == ERANGE ||
-            (*end != '\0' && *end != ',' && *end != '}' && *end != ']' &&
-             !isJsonWs(*end))) {
-            ++p;
-            continue;
-        }
-        out = v;
-        return true;
-    }
-    return false;
-}
-
-bool
-jsonStringField(const std::string &json, const std::string &key,
-                std::string &out)
-{
-    std::size_t p = 0;
-    while ((p = jsonKeyValuePos(json, key, p)) != std::string::npos) {
-        if (json[p] != '"') {
-            ++p;
-            continue;
-        }
-        // Unescape the exact inverse of JsonWriter::escape.
-        std::string v;
-        for (std::size_t i = p + 1; i < json.size(); ++i) {
-            const char c = json[i];
-            if (c == '"') {
-                out = std::move(v);
-                return true;
-            }
-            if (c != '\\') {
-                v += c;
-                continue;
-            }
-            if (++i >= json.size())
-                break; // unterminated escape: reject this occurrence
-            switch (json[i]) {
-              case '"':
-                v += '"';
-                break;
-              case '\\':
-                v += '\\';
-                break;
-              case 'n':
-                v += '\n';
-                break;
-              case 't':
-                v += '\t';
-                break;
-              case 'r':
-                v += '\r';
-                break;
-              case 'u':
-                if (i + 4 < json.size()) {
-                    v += static_cast<char>(
-                        std::strtoul(json.substr(i + 1, 4).c_str(),
-                                     nullptr, 16));
-                    i += 4;
-                }
-                break;
-              default:
-                v += json[i];
-            }
-        }
-        ++p; // unterminated string: resume scanning
-    }
-    return false;
 }
 
 } // namespace ih

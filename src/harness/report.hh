@@ -95,9 +95,6 @@ enum class Knob : std::uint8_t
     SCALE = 0,      ///< IRONHIDE_SCALE (real)
     THREADS,        ///< IRONHIDE_THREADS (workers)
     DOMAINS,        ///< IRONHIDE_DOMAINS (workers)
-    SHARD,          ///< IRONHIDE_SHARD (text: parseShardSpec)
-    JOB_TIMEOUT_MS, ///< IRONHIDE_JOB_TIMEOUT_MS (count)
-    JOB_RETRIES,    ///< IRONHIDE_JOB_RETRIES (count)
     ATTACK_TRIALS,  ///< IRONHIDE_ATTACK_TRIALS (count)
     MAX_LOAD_STEPS, ///< IRONHIDE_MAX_LOAD_STEPS (count)
     SERVE_SESSIONS, ///< IRONHIDE_SERVE_SESSIONS (count)
@@ -105,7 +102,6 @@ enum class Knob : std::uint8_t
     SERVE_SEED,     ///< IRONHIDE_SERVE_SEED (count)
     SERVE_LAMBDA0,  ///< IRONHIDE_SERVE_LAMBDA0 (real)
     MICRO_MS,       ///< IRONHIDE_MICRO_MS (real)
-    FAULT_INJECT,   ///< IH_FAULT_INJECT (text: FaultPlan::parse)
     DUMP_GOLDEN,    ///< IH_DUMP_GOLDEN (text: presence flag)
 };
 
@@ -121,8 +117,7 @@ unsigned knobWorkers(Knob k);
 /** A real knob: parsePositiveDouble() with the row's default. */
 double knobReal(Knob k);
 
-/** A text knob's raw value, for its own strict parser; nullptr when
- *  unset or empty. */
+/** A text knob's raw value; nullptr when unset or empty. */
 const char *knobText(Knob k);
 
 /**
@@ -137,38 +132,11 @@ double parsePositiveDouble(const char *name, const char *value,
                            double fallback);
 
 /**
- * Strictly-validated "index/count" shard-spec parsing for
- * IRONHIDE_SHARD. Accepts only "<i>/<N>" where both halves are
- * complete decimal numbers (no sign, no trailing garbage), N is in
- * [1, @p max_count] and i < N — "2/", "/3", "1/0" and "3/2" are all
- * rejected. On success sets @p index / @p count and returns true;
- * anything else warns (naming @p name) and returns false, except a
- * null/empty @p value, which fails silently (unset knob).
- */
-bool parseShardSpec(const char *name, const char *value,
-                    unsigned long max_count, unsigned long &index,
-                    unsigned long &count);
-
-// Strict wire-codec primitives behind the '|'-separated payload codecs
-// (the journal's "ihres1", the serving ladder's "ihserve1") and the
-// IH_FAULT_INJECT plan parser: a field parses only when the whole
-// string is consumed.
-
-/** Split @p s at every @p sep; empty fields are kept ("" -> {""}). */
-std::vector<std::string> splitOn(const std::string &s, char sep);
-/** Bare decimal digits only (no sign, no whitespace), no overflow. */
-bool parseU64(const std::string &s, std::uint64_t &out);
-/** A complete strtod number without over/underflow. */
-bool parseF64(const std::string &s, double &out);
-/** "%.17g": parseF64 reads it back bit-for-bit. */
-std::string fmtDouble(double v);
-
-/**
  * Write @p text to @p path atomically, fatal() on failure: the bytes
  * go to a same-directory temp file which is fsynced and then renamed
- * over @p path, so a reader (a resume, a --json consumer) can never
- * observe a truncated file — it sees either the old complete file or
- * the new complete file.
+ * over @p path, so a reader (a --json consumer) can never observe a
+ * truncated file — it sees either the old complete file or the new
+ * complete file.
  */
 void writeTextFile(const std::string &path, const std::string &text);
 
@@ -181,27 +149,6 @@ void probeWritable(const std::string &path);
 
 /** Read the whole file at @p path, fatal() on failure. */
 std::string readTextFile(const std::string &path);
-
-/**
- * Extract the unsigned integer stored under @p key at any nesting
- * depth of @p json. The first *key position* wins: the quoted key
- * preceded, modulo whitespace, by '{' or ',' and followed by a single
- * ':' — the key's text inside a string value never matches. The value
- * must be a bare decimal integer, read without the 2^53 precision loss
- * a double round-trip would introduce; a sign, fraction, exponent or
- * trailing junk never matches. This is a deliberately small flat scan
- * for the journal lines JsonWriter produces, not a general parser.
- */
-bool jsonUnsignedField(const std::string &json, const std::string &key,
-                       std::uint64_t &out);
-
-/**
- * Extract (and unescape) the string bound to @p key under the same
- * key-position rules as jsonUnsignedField, and like it a read-back
- * helper for lines JsonWriter produced, not a general parser.
- */
-bool jsonStringField(const std::string &json, const std::string &key,
-                     std::string &out);
 
 } // namespace ih
 

@@ -1,7 +1,6 @@
 #include "harness/serve.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 
 #include "core/session_server.hh"
@@ -152,93 +151,6 @@ runLoadLadder(ArchKind kind, const SysConfig &cfg,
         lambda *= kLadderGrowth;
     }
     return out;
-}
-
-// --------------------------------------------------------------------------
-// Ladder wire format
-// --------------------------------------------------------------------------
-
-namespace
-{
-
-/** Bump when the field list below changes. */
-constexpr const char *kLadderMagic = "ihserve1";
-constexpr std::size_t kLadderHeaderFields = 4; // magic, arch, stop, n
-constexpr std::size_t kLadderStepFields = 16;
-
-} // namespace
-
-std::string
-serializeLadder(const LoadLadderResult &r)
-{
-    IH_ASSERT(r.arch.find('|') == std::string::npos &&
-                  r.stopReason.find('|') == std::string::npos,
-              "ladder strings must not contain '|' ('%s'/'%s')",
-              r.arch.c_str(), r.stopReason.c_str());
-    std::string out = kLadderMagic;
-    const auto u64 = [&out](std::uint64_t v) {
-        out += strprintf("|%" PRIu64, v);
-    };
-    out += '|';
-    out += r.arch;
-    out += '|';
-    out += r.stopReason;
-    u64(r.steps.size());
-    for (const ServeCellResult &c : r.steps) {
-        out += '|' + fmtDouble(c.offeredPerSec);
-        u64(c.sessions);
-        u64(c.makespan);
-        u64(c.p50);
-        u64(c.p99);
-        u64(c.p999);
-        u64(c.maxLatency);
-        out += '|' + fmtDouble(c.meanLatency);
-        out += '|' + fmtDouble(c.goodputPerSec);
-        u64(c.maxQueueDepth);
-        u64(c.reconfigEvents);
-        u64(c.appSwitchPurges);
-        u64(c.transitions);
-        u64(c.purgeCycles);
-        u64(c.transitionCycles);
-        u64(c.reconfigCycles);
-    }
-    return out;
-}
-
-bool
-deserializeLadder(const std::string &payload, LoadLadderResult &r)
-{
-    const std::vector<std::string> f = splitOn(payload, '|');
-    if (f.size() < kLadderHeaderFields || f[0] != kLadderMagic)
-        return false;
-    std::uint64_t nsteps = 0;
-    if (!parseU64(f[3], nsteps) ||
-        f.size() != kLadderHeaderFields + nsteps * kLadderStepFields)
-        return false;
-
-    LoadLadderResult out;
-    out.arch = f[1];
-    out.stopReason = f[2];
-    std::size_t i = kLadderHeaderFields;
-    const auto getU = [&](std::uint64_t &dst) {
-        return parseU64(f[i++], dst);
-    };
-    const auto getD = [&](double &dst) { return parseF64(f[i++], dst); };
-    for (std::uint64_t s = 0; s < nsteps; ++s) {
-        ServeCellResult c;
-        if (!getD(c.offeredPerSec) || !getU(c.sessions) ||
-            !getU(c.makespan) || !getU(c.p50) || !getU(c.p99) ||
-            !getU(c.p999) || !getU(c.maxLatency) ||
-            !getD(c.meanLatency) || !getD(c.goodputPerSec) ||
-            !getU(c.maxQueueDepth) || !getU(c.reconfigEvents) ||
-            !getU(c.appSwitchPurges) || !getU(c.transitions) ||
-            !getU(c.purgeCycles) || !getU(c.transitionCycles) ||
-            !getU(c.reconfigCycles))
-            return false;
-        out.steps.push_back(c);
-    }
-    r = std::move(out);
-    return true;
 }
 
 unsigned

@@ -20,9 +20,7 @@
  * Everything here is simulated-time arithmetic over deterministic
  * schedules: a ladder is a pure function of (arch, config, apps,
  * options), byte-identical at any IRONHIDE_THREADS/IRONHIDE_DOMAINS
- * setting. Ladders serialize to a pipe-separated wire payload
- * ("ihserve1|...") so bench/serve_openloop rides the generic
- * fault-tolerance layer (shard, --journal, --isolate) unchanged.
+ * setting.
  */
 
 #ifndef IH_HARNESS_SERVE_HH
@@ -120,17 +118,6 @@ struct LoadLadderResult
 LoadLadderResult runLoadLadder(ArchKind kind, const SysConfig &cfg,
                                const std::vector<AppSpec> &apps,
                                const LoadLadderOptions &opts);
-
-/**
- * Exact text serialization of one ladder ("ihserve1|..."): integers
- * verbatim, doubles via %.17g — the round trip reproduces every field
- * bit-for-bit, so journaled/isolated serving sweeps report
- * byte-identically to inline ones.
- */
-std::string serializeLadder(const LoadLadderResult &r);
-
-/** Inverse of serializeLadder(); false on any malformed payload. */
-bool deserializeLadder(const std::string &payload, LoadLadderResult &r);
 
 /** Rung bound from IRONHIDE_MAX_LOAD_STEPS (strict parse, default 6,
  *  clamped to >= 1). */

@@ -6,32 +6,25 @@
  * (application × architecture × IRONHIDE options) cell builds a fresh
  * machine inside runExperiment(), so cells share no simulator state and
  * can run concurrently. SweepGrid enumerates such cross products in a
- * canonical order (app-major, then arch, then options),
- * runFaultTolerantSweep() fans the jobs out over opts.threads sweep
- * workers (parallelForIndex) and collects the results in job order
- * regardless of scheduling, and summarize() folds the results into
- * per-architecture geomean/ratio aggregates backed by a StatGroup.
- * sweepToJson() renders the outcome as the machine-readable "sweep/v2"
- * report through the harness/report JSON writer.
+ * canonical order (app-major, then arch, then options), runSweep()
+ * fans the jobs out over sweep workers (parallelForIndex) and collects
+ * the results in job order regardless of scheduling, and summarize()
+ * folds the results into per-architecture geomean/ratio aggregates
+ * backed by a StatGroup. sweepToJson() renders them as the
+ * machine-readable "sweep/v2" report through the harness/report JSON
+ * writer.
  *
  * Determinism contract: results depend only on the job list, never on
  * the worker count or interleaving. A sweep at 1 thread and at N
  * threads produces identical ExperimentResults in identical order
- * (tests/test_sweep.cc holds this invariant).
+ * (tests/test_sweep.cc holds this invariant), and a failing sweep
+ * fails with the same error.
  *
- * There is one sweep path, and it is fault-tolerant. Its core
- * (runFaultTolerantPayloadSweep) runs jobs whose results are opaque
- * payload strings: deterministic IRONHIDE_SHARD=i/N job partitioning;
- * an opt-in --isolate supervisor (harness/isolate) that contains
- * crashes/hangs to single FAILED or TIMEOUT cells; a --journal
- * crash-safe resume log (harness/journal); --merge, a resume from the
- * union of the shard journals that reports byte-identically to an
- * unsharded run; and degraded-but-honest reporting — summaries over
- * the surviving cells, failed cells listed by canonical id, and a
- * distinct exit code (kExitDegraded) so automation can tell "all
- * cells" from "most cells". It has two clients: the experiment codec
- * ("ihres1") behind runFaultTolerantSweep/runBenchSweep, and the
- * serving bench's ladder codec ("ihserve1").
+ * Every cell is a pure function of (workload, config, seed), so a
+ * failed cell would fail again: a throwing job fails the whole sweep
+ * rather than being retried or reported around. Every bench together
+ * takes under a minute on four cores (docs/ARCHITECTURE.md, "Sweeps
+ * run whole"), so no run needs sharding or resuming.
  */
 
 #ifndef IH_HARNESS_SWEEP_HH
@@ -43,8 +36,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/isolate.hh"
-#include "harness/journal.hh"
 #include "harness/report.hh"
 #include "sim/stats.hh"
 
@@ -153,189 +144,40 @@ struct SweepSummary
     double speedup(const std::string &fast, const std::string &slow) const;
 };
 
-// --------------------------------------------------------------------------
-// Fault-tolerant sweeps (sharding, isolation, journaled resume)
-// --------------------------------------------------------------------------
-
-/** Exit code of a sweep that finished with failed/timed-out cells:
- *  distinct from 0 (complete) and from 1 (the sweep itself died). */
-constexpr int kExitDegraded = 65;
-
-/** Terminal state of one sweep cell. */
-enum class CellStatus : std::uint8_t
-{
-    OK = 0,  ///< result is valid ("ok", or "retried" when attempts > 1)
-    FAILED,  ///< crashed / threw / determinism violation — no result
-    TIMEOUT, ///< exceeded the per-job wall timeout — no result
-    SKIPPED, ///< owned by another shard — not attempted here
-};
-
-/** JSON/status-line spelling of (@p status, @p attempts). */
-const char *cellStatusName(CellStatus status, unsigned attempts);
-
-struct CellOutcome
-{
-    CellStatus status = CellStatus::OK;
-    unsigned attempts = 1;
-    std::string error; ///< deterministic text for FAILED/TIMEOUT
-
-    bool ok() const { return status == CellStatus::OK; }
-};
+/**
+ * Run every job on @p threads sweep workers (parallelForIndex) and
+ * return the results in job order. A job that throws fails the sweep:
+ * the error of the smallest failing job id propagates as a
+ * std::runtime_error "job <id> (<app>/<arch>[ <tag>]): <what>",
+ * whatever the worker count, and jobs after it may not run.
+ */
+std::vector<ExperimentResult> runSweep(const std::vector<SweepJob> &jobs,
+                                       unsigned threads);
 
 /**
- * Knobs of one fault-tolerant sweep invocation, resolved from argv
- * (--isolate, --journal <path>, --merge <journal>...) and the
- * environment (IRONHIDE_THREADS, IRONHIDE_SHARD,
- * IRONHIDE_JOB_TIMEOUT_MS, IRONHIDE_JOB_RETRIES) by sweepRunFromArgs().
+ * The bench driver: the strict argv check (jsonReportPath), then
+ * runSweep() at IRONHIDE_THREADS workers. A failing job is fatal()
+ * with runSweep's error, before any report is written.
  */
-struct SweepRunOptions
-{
-    unsigned threads = 1;        ///< inline workers / isolated children
-    bool isolate = false;        ///< fork each job into a child
-    std::string journalPath;     ///< crash-safe resume log; "" = none
-    ShardSpec shard;             ///< this process's job partition
-    std::uint64_t timeoutMs = 0; ///< per-job wall timeout (isolate only)
-    unsigned retries = 1;        ///< extra attempts per failed job
-    /** Shard journals whose union holds every cell; empty = run. */
-    std::vector<std::string> mergePaths;
-};
+std::vector<ExperimentResult> runBenchSweep(int argc, char **argv,
+                                            const std::vector<SweepJob> &jobs);
 
-/** IRONHIDE_SHARD as a ShardSpec. Unset = the whole sweep; a malformed
- *  value is fatal() — silently running every job on what the operator
- *  believes is one shard of N wastes the whole fleet's work. */
-ShardSpec sweepShard();
-
-/** Resolve SweepRunOptions from argv + environment (fatal on
- *  malformed flags, e.g. a bare trailing "--journal"). --merge takes
- *  every following argument up to the next "--" flag. */
-SweepRunOptions sweepRunFromArgs(int argc, char **argv);
-
-/**
- * The cell bookkeeping every fault-tolerant sweep outcome carries:
- * one CellOutcome per canonical job, the shard that ran them, and how
- * many were satisfied from the journal.
- */
-struct SweepCells
-{
-    std::vector<CellOutcome> cells;
-    ShardSpec shard;
-    std::size_t resumed = 0; ///< cells satisfied from journals
-
-    bool sharded() const { return shard.active(); }
-    /** Cells this shard owns (everything not SKIPPED). */
-    std::size_t shardJobs() const;
-    /** Did every owned cell finish OK? */
-    bool complete() const;
-    /** Canonical ids of owned FAILED/TIMEOUT cells, ascending. */
-    std::vector<std::size_t> failedCells() const;
-    /** 0 when complete, kExitDegraded otherwise. */
-    int exitCode() const { return complete() ? 0 : kExitDegraded; }
-};
-
-/**
- * One opaque payload string per canonical job, parallel to the cell
- * outcomes. A payload is meaningful only when its cell is OK.
- */
-struct PayloadOutcome : SweepCells
-{
-    std::vector<std::string> payloads;
-};
-
-/**
- * An experiment sweep's outcome: results are parallel to the job list;
- * a cell's result is meaningful only when its outcome is OK.
- */
-struct SweepOutcome : SweepCells
-{
-    std::vector<ExperimentResult> results;
-};
-
-/**
- * The generic core of the fault-tolerant sweep path: shard
- * partitioning, journaled resume, inline-or-isolated execution and
- * fault injection over @p jobs cells whose results are caller-defined
- * payload strings. @p fn computes job i's payload, @p validate
- * recognizes a complete well-formed payload (journal records and
- * child pipes are vetted with it), and @p perturb builds the NONDET
- * fault's complete-but-wrong attempt-1 payload (it must still pass
- * @p validate — see superviseRawJobs). runFaultTolerantSweep() is
- * this instantiated with the experiment wire format; drivers with
- * their own schema (the serving bench's load ladders) reach it through
- * runBenchPayloadSweep() and keep shard/--journal/--isolate/--merge
- * for free.
- *
- * With opts.mergePaths set it runs nothing: every cell comes from the
- * union of those journals (PayloadJournal::load), exactly as a resume
- * in which every job is already complete. A job in two journals or in
- * none, a journal of another sweep or job count, and --merge with a
- * shard or --journal all throw JournalError.
- */
-PayloadOutcome runFaultTolerantPayloadSweep(
-    const std::string &sweep_id, std::size_t jobs,
-    const std::function<std::string(std::size_t)> &fn,
-    const PayloadJournal::Validator &validate,
-    const std::function<std::string(const std::string &)> &perturb,
-    const SweepRunOptions &opts, const FaultPlan &faults);
-
-/**
- * Run @p jobs under @p opts: skip cells other shards own, satisfy
- * journaled (or merged) cells without re-running them, execute the
- * rest inline (exceptions caught per cell) or under the --isolate
- * supervisor (crashes/hangs/timeouts contained per cell), applying
- * @p faults.
- * Completed cells are appended to the journal as they finish. Throws
- * JournalError per the journal's corruption contract. This is
- * runFaultTolerantPayloadSweep() over the experiment wire format.
- */
-SweepOutcome runFaultTolerantSweep(const std::string &sweep_id,
-                                   const std::vector<SweepJob> &jobs,
-                                   const SweepRunOptions &opts,
-                                   const FaultPlan &faults);
-
-/**
- * The bench driver: fail-fast --json probe, options from argv/env,
- * faults from IH_FAULT_INJECT, runFaultTolerantPayloadSweep, then the
- * shard / resume / per-failed-cell status lines every bench prints the
- * same way (@p label names failed cell i: "app/arch tag"). A
- * JournalError — a damaged journal or a bad --merge set — is fatal().
- */
-PayloadOutcome runBenchPayloadSweep(
-    int argc, char **argv, const std::string &sweep_id, std::size_t jobs,
-    const std::function<std::string(std::size_t)> &fn,
-    const PayloadJournal::Validator &validate,
-    const std::function<std::string(const std::string &)> &perturb,
-    const std::function<std::string(std::size_t)> &label);
-
-/**
- * runBenchPayloadSweep() over the experiment codec. Benches render
- * their tables from the returned outcome (full tables only when
- * complete and unsharded) and exit with exitCode().
- */
-SweepOutcome runBenchSweep(int argc, char **argv,
-                           const std::string &sweep_id,
-                           const std::vector<SweepJob> &jobs);
-
-/** Fold only the OK cells of @p o into aggregates — the degraded-sweep
- *  summary is honest about covering survivors only. */
-SweepSummary summarize(const SweepOutcome &o);
+/** Fold @p results into per-architecture aggregates. */
+SweepSummary summarize(const std::vector<ExperimentResult> &results);
 
 /** Writes cell i's own fields into its report record. */
 using CellWriter = std::function<void(JsonWriter &, std::size_t)>;
 
 /**
  * The report envelope every sweep schema shares: "schema", "sweep",
- * "jobs", "shard"/"shard_jobs" when sharded, "complete", and
- * "failed_cells" when non-empty, then one "results" record per cell
- * this shard attempted (SKIPPED cells are omitted). A record holds its
- * canonical "job" id, the fields @p identify writes, the "status"
- * ("ok"/"retried"/"failed"/"timeout"), "attempts" when more than one,
- * and then @p body's fields for OK cells or the deterministic "error"
- * text for failed ones. @p tail, when set, appends top-level keys
+ * "jobs", "complete" (always true: a sweep either runs every cell or
+ * fails), then one "results" record per cell. A record holds its
+ * canonical "job" id, the fields @p identify writes, "status":"ok",
+ * and then @p body's fields. @p tail, when set, appends top-level keys
  * after the results.
  */
 std::string sweepReportJson(const char *schema,
-                            const std::string &sweep_id,
-                            const SweepCells &o,
+                            const std::string &sweep_id, std::size_t cells,
                             const CellWriter &identify,
                             const CellWriter &body,
                             const std::function<void(JsonWriter &)> &tail =
@@ -345,18 +187,19 @@ std::string sweepReportJson(const char *schema,
  * The "sweep/v2" report: the sweepReportJson() envelope whose records
  * name the app/arch/tag/policy and carry the exact "*_cycles" integers
  * alongside the derived millisecond views, followed by the per-arch
- * summary of the OK cells. A complete unsharded outcome and a --merge
- * of complete shard journals render byte-identically.
+ * summary.
  */
 std::string sweepToJson(const std::string &sweep_id,
                         const std::vector<SweepJob> &jobs,
-                        const SweepOutcome &outcome);
+                        const std::vector<ExperimentResult> &results);
 
 /**
- * Path from a "--json <path>" argv pair, nullptr when absent. A bare
- * trailing "--json" or an unwritable path is a fatal user error —
- * benches call this before the sweep so a bad invocation fails fast,
- * not after minutes of runs. The probe never creates the report file.
+ * Path from a "--json <path>" argv pair, nullptr when argv has no
+ * arguments. That pair is the only argument a bench takes: anything
+ * else, a bare trailing "--json", a second "--json" or an unwritable
+ * path is a fatal user error. Benches call this before the sweep so a
+ * bad invocation fails fast, not after minutes of runs. The probe
+ * never creates the report file.
  */
 const char *jsonReportPath(int argc, char **argv);
 
@@ -368,7 +211,7 @@ const char *jsonReportPath(int argc, char **argv);
 bool maybeWriteJsonReport(int argc, char **argv,
                           const std::string &sweep_id,
                           const std::vector<SweepJob> &jobs,
-                          const SweepOutcome &outcome);
+                          const std::vector<ExperimentResult> &results);
 
 } // namespace ih
 

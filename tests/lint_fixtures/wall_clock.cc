@@ -1,7 +1,6 @@
-// Seeded violations: three host time/entropy sources outside the
-// harness/isolate supervisor. Simulated results must be a pure
-// function of (config, seed); any of these makes them a function of
-// the host too.
+// Seeded violations: three host time/entropy sources. Simulated
+// results must be a pure function of (config, seed); any of these makes
+// them a function of the host too.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>

@@ -133,8 +133,8 @@ TEST_F(DomainsTest, ProbeFailuresSurfaceIdenticallyAcrossDomainCounts)
 TEST_F(DomainsTest, SweepReportByteIdenticalAcrossDomainCounts)
 {
     // The exact pipeline the fig6/fig7/abl_reconfig benches run —
-    // SweepGrid -> runFaultTolerantSweep -> sweepToJson ("sweep/v2",
-    // summary included) — with IRONHIDE_DOMAINS as the only difference
+    // SweepGrid -> runSweep -> sweepToJson ("sweep/v2", summary
+    // included) — with IRONHIDE_DOMAINS as the only difference
     // between the two passes. The rendered reports must be
     // byte-identical: the domain workers may only ever overlap pure
     // probe evaluations, never change them.
@@ -152,11 +152,7 @@ TEST_F(DomainsTest, SweepReportByteIdenticalAcrossDomainCounts)
                         ArchKind::IRONHIDE})
                 .options(opts)
                 .jobs();
-        SweepRunOptions run;
-        run.threads = 1;
-        return sweepToJson("domains_parity", jobs,
-                           runFaultTolerantSweep("domains_parity", jobs,
-                                                 run, FaultPlan()));
+        return sweepToJson("domains_parity", jobs, runSweep(jobs, 1));
     };
 
     const std::string serial = reportAt("1");

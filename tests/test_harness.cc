@@ -1,8 +1,9 @@
 /**
  * @file
  * Harness tests: table rendering, experiment plumbing, the split
- * decision policies, the knob registry and its strict parsers, and the
- * deterministic fork-join primitive.
+ * decision policies, the knob registry and its strict parsers, the
+ * deterministic fork-join primitive, and the strict bench arguments
+ * and failure exit of the bench sweep driver.
  */
 
 #include <gtest/gtest.h>
@@ -133,8 +134,6 @@ struct CountKnob
 const CountKnob kCountKnobs[] = {
     {Knob::THREADS, "IRONHIDE_THREADS", "4097", 0},
     {Knob::DOMAINS, "IRONHIDE_DOMAINS", "257", 1},
-    {Knob::JOB_TIMEOUT_MS, "IRONHIDE_JOB_TIMEOUT_MS", "86400001", 0},
-    {Knob::JOB_RETRIES, "IRONHIDE_JOB_RETRIES", "17", 1},
     {Knob::ATTACK_TRIALS, "IRONHIDE_ATTACK_TRIALS", "4097", 24},
     {Knob::MAX_LOAD_STEPS, "IRONHIDE_MAX_LOAD_STEPS", "65", 6},
     {Knob::SERVE_SESSIONS, "IRONHIDE_SERVE_SESSIONS", "1000001", 48},
@@ -218,8 +217,6 @@ TEST(Knobs, RealKnobsRejectInfAndTrailingGarbage)
 TEST(Knobs, EmptyTextKnobReadsAsUnset)
 {
     const std::pair<Knob, const char *> texts[] = {
-        {Knob::SHARD, "IRONHIDE_SHARD"},
-        {Knob::FAULT_INJECT, "IH_FAULT_INJECT"},
         {Knob::DUMP_GOLDEN, "IH_DUMP_GOLDEN"},
     };
     for (const auto &[knob, name] : texts) {
@@ -390,62 +387,6 @@ TEST(Experiment, OptimalNeverWorseThanFixedEndpoints)
     EXPECT_LE(at_opt, completion_at(cfg.numTiles() - 2) * 2);
 }
 
-// ---- parseShardSpec -------------------------------------------------------
-//
-// IRONHIDE_SHARD partitions a sweep across processes; a misparsed spec
-// silently re-running the whole grid on every "shard" would be worse
-// than refusing, so the parser is strict (sweepShard() turns a reject
-// into fatal()).
-
-TEST(ParseShardSpec, AcceptsCompleteIndexSlashCount)
-{
-    unsigned long i = 99, n = 99;
-    EXPECT_TRUE(parseShardSpec("T", "0/1", 4096, i, n));
-    EXPECT_EQ(i, 0u);
-    EXPECT_EQ(n, 1u);
-    EXPECT_TRUE(parseShardSpec("T", "2/3", 4096, i, n));
-    EXPECT_EQ(i, 2u);
-    EXPECT_EQ(n, 3u);
-    EXPECT_TRUE(parseShardSpec("T", "4095/4096", 4096, i, n));
-    EXPECT_EQ(i, 4095u);
-    EXPECT_EQ(n, 4096u);
-}
-
-TEST(ParseShardSpec, UnsetOrEmptyFailsSilently)
-{
-    unsigned long i = 0, n = 0;
-    EXPECT_FALSE(parseShardSpec("T", nullptr, 4096, i, n));
-    EXPECT_FALSE(parseShardSpec("T", "", 4096, i, n));
-}
-
-TEST(ParseShardSpec, RejectsIncompleteSpecs)
-{
-    unsigned long i = 0, n = 0;
-    EXPECT_FALSE(parseShardSpec("T", "2/", 4096, i, n));
-    EXPECT_FALSE(parseShardSpec("T", "/3", 4096, i, n));
-    EXPECT_FALSE(parseShardSpec("T", "2", 4096, i, n));
-    EXPECT_FALSE(parseShardSpec("T", "/", 4096, i, n));
-    EXPECT_FALSE(parseShardSpec("T", "1/2/3", 4096, i, n));
-}
-
-TEST(ParseShardSpec, RejectsOutOfRangeAndSignsAndGarbage)
-{
-    unsigned long i = 0, n = 0;
-    EXPECT_FALSE(parseShardSpec("T", "1/0", 4096, i, n)); // zero shards
-    EXPECT_FALSE(parseShardSpec("T", "3/2", 4096, i, n)); // index >= count
-    EXPECT_FALSE(parseShardSpec("T", "3/3", 4096, i, n)); // index >= count
-    EXPECT_FALSE(parseShardSpec("T", "0/4097", 4096, i, n)); // over cap
-    EXPECT_FALSE(parseShardSpec("T", "-1/2", 4096, i, n));   // sign
-    EXPECT_FALSE(parseShardSpec("T", "+1/2", 4096, i, n));   // sign
-    EXPECT_FALSE(parseShardSpec("T", "1/-2", 4096, i, n));   // sign
-    EXPECT_FALSE(parseShardSpec("T", "1/2abc", 4096, i, n)); // trailing
-    EXPECT_FALSE(parseShardSpec("T", "1a/2", 4096, i, n));   // embedded
-    EXPECT_FALSE(parseShardSpec("T", " 1/2", 4096, i, n));   // whitespace
-    EXPECT_FALSE(parseShardSpec("T", "1 /2", 4096, i, n));
-    EXPECT_FALSE(
-        parseShardSpec("T", "99999999999999999999/2", 4096, i, n));
-}
-
 // ---- writeTextFile (atomic) -----------------------------------------------
 
 TEST(WriteTextFile, WritesAndOverwritesAtomically)
@@ -499,61 +440,67 @@ TEST(JsonReportPath, ProbeLeavesTheTargetUntouched)
     std::remove(existing.c_str());
 }
 
-// ---- jsonUnsignedField ----------------------------------------------------
+// ---- Strict bench arguments ----------------------------------------------
 //
-// Cycle counters are full uint64; the shard merge reads them back with
-// this helper precisely because a double round-trip would corrupt
-// values past 2^53.
+// One "--json <path>" is the only argument a bench takes. Anything else
+// exits 1 before a cell runs: a typo'd flag that was ignored would run
+// the whole bench and write no report.
 
-TEST(JsonUnsignedField, ReadsExactBigIntegers)
+TEST(JsonReportPathDeathTest, ATypoIsFatal)
 {
-    std::uint64_t v = 0;
-    // 2^53 + 1 is the first integer a double cannot represent.
-    EXPECT_TRUE(jsonUnsignedField("{\"c\":9007199254740993}", "c", v));
-    EXPECT_EQ(v, 9007199254740993ull);
-    EXPECT_TRUE(
-        jsonUnsignedField("{\"c\":18446744073709551615}", "c", v));
-    EXPECT_EQ(v, 18446744073709551615ull);
-    EXPECT_TRUE(jsonUnsignedField("{\"a\":1,\"c\":0}", "c", v));
-    EXPECT_EQ(v, 0u);
-    // Whitespace may follow the digits.
-    EXPECT_TRUE(jsonUnsignedField("{\"c\":12 }", "c", v));
-    EXPECT_EQ(v, 12u);
+    const char *args[] = {"bench", "--jsn", "out.json"};
+    EXPECT_EXIT(jsonReportPath(3, const_cast<char **>(args)),
+                ::testing::ExitedWithCode(1), "unknown argument '--jsn'");
 }
 
-TEST(JsonUnsignedField, RejectsNonIntegersAndOverflow)
+TEST(JsonReportPathDeathTest, ARemovedFlagIsFatal)
 {
-    std::uint64_t v = 0;
-    EXPECT_FALSE(jsonUnsignedField("{\"c\":-1}", "c", v));
-    EXPECT_FALSE(jsonUnsignedField("{\"c\":1.5}", "c", v));
-    EXPECT_FALSE(jsonUnsignedField("{\"c\":1e3}", "c", v));
-    EXPECT_FALSE(jsonUnsignedField("{\"c\":\"12\"}", "c", v));
-    EXPECT_FALSE(jsonUnsignedField("{\"c\":3x}", "c", v));
-    EXPECT_FALSE(
-        jsonUnsignedField("{\"c\":18446744073709551616}", "c", v));
+    const std::string path = ::testing::TempDir() + "/ih_removed_flag.json";
+    for (const char *flag : {"--isolate", "--journal", "--merge"}) {
+        SCOPED_TRACE(flag);
+        const char *args[] = {"bench", flag, "x.jsonl", "--json",
+                              path.c_str()};
+        EXPECT_EXIT(jsonReportPath(5, const_cast<char **>(args)),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown argument '") + flag + "'");
+    }
 }
 
-// ---- jsonStringField ------------------------------------------------------
-
-TEST(JsonStringField, ReadsAndUnescapes)
+TEST(JsonReportPathDeathTest, AStrayPositionalArgumentIsFatal)
 {
-    std::string s;
-    EXPECT_TRUE(jsonStringField("{\"k\":\"plain\"}", "k", s));
-    EXPECT_EQ(s, "plain");
-    EXPECT_TRUE(
-        jsonStringField("{\"k\":\"a\\\"b\\\\c\\nd\\te\"}", "k", s));
-    EXPECT_EQ(s, "a\"b\\c\nd\te");
-    EXPECT_TRUE(jsonStringField("{\"k\":\"\"}", "k", s));
-    EXPECT_EQ(s, "");
+    const std::string path = ::testing::TempDir() + "/ih_stray_arg.json";
+    const char *args[] = {"bench", "--json", path.c_str(), "extra"};
+    EXPECT_EXIT(jsonReportPath(4, const_cast<char **>(args)),
+                ::testing::ExitedWithCode(1), "unknown argument 'extra'");
+    const char *twice[] = {"bench", "--json", path.c_str(), "--json",
+                           path.c_str()};
+    EXPECT_EXIT(jsonReportPath(5, const_cast<char **>(twice)),
+                ::testing::ExitedWithCode(1), "--json given more than once");
 }
 
-TEST(JsonStringField, KeyPositionRulesApply)
+TEST(RunBenchSweepDeathTest, AFailingJobExitsOneAndWritesNoReport)
 {
-    std::string s;
-    // The needle inside a string value is not a key.
-    EXPECT_TRUE(jsonStringField(
-        "{\"note\":\"k\",\"k\":\"real\"}", "k", s));
-    EXPECT_EQ(s, "real");
-    // Key bound to a number, not a string.
-    EXPECT_FALSE(jsonStringField("{\"k\":5}", "k", s));
+    // A throwing cell fails the bench with the sweep's error, naming the
+    // job by canonical id and label, before any report is written.
+    const std::string path = ::testing::TempDir() + "/ih_failed_sweep.json";
+    std::remove(path.c_str());
+    std::vector<SweepJob> jobs(3);
+    for (SweepJob &job : jobs) {
+        job.app = tiny();
+        job.arch = ArchKind::INSECURE;
+        job.cfg = SysConfig::smallTest();
+    }
+    jobs[1].app.make = [](const SysConfig &) -> WorkloadPair {
+        throw std::runtime_error("boom");
+    };
+    const char *args[] = {"bench", "--json", path.c_str()};
+    char **argv = const_cast<char **>(args);
+    EXPECT_EXIT(maybeWriteJsonReport(3, argv, "unit_fail", jobs,
+                                     runBenchSweep(3, argv, jobs)),
+                ::testing::ExitedWithCode(1),
+                "job 1 \\(<AES, QUERY>/insecure\\): boom");
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
 }

@@ -1,15 +1,15 @@
 /**
  * @file
  * Sweep-engine tests: grid enumeration order, the parallel-vs-serial
- * determinism contract of the sweep path, edge cases (empty grid,
- * single job), summary aggregation, and the JSON report writer.
+ * determinism contract of the sweep path (results and failures), edge
+ * cases (empty grid, single job), summary aggregation, and the JSON
+ * report writer.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -43,39 +43,6 @@ testJobs()
         .app(tiny("<SSSP, GRAPH>"))
         .archs({ArchKind::INSECURE, ArchKind::SGX_LIKE, ArchKind::MI6})
         .jobs();
-}
-
-/** The benches' sweep path, inline at @p threads workers. */
-SweepOutcome
-sweep(const std::vector<SweepJob> &jobs, unsigned threads)
-{
-    SweepRunOptions opts;
-    opts.threads = threads;
-    return runFaultTolerantSweep("unit_sweep", jobs, opts, FaultPlan());
-}
-
-/**
- * Run the three shards of @p jobs, each with its own journal, and
- * return the journal paths — the --merge inputs.
- */
-std::vector<std::string>
-shardJournals(const std::string &sweep_id,
-              const std::vector<SweepJob> &jobs)
-{
-    std::vector<std::string> paths;
-    for (unsigned s = 0; s < 3; ++s) {
-        SweepRunOptions opts;
-        opts.threads = 2;
-        opts.shard = ShardSpec{s, 3};
-        opts.journalPath = ::testing::TempDir() + sweep_id + "_shard" +
-                           std::to_string(s) + ".jsonl";
-        std::remove(opts.journalPath.c_str());
-        EXPECT_TRUE(
-            runFaultTolerantSweep(sweep_id, jobs, opts, FaultPlan())
-                .complete());
-        paths.push_back(opts.journalPath);
-    }
-    return paths;
 }
 
 /** Field-by-field equality of two results. */
@@ -185,16 +152,15 @@ TEST(ParallelSweep, TlbWaysDimensionRunsEndToEnd)
                                            .arch(ArchKind::MI6)
                                            .tlbWays({0, 4, 2})
                                            .jobs();
-    const SweepOutcome out = sweep(jobs, 3);
-    ASSERT_TRUE(out.complete());
-    ASSERT_EQ(out.results.size(), 3u);
-    for (const ExperimentResult &res : out.results)
+    const std::vector<ExperimentResult> out = runSweep(jobs, 3);
+    ASSERT_EQ(out.size(), 3u);
+    for (const ExperimentResult &res : out)
         EXPECT_GT(res.run.completion, 0u);
 }
 
 TEST(ParallelSweep, EmptyGridYieldsEmptyResults)
 {
-    EXPECT_TRUE(sweep({}, 4).results.empty());
+    EXPECT_TRUE(runSweep({}, 4).empty());
 }
 
 TEST(ParallelSweep, SingleJob)
@@ -206,7 +172,7 @@ TEST(ParallelSweep, SingleJob)
     job.cfg = SysConfig::smallTest();
     jobs.push_back(job);
 
-    const std::vector<ExperimentResult> r = sweep(jobs, 8).results;
+    const std::vector<ExperimentResult> r = runSweep(jobs, 8);
     ASSERT_EQ(r.size(), 1u);
     EXPECT_EQ(r[0].app, job.app.name);
     EXPECT_EQ(r[0].arch, "insecure");
@@ -216,7 +182,7 @@ TEST(ParallelSweep, SingleJob)
 TEST(ParallelSweep, ResultsArriveInJobOrder)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = sweep(jobs, 4).results;
+    const std::vector<ExperimentResult> r = runSweep(jobs, 4);
     ASSERT_EQ(r.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(r[i].app, jobs[i].app.name);
@@ -227,8 +193,8 @@ TEST(ParallelSweep, ResultsArriveInJobOrder)
 TEST(ParallelSweep, ParallelMatchesSerialExactly)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> serial = sweep(jobs, 1).results;
-    const std::vector<ExperimentResult> parallel = sweep(jobs, 4).results;
+    const std::vector<ExperimentResult> serial = runSweep(jobs, 1);
+    const std::vector<ExperimentResult> parallel = runSweep(jobs, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResult(serial[i], parallel[i]);
@@ -237,9 +203,9 @@ TEST(ParallelSweep, ParallelMatchesSerialExactly)
 TEST(ParallelSweep, ThreadCountDoesNotChangeResults)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> base = sweep(jobs, 2).results;
+    const std::vector<ExperimentResult> base = runSweep(jobs, 2);
     for (const unsigned n : {3u, 8u}) {
-        const std::vector<ExperimentResult> r = sweep(jobs, n).results;
+        const std::vector<ExperimentResult> r = runSweep(jobs, n);
         ASSERT_EQ(r.size(), base.size());
         for (std::size_t i = 0; i < r.size(); ++i)
             expectSameResult(base[i], r[i]);
@@ -248,45 +214,51 @@ TEST(ParallelSweep, ThreadCountDoesNotChangeResults)
 
 TEST(ParallelSweep, ZeroThreadsMeansHardwareConcurrency)
 {
-    // sweepRunFromArgs resolves IRONHIDE_THREADS with knobWorkers: 0
-    // and unset are the hardware concurrency, within the row's 4096.
-    char name[] = "bench";
-    char *argv[] = {name, nullptr};
+    // runBenchSweep resolves IRONHIDE_THREADS with knobWorkers: 0 and
+    // unset are the hardware concurrency, within the row's 4096.
     setenv("IRONHIDE_THREADS", "0", 1);
-    const unsigned hw = sweepRunFromArgs(1, argv).threads;
+    const unsigned hw = knobWorkers(Knob::THREADS);
     EXPECT_GE(hw, 1u);
     EXPECT_LE(hw, 4096u);
     setenv("IRONHIDE_THREADS", "5", 1);
-    EXPECT_EQ(sweepRunFromArgs(1, argv).threads, 5u);
+    EXPECT_EQ(knobWorkers(Knob::THREADS), 5u);
     unsetenv("IRONHIDE_THREADS");
-    EXPECT_EQ(sweepRunFromArgs(1, argv).threads, hw);
+    EXPECT_EQ(knobWorkers(Knob::THREADS), hw);
 }
 
-TEST(FaultTolerantSweep, AThrowingAppFactoryFailsOnlyItsCell)
+TEST(ParallelSweep, AThrowingJobFailsTheSweepTheSameWayAtAnyThreadCount)
 {
-    // A grid whose app factory throws: that cell fails with the
-    // exception text and its neighbours complete — what the benches
-    // report, instead of deadlocking, aborting or losing the grid.
-    std::vector<SweepJob> jobs(3);
+    // Jobs 1 and 2 throw. The sweep fails with job 1's error, named by
+    // its canonical id and its app/arch tag label — what a serial loop
+    // would have raised — at every worker count.
+    std::vector<SweepJob> jobs(4);
     for (SweepJob &job : jobs) {
         job.app = tiny();
         job.arch = ArchKind::INSECURE;
         job.cfg = SysConfig::smallTest();
     }
+    jobs[1].tag = "first";
     jobs[1].app.make = [](const SysConfig &) -> WorkloadPair {
-        throw std::runtime_error("boom");
+        throw std::runtime_error("boom 1");
     };
-    const SweepOutcome out = sweep(jobs, 2);
-    EXPECT_EQ(out.failedCells(), std::vector<std::size_t>{1});
-    EXPECT_EQ(out.cells[1].status, CellStatus::FAILED);
-    EXPECT_EQ(out.cells[1].error, "boom");
-    EXPECT_TRUE(out.cells[0].ok());
-    EXPECT_TRUE(out.cells[2].ok());
+    jobs[2].app.make = [](const SysConfig &) -> WorkloadPair {
+        throw std::runtime_error("boom 2");
+    };
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        try {
+            runSweep(jobs, threads);
+            FAIL() << "expected the sweep to fail";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(),
+                         "job 1 (<AES, QUERY>/insecure first): boom 1");
+        }
+    }
 }
 
 TEST(SweepSummary, AggregatesPerArchWithStatGroup)
 {
-    const SweepSummary s = summarize(sweep(testJobs(), 4));
+    const SweepSummary s = summarize(runSweep(testJobs(), 4));
 
     // Three architectures, in first-appearance order.
     ASSERT_EQ(s.byArch.size(), 3u);
@@ -317,11 +289,11 @@ TEST(SweepSummary, EmptyResultsStayFinite)
 {
     // No completed jobs at all: the summary must come back empty and
     // render to JSON without dividing by zero or emitting NaN.
-    const SweepSummary s = summarize(SweepOutcome{});
+    const SweepSummary s = summarize({});
     EXPECT_TRUE(s.byArch.empty());
     EXPECT_EQ(s.find("ironhide"), nullptr);
     EXPECT_EQ(s.speedup("IRONHIDE", "MI6"), 0.0);
-    const std::string json = sweepToJson("empty", {}, SweepOutcome{});
+    const std::string json = sweepToJson("empty", {}, {});
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
@@ -335,9 +307,7 @@ TEST(SweepSummary, ZeroValuedResultsStayFinite)
     ExperimentResult r;
     r.app = "degenerate";
     r.arch = "ironhide";
-    SweepOutcome o;
-    o.results = {r, r};
-    o.cells.resize(2);
+    const std::vector<ExperimentResult> o = {r, r};
     const SweepSummary s = summarize(o);
     ASSERT_EQ(s.byArch.size(), 1u);
     EXPECT_TRUE(std::isfinite(s.byArch[0].geomeanCompletionMs));
@@ -377,7 +347,7 @@ TEST(SweepJson, ReportContainsJobsResultsAndSummary)
 {
     const std::vector<SweepJob> jobs = testJobs();
     const std::string json =
-        sweepToJson("unit_sweep", jobs, sweep(jobs, 4));
+        sweepToJson("unit_sweep", jobs, runSweep(jobs, 4));
 
     EXPECT_NE(json.find("\"sweep\":\"unit_sweep\""), std::string::npos);
     EXPECT_NE(json.find("\"jobs\":6"), std::string::npos);
@@ -391,84 +361,10 @@ TEST(SweepJson, ReportContainsJobsResultsAndSummary)
               std::count(json.begin(), json.end(), ']'));
 }
 
-// --------------------------------------------------------------------------
-// Fault-tolerant sweeps: sharding, honest degradation, the "sweep/v2"
-// report, and shard-merge reconstruction.
-// --------------------------------------------------------------------------
-
-TEST(FaultTolerantSweep, ShardsPartitionTheGridDisjointly)
+TEST(SweepJson, V2ReportCarriesStatusAndExactCycles)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    std::vector<unsigned> owners(jobs.size(), 0);
-    for (unsigned s = 0; s < 3; ++s) {
-        SweepRunOptions opts;
-        opts.threads = 2;
-        opts.shard = ShardSpec{s, 3};
-        const SweepOutcome out =
-            runFaultTolerantSweep("unit_shard", jobs, opts, FaultPlan());
-        ASSERT_EQ(out.cells.size(), jobs.size());
-        EXPECT_TRUE(out.sharded());
-        EXPECT_TRUE(out.complete());
-        EXPECT_EQ(out.exitCode(), 0);
-        std::size_t owned = 0;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (out.cells[j].status == CellStatus::SKIPPED) {
-                EXPECT_EQ(out.cells[j].attempts, 0u);
-                continue;
-            }
-            EXPECT_TRUE(out.cells[j].ok());
-            EXPECT_EQ(j % 3, s); // the canonical ownership rule
-            ++owners[j];
-            ++owned;
-        }
-        EXPECT_EQ(out.shardJobs(), owned);
-    }
-    // Disjoint union: every job ran on exactly one shard.
-    for (const unsigned c : owners)
-        EXPECT_EQ(c, 1u);
-}
-
-TEST(FaultTolerantSweep, InlineFailInjectionDegradesHonestly)
-{
-    const std::vector<SweepJob> jobs = testJobs();
-    SweepRunOptions opts;
-    opts.threads = 2;
-    const FaultPlan faults = FaultPlan::parse("job:1:fail");
-    const SweepOutcome out =
-        runFaultTolerantSweep("unit_fail", jobs, opts, faults);
-
-    // Exactly the injected cell failed; the other five survived.
-    EXPECT_FALSE(out.complete());
-    EXPECT_EQ(out.exitCode(), kExitDegraded);
-    EXPECT_EQ(out.failedCells(), std::vector<std::size_t>{1});
-    EXPECT_EQ(out.cells[1].status, CellStatus::FAILED);
-    EXPECT_NE(out.cells[1].error.find("injected failure"),
-              std::string::npos);
-
-    // The summary covers the survivors only.
-    const SweepSummary s = summarize(out);
-    std::size_t summarized = 0;
-    for (const ArchAggregate &a : s.byArch)
-        summarized += a.jobs;
-    EXPECT_EQ(summarized, jobs.size() - 1);
-
-    // ...and the v2 report says so instead of faking completeness.
-    const std::string json = sweepToJson("unit_fail", jobs, out);
-    EXPECT_NE(json.find("\"complete\":false"), std::string::npos);
-    EXPECT_NE(json.find("\"failed_cells\":[1]"), std::string::npos);
-    EXPECT_NE(json.find("\"status\":\"failed\""), std::string::npos);
-    EXPECT_NE(json.find("\"error\":\"injected failure\""),
-              std::string::npos);
-}
-
-TEST(FaultTolerantSweep, V2ReportCarriesStatusAndExactCycles)
-{
-    const std::vector<SweepJob> jobs = testJobs();
-    const SweepOutcome out = runFaultTolerantSweep(
-        "unit_v2", jobs, SweepRunOptions{}, FaultPlan());
-    ASSERT_TRUE(out.complete());
-
-    const std::string json = sweepToJson("unit_v2", jobs, out);
+    const std::string json = sweepToJson("unit_v2", jobs, runSweep(jobs, 1));
     EXPECT_NE(json.find("\"schema\":\"sweep/v2\""), std::string::npos);
     EXPECT_NE(json.find("\"complete\":true"), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
@@ -476,59 +372,4 @@ TEST(FaultTolerantSweep, V2ReportCarriesStatusAndExactCycles)
     // consumer reads them without floating-point drift.
     EXPECT_NE(json.find("\"completion_cycles\":"), std::string::npos);
     EXPECT_NE(json.find("\"completion_ms\":"), std::string::npos);
-    // A complete unsharded run reports no failure paraphernalia.
-    EXPECT_EQ(json.find("\"failed_cells\""), std::string::npos);
-    EXPECT_EQ(json.find("\"shard\""), std::string::npos);
-}
-
-TEST(FaultTolerantSweep, MergedShardReportsMatchUnshardedBytes)
-{
-    const std::vector<SweepJob> jobs = testJobs();
-    SweepRunOptions full;
-    full.threads = 4;
-    const SweepOutcome whole =
-        runFaultTolerantSweep("unit_merge", jobs, full, FaultPlan());
-    const std::string expect = sweepToJson("unit_merge", jobs, whole);
-
-    // Sharding is unobservable: a merge of the shard journals is a
-    // resume with nothing left to run, and renders the unsharded
-    // document byte for byte.
-    SweepRunOptions merge;
-    merge.mergePaths = shardJournals("unit_merge", jobs);
-    const SweepOutcome merged =
-        runFaultTolerantSweep("unit_merge", jobs, merge, FaultPlan());
-    EXPECT_FALSE(merged.sharded());
-    EXPECT_TRUE(merged.complete());
-    EXPECT_EQ(merged.resumed, jobs.size());
-    EXPECT_EQ(sweepToJson("unit_merge", jobs, merged), expect);
-}
-
-TEST(FaultTolerantSweep, MergeRejectsIncompleteOrDuplicateShardSets)
-{
-    const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<std::string> j = shardJournals("unit_merge", jobs);
-    const auto merge = [&jobs](const std::string &sweep_id,
-                               SweepRunOptions opts) {
-        return runFaultTolerantSweep(sweep_id, jobs, opts, FaultPlan());
-    };
-    SweepRunOptions opts;
-
-    // A shard missing → a canonical job is in no journal → refuse.
-    opts.mergePaths = {j[0], j[1]};
-    EXPECT_THROW(merge("unit_merge", opts), JournalError);
-    // The same shard twice → a job in two journals → refuse.
-    opts.mergePaths = {j[0], j[0], j[1], j[2]};
-    EXPECT_THROW(merge("unit_merge", opts), JournalError);
-    // Journals of a different sweep → refuse.
-    opts.mergePaths = j;
-    EXPECT_THROW(merge("other_sweep", opts), JournalError);
-
-    // A merge rebuilds the whole sweep: it takes neither a shard of
-    // its own nor a journal to resume.
-    SweepRunOptions sharded = opts;
-    sharded.shard = ShardSpec{0, 3};
-    EXPECT_THROW(merge("unit_merge", sharded), JournalError);
-    SweepRunOptions journaled = opts;
-    journaled.journalPath = ::testing::TempDir() + "unit_merge_own.jsonl";
-    EXPECT_THROW(merge("unit_merge", journaled), JournalError);
 }
