@@ -15,8 +15,8 @@
  * `--json <path>` writes a "BENCH_attacks/v1" report. The report holds
  * no host timing, and each cell is a pure function of
  * (channel, arch, config, trials, seed), so the bytes are identical at
- * any IRONHIDE_THREADS / IRONHIDE_DOMAINS setting (a CI leg diffs
- * them). IRONHIDE_ATTACK_TRIALS overrides the per-cell trial count
+ * any IRONHIDE_THREADS setting (a CI leg diffs them).
+ * IRONHIDE_ATTACK_TRIALS overrides the per-cell trial count
  * (default 24; must be a multiple of 4).
  */
 
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "workloads/attacks.hh"
@@ -141,11 +140,9 @@ main(int argc, char **argv)
     }
 
     std::vector<LeakageResult> results(jobs.size());
-    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
-                     [&](std::size_t i) {
-                         results[i] = runAttack(jobs[i].channel,
-                                                jobs[i].arch, cfg, opts);
-                     });
+    runBenchCells(jobs.size(), [&](std::size_t i) {
+        results[i] = runAttack(jobs[i].channel, jobs[i].arch, cfg, opts);
+    });
 
     Table table({"channel", "arch", "accuracy", "bits/trial", "bits/s",
                  "signal"});

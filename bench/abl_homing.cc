@@ -24,7 +24,6 @@
 #include "core/insecure.hh"
 #include "core/mi6.hh"
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 
@@ -130,11 +129,9 @@ main(int argc, char **argv)
     }
 
     std::vector<HomingResult> results(jobs.size());
-    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
-                     [&](std::size_t i) {
-                         results[i] =
-                             runOne(jobs[i].app, cfg, jobs[i].localHoming);
-                     });
+    runBenchCells(jobs.size(), [&](std::size_t i) {
+        results[i] = runOne(jobs[i].app, cfg, jobs[i].localHoming);
+    });
 
     Table table({"application", "policy", "completion(ms)",
                  "slices w/ secure lines", "L2 miss"});

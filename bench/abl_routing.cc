@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "noc/routing.hh"
@@ -119,11 +118,10 @@ main(int argc, char **argv)
     }
 
     std::vector<Audit> results(jobs.size());
-    parallelForIndex(jobs.size(), knobWorkers(Knob::THREADS),
-                     [&](std::size_t i) {
-                         results[i] = auditPolicy(topo, jobs[i].split,
-                                                  jobs[i].bidirectional);
-                     });
+    runBenchCells(jobs.size(), [&](std::size_t i) {
+        results[i] =
+            auditPolicy(topo, jobs[i].split, jobs[i].bidirectional);
+    });
 
     Table table({"secure cores", "XY-only violations", "XY-only hops",
                  "bidir violations", "bidir hops"});

@@ -16,8 +16,8 @@
  *
  * One job = one architecture's whole ladder; the four ladders fan out
  * over IRONHIDE_THREADS sweep workers. `--json <path>` writes the
- * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS /
- * IRONHIDE_DOMAINS setting (CI diffs 1 vs 4).
+ * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS
+ * setting (CI diffs 1 vs 4).
  *
  * Knobs: IRONHIDE_SERVE_SESSIONS (sessions per ladder rung, default
  * 48), IRONHIDE_SERVE_APPS (serve only the first n paper apps),
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/serve.hh"
 #include "harness/sweep.hh"
@@ -124,13 +123,12 @@ main(int argc, char **argv)
         if (kArchs[i] == ArchKind::IRONHIDE) {
             for (const AppSpec &app : apps)
                 lopts.serve.splits.push_back(
-                    decideSplit(app, cfg, SplitPolicy::HEURISTIC, 4,
-                                effectiveDomains(cfg))
+                    decideSplit(app, cfg, SplitPolicy::HEURISTIC, 4)
                         .secureCores);
         }
         ladders[i] = runLoadLadder(kArchs[i], cfg, apps, lopts);
     };
-    parallelForIndex(kNumArchs, knobWorkers(Knob::THREADS), runLadder);
+    runBenchCells(kNumArchs, runLadder);
 
     Table table({"arch", "offered/s", "goodput/s", "p50(us)", "p99(us)",
                  "p999(us)", "maxq", "reconfigs", "purges", "stop"});

@@ -1,6 +1,7 @@
 #include "core/realloc_predictor.hh"
 
 #include <algorithm>
+#include <map>
 
 #include "sim/log.hh"
 
@@ -22,55 +23,27 @@ ReallocPredictor::clamp(long s) const
 }
 
 ReallocPredictor::Decision
-ReallocPredictor::gradientSearch(unsigned start, const ProbeFn &probe,
-                                 const PrefetchFn &prefetch) const
+ReallocPredictor::gradientSearch(unsigned start, const ProbeFn &probe) const
 {
     Decision d;
     unsigned s = clamp(start);
     unsigned probes = 0;
+    // Every evaluation counts as a probe, but a split the walk comes
+    // back to (the one it just stepped away from, say) is probed once.
+    std::map<unsigned, double> memo;
     auto eval = [&](unsigned x) {
         ++probes;
-        return probe(x);
-    };
-    // Hint the clamped, deduplicated candidate set (most likely
-    // first). Values still come exclusively from eval() in unchanged
-    // order, so hinting (or not) cannot move the search.
-    auto hint = [&](std::initializer_list<long> cands) {
-        if (!prefetch)
-            return;
-        std::vector<unsigned> c;
-        for (long x : cands) {
-            const unsigned u = clamp(x);
-            if (std::find(c.begin(), c.end(), u) == c.end())
-                c.push_back(u);
-        }
-        prefetch(c);
-    };
-    // The round ladder: the finite-difference pair first (s+step is
-    // always consumed; s-step whenever the +dir walk fails its first
-    // probe), then the first walk continuation each way — candidates a
-    // worker pool can evaluate while the serial search would still be
-    // on the first probe. Likelihood decreases down the list, so a
-    // pool capping at its worker count wastes the least likely first.
-    auto hintRound = [&](unsigned at, unsigned stp) {
-        const long a = static_cast<long>(at);
-        const long d = static_cast<long>(stp);
-        hint({a + d, a - d, a + 2 * d, a - 2 * d});
+        auto it = memo.find(x);
+        if (it == memo.end())
+            it = memo.emplace(x, probe(x)).first;
+        return it->second;
     };
 
     // Geometric step schedule: an eighth of the range, halving down to 1.
     unsigned step = std::max(1u, (maxSecure_ - minSecure_) / 8);
-    // One combined opening batch: the certain first probe, then the
-    // first round's ladder.
-    hint({static_cast<long>(s),
-          static_cast<long>(s) + static_cast<long>(step),
-          static_cast<long>(s) - static_cast<long>(step),
-          static_cast<long>(s) + 2 * static_cast<long>(step),
-          static_cast<long>(s) - 2 * static_cast<long>(step)});
     double best = eval(s);
     while (true) {
         bool improved = false;
-        hintRound(s, step);
         // Finite-difference gradient: look one step each way, walk the
         // descending direction while it keeps improving.
         for (int dir : {+1, -1}) {
@@ -84,12 +57,6 @@ ReallocPredictor::gradientSearch(unsigned start, const ProbeFn &probe,
                     best = f;
                     s = cand;
                     improved = true;
-                    // Momentum speculation: a walk that just improved
-                    // likely continues another step or two.
-                    hint({static_cast<long>(cand) +
-                              dir * static_cast<long>(step),
-                          static_cast<long>(cand) +
-                              2 * dir * static_cast<long>(step)});
                 } else {
                     break;
                 }

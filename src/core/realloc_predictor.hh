@@ -24,7 +24,6 @@
 #define IH_CORE_REALLOC_PREDICTOR_HH
 
 #include <functional>
-#include <vector>
 
 namespace ih
 {
@@ -35,20 +34,6 @@ class ReallocPredictor
   public:
     /** Predicted completion time for a given secure core count. */
     using ProbeFn = std::function<double(unsigned secure_cores)>;
-
-    /**
-     * Advisory batch hint: splits the search may probe next, ordered
-     * most-likely-first. A caller with idle domain workers can
-     * evaluate (and memoize) a prefix of the batch concurrently — the
-     * likelihood order lets it cap speculative waste at its worker
-     * count — so the subsequent ProbeFn calls return instantly.
-     * Purely an optimization channel: the search consults only ProbeFn
-     * for values and takes every decision in the same order with or
-     * without a prefetcher, so the Decision is bit-identical (probe
-     * counts included: speculative evaluations are never counted, only
-     * the algorithmic ProbeFn calls are).
-     */
-    using PrefetchFn = std::function<void(const std::vector<unsigned> &)>;
 
     /** Outcome of a search. */
     struct Decision
@@ -65,13 +50,11 @@ class ReallocPredictor
     ReallocPredictor(unsigned min_secure, unsigned max_secure);
 
     /**
-     * Gradient-based hill climb from @p start. Before each probe the
-     * candidates reachable in the next step or two are announced
-     * through @p prefetch (nullptr = no hints; the decision is the
-     * same either way).
+     * Gradient-based hill climb from @p start. The walk re-crosses
+     * splits it has already probed, so each split reaches @p probe
+     * once; Decision::probes still counts every evaluation.
      */
-    Decision gradientSearch(unsigned start, const ProbeFn &probe,
-                            const PrefetchFn &prefetch = nullptr) const;
+    Decision gradientSearch(unsigned start, const ProbeFn &probe) const;
 
     /** Exhaustive oracle sweep. */
     Decision optimalSweep(const ProbeFn &probe) const;

@@ -51,28 +51,17 @@ struct ExperimentResult
 /**
  * Decide the secure-cluster split for @p spec via probe runs.
  *
- * Each probe is a complete short simulation on a fresh machine, so
- * probes at distinct splits are independent and pure. @p domains > 1
- * evaluates them on that many host workers (speculatively, one search
- * step ahead), memoized so the search itself consumes every value in
- * its canonical serial order: the returned Decision — probe count
- * included — is bit-identical at any domain count
- * (tests/test_domains.cc pins this).
+ * Each probe is a complete short simulation on a fresh machine, run on
+ * the calling thread. The trailing unsigned is ignored: perfbench/
+ * still passes effectiveDomains() there. Both go in ROADMAP item 12.3's
+ * benchmark change, as SysConfig::engine does.
  */
 ReallocPredictor::Decision
 decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
-            std::uint64_t probe_interactions, unsigned domains = 1);
+            std::uint64_t probe_interactions, unsigned = 1);
 
-/**
- * Intra-run worker count in effect: the IRONHIDE_DOMAINS knob
- * (knobWorkers: default 1, 0 = hardware concurrency, at most 256). The
- * config parameter is unused; it stays for perfbench/, which calls
- * this. The knob trades host wall time only — simulated results are
- * byte-identical at every value. Note the knobs multiply:
- * IRONHIDE_THREADS sweep workers each run their jobs' probe pools at
- * this count, so threads x domains concurrent simulations can exist at
- * once; size the product to the host.
- */
+/** Always 1, the one probe worker; only perfbench/ calls it (see
+ *  decideSplit()). */
 unsigned effectiveDomains(const SysConfig &cfg);
 
 /** Run @p spec under architecture @p kind on a fresh machine. */

@@ -2,9 +2,9 @@
  * @file
  * Deterministic fork-join primitive for independent simulation jobs.
  *
- * Both levels of host-side parallelism in the harness — the sweep
- * workers (one per experiment) and the intra-run domain workers
- * (one worker per split-decision probe) — need the same contract: run N
+ * The harness's one level of host-side parallelism — the sweep
+ * workers, each claiming whole cells (a split decision's probes run on
+ * the worker that claimed its cell) — needs one contract: run N
  * independent closures on up to K threads such that nothing observable
  * depends on the schedule. parallelForIndex() is that contract in one
  * place:

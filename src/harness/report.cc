@@ -271,7 +271,6 @@ struct KnobRow
 constexpr KnobRow kKnobs[] = {
     {"IRONHIDE_SCALE", 0, 0, 1.0},
     {"IRONHIDE_THREADS", 0, 4096, 0},
-    {"IRONHIDE_DOMAINS", 0, 256, 1},
     {"IRONHIDE_ATTACK_TRIALS", 0, 4096, 24},
     {"IRONHIDE_MAX_LOAD_STEPS", 0, 64, 6},
     {"IRONHIDE_SERVE_SESSIONS", 1, 1000000, 48},

@@ -94,7 +94,6 @@ enum class Knob : std::uint8_t
 {
     SCALE = 0,      ///< IRONHIDE_SCALE (real)
     THREADS,        ///< IRONHIDE_THREADS (workers)
-    DOMAINS,        ///< IRONHIDE_DOMAINS (workers)
     ATTACK_TRIALS,  ///< IRONHIDE_ATTACK_TRIALS (count)
     MAX_LOAD_STEPS, ///< IRONHIDE_MAX_LOAD_STEPS (count)
     SERVE_SESSIONS, ///< IRONHIDE_SERVE_SESSIONS (count)

@@ -19,8 +19,7 @@
  *
  * Everything here is simulated-time arithmetic over deterministic
  * schedules: a ladder is a pure function of (arch, config, apps,
- * options), byte-identical at any IRONHIDE_THREADS/IRONHIDE_DOMAINS
- * setting.
+ * options), byte-identical at any IRONHIDE_THREADS setting.
  */
 
 #ifndef IH_HARNESS_SERVE_HH

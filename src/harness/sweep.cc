@@ -330,6 +330,23 @@ runBenchSweep(int argc, char **argv, const std::vector<SweepJob> &jobs)
     }
 }
 
+void
+runBenchCells(std::size_t n, const std::function<void(std::size_t)> &cell)
+{
+    try {
+        parallelForIndex(n, knobWorkers(Knob::THREADS), [&](std::size_t i) {
+            try {
+                cell(i);
+            } catch (const std::exception &e) {
+                throw std::runtime_error(
+                    strprintf("cell %zu: %s", i, e.what()));
+            }
+        });
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
+}
+
 std::string
 sweepReportJson(const char *schema, const std::string &sweep_id,
                 std::size_t cells, const CellWriter &identify,

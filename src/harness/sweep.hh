@@ -162,6 +162,15 @@ std::vector<ExperimentResult> runSweep(const std::vector<SweepJob> &jobs,
 std::vector<ExperimentResult> runBenchSweep(int argc, char **argv,
                                             const std::vector<SweepJob> &jobs);
 
+/**
+ * The bench driver for cells that are not SweepJobs: @p cell(i) for
+ * every i in [0, @p n) at IRONHIDE_THREADS workers. A throwing cell is
+ * fatal() as "cell <i>: <what>" for the lowest failing i, before the
+ * caller writes any report.
+ */
+void runBenchCells(std::size_t n,
+                   const std::function<void(std::size_t)> &cell);
+
 /** Fold @p results into per-architecture aggregates. */
 SweepSummary summarize(const std::vector<ExperimentResult> &results);
 

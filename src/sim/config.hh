@@ -91,8 +91,8 @@ struct SysConfig
 
     // --- Misc -------------------------------------------------------------
     std::uint64_t seed = 0xC0FFEE;
-    // Host parallelism is not configuration: the intra-run probe
-    // workers come from the IRONHIDE_DOMAINS knob (effectiveDomains()).
+    // Host parallelism is not configuration: sweep workers come from
+    // the IRONHIDE_THREADS knob, and probes run on the calling thread.
 
     /** The phase engine (fixed: see EngineKind). */
     static constexpr EngineKind engine = EngineKind::SERIAL;

@@ -32,7 +32,7 @@
  *
  * Determinism contract: a run is a pure function of
  * (channel, arch, config, options) — no wall clock, no global state —
- * so results are byte-identical across host thread/domain counts
+ * so results are byte-identical across host thread counts
  * (bench/abl_attacks.cc and the CI determinism leg pin this).
  */
 

@@ -4,12 +4,14 @@
  * attestation, the enclave entry/exit protocol, purge engine, region
  * ownership, the four architecture models' partitioning decisions,
  * IRONHIDE's dynamic reconfiguration (and its leakage bound), the
- * re-allocation predictor, and the exact relations between architectures.
+ * re-allocation predictor and the split decisions its probe runs drive,
+ * and the exact relations between architectures.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/access_check.hh"
@@ -18,6 +20,7 @@
 #include "core/mi6.hh"
 #include "core/realloc_predictor.hh"
 #include "core/sgx_like.hh"
+#include "harness/experiment.hh"
 #include "workloads/interactive_app.hh"
 
 using namespace ih;
@@ -456,6 +459,27 @@ TEST(ReallocPredictor, GradientFindsConvexMinimum)
     EXPECT_GT(d.probes, 0u);
 }
 
+TEST(ReallocPredictor, GradientSearchEvaluatesEachSplitOnce)
+{
+    // From 32 the walk steps to 39, then looks back and re-probes 32;
+    // later rounds re-cross more splits. Each split reaches the probe
+    // function once, and probes still counts every evaluation.
+    ReallocPredictor pred(2, 62);
+    std::map<unsigned, unsigned> calls;
+    const auto f = [&calls](unsigned s) {
+        ++calls[s];
+        const double d = static_cast<double>(s) - 41.0;
+        return 100.0 + d * d;
+    };
+    const auto d = pred.gradientSearch(32, f);
+    EXPECT_EQ(d.secureCores, 41u);
+    EXPECT_EQ(d.predicted, 100.0);
+    for (const auto &[split, n] : calls)
+        EXPECT_EQ(n, 1u) << "split " << split;
+    EXPECT_EQ(calls.size(), 8u);
+    EXPECT_EQ(d.probes, 16u);
+}
+
 TEST(ReallocPredictor, GradientRespectsBounds)
 {
     ReallocPredictor pred(2, 62);
@@ -484,4 +508,69 @@ TEST(ReallocPredictor, VariationIsPercentOfMachine)
     EXPECT_EQ(pred.withVariation(32, +5, 64), 35u);
     EXPECT_EQ(pred.withVariation(60, +25, 64), 62u); // clamped
     EXPECT_EQ(pred.withVariation(4, -25, 64), 2u);   // clamped
+}
+
+// ---- Split decisions on probe runs ----------------------------------------
+
+namespace
+{
+
+/** A fast app spec so probe-heavy split decisions stay quick. */
+AppSpec
+tinyAesQuery()
+{
+    AppSpec spec = findApp("<AES, QUERY>", 0.05);
+    spec.interactions = 4;
+    spec.insecureThreads = 2;
+    spec.secureThreads = 2;
+    return spec;
+}
+
+} // namespace
+
+TEST(DecideSplit, HeuristicAndOptimalKeepTheirDecisions)
+{
+    // The exact decisions, probe counts and probed completions, so a
+    // change to how probes are evaluated cannot move them unnoticed.
+    // Each probe builds the app once, so make() counts simulations.
+    const SysConfig cfg = SysConfig::smallTest();
+    AppSpec app = tinyAesQuery();
+    unsigned sims = 0;
+    app.make = [make = app.make, &sims](const SysConfig &c) {
+        ++sims;
+        return make(c);
+    };
+    const ReallocPredictor::Decision h =
+        decideSplit(app, cfg, SplitPolicy::HEURISTIC, 2);
+    EXPECT_EQ(h.secureCores, 8u);
+    EXPECT_EQ(h.probes, 3u); // step 1 from 8: 9 and 7 are both worse
+    EXPECT_EQ(h.predicted, 46613.0);
+    EXPECT_EQ(sims, 3u);
+
+    sims = 0;
+    const ReallocPredictor::Decision o =
+        decideSplit(app, cfg, SplitPolicy::OPTIMAL, 2);
+    EXPECT_EQ(o.secureCores, 3u);
+    EXPECT_EQ(o.predicted, 43676.0);
+    // Evens 2..14 pick 4; 3 beats it, and the +1 step lands back on
+    // 4: nine counted probes, eight simulations.
+    EXPECT_EQ(o.probes, 9u);
+    EXPECT_EQ(sims, 8u);
+}
+
+TEST(DecideSplit, AThrowingProbeSurfacesItsOwnError)
+{
+    AppSpec broken = tinyAesQuery();
+    broken.make = [](const SysConfig &) -> WorkloadPair {
+        throw std::runtime_error("probe boom");
+    };
+    const SysConfig cfg = SysConfig::smallTest();
+    for (SplitPolicy policy : {SplitPolicy::HEURISTIC, SplitPolicy::OPTIMAL}) {
+        try {
+            decideSplit(broken, cfg, policy, 2);
+            ADD_FAILURE() << "expected the probe failure";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "probe boom");
+        }
+    }
 }

@@ -3,7 +3,7 @@
  * Harness tests: table rendering, experiment plumbing, the split
  * decision policies, the knob registry and its strict parsers, the
  * deterministic fork-join primitive, and the strict bench arguments
- * and failure exit of the bench sweep driver.
+ * and failure exits of the bench drivers (runBenchSweep, runBenchCells).
  */
 
 #include <gtest/gtest.h>
@@ -133,7 +133,6 @@ struct CountKnob
 
 const CountKnob kCountKnobs[] = {
     {Knob::THREADS, "IRONHIDE_THREADS", "4097", 0},
-    {Knob::DOMAINS, "IRONHIDE_DOMAINS", "257", 1},
     {Knob::ATTACK_TRIALS, "IRONHIDE_ATTACK_TRIALS", "4097", 24},
     {Knob::MAX_LOAD_STEPS, "IRONHIDE_MAX_LOAD_STEPS", "65", 6},
     {Knob::SERVE_SESSIONS, "IRONHIDE_SERVE_SESSIONS", "1000001", 48},
@@ -161,13 +160,14 @@ TEST(Knobs, CountKnobsRejectAboveBoundAndGarbage)
 
 TEST(Knobs, CountParsingIsStrict)
 {
-    setenv("IRONHIDE_DOMAINS", "0", 1); // the caller's sentinel: valid
-    EXPECT_EQ(knobCount(Knob::DOMAINS), 0u);
+    setenv("IRONHIDE_MAX_LOAD_STEPS", "0", 1); // the row's minimum: valid
+    EXPECT_EQ(knobCount(Knob::MAX_LOAD_STEPS), 0u);
+    // Each falls back to the default 6; strtoul would wrap "-2".
     for (const char *bad : {"", "-2", "4abc", "99999999999999999999"}) {
-        setenv("IRONHIDE_DOMAINS", bad, 1); // strtoul would wrap "-2"
-        EXPECT_EQ(knobCount(Knob::DOMAINS), 1u) << bad;
+        setenv("IRONHIDE_MAX_LOAD_STEPS", bad, 1);
+        EXPECT_EQ(knobCount(Knob::MAX_LOAD_STEPS), 6u) << bad;
     }
-    unsetenv("IRONHIDE_DOMAINS");
+    unsetenv("IRONHIDE_MAX_LOAD_STEPS");
 }
 
 TEST(Knobs, ZeroBelowTheLowerBoundGivesTheDefault)
@@ -179,14 +179,14 @@ TEST(Knobs, ZeroBelowTheLowerBoundGivesTheDefault)
 
 TEST(Knobs, ZeroWorkersIsTheHardwareConcurrencyWithinTheBound)
 {
-    setenv("IRONHIDE_DOMAINS", "0", 1);
-    const unsigned hw = knobWorkers(Knob::DOMAINS);
+    setenv("IRONHIDE_THREADS", "0", 1);
+    const unsigned hw = knobWorkers(Knob::THREADS);
     EXPECT_GE(hw, 1u);
-    EXPECT_LE(hw, 256u);
-    setenv("IRONHIDE_DOMAINS", "3", 1);
-    EXPECT_EQ(knobWorkers(Knob::DOMAINS), 3u);
-    unsetenv("IRONHIDE_DOMAINS");
-    EXPECT_EQ(knobWorkers(Knob::DOMAINS), 1u);
+    EXPECT_LE(hw, 4096u);
+    setenv("IRONHIDE_THREADS", "3", 1);
+    EXPECT_EQ(knobWorkers(Knob::THREADS), 3u);
+    unsetenv("IRONHIDE_THREADS"); // the default is 0
+    EXPECT_EQ(knobWorkers(Knob::THREADS), hw);
 }
 
 TEST(Knobs, RealKnobsRejectInfAndTrailingGarbage)
@@ -499,6 +499,31 @@ TEST(RunBenchSweepDeathTest, AFailingJobExitsOneAndWritesNoReport)
                                      runBenchSweep(3, argv, jobs)),
                 ::testing::ExitedWithCode(1),
                 "job 1 \\(<AES, QUERY>/insecure\\): boom");
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
+}
+
+TEST(RunBenchCellsDeathTest, AThrowingCellExitsOneNamingTheLowestFailingCell)
+{
+    // Cells 1 and 3 throw: the bench fails with cell 1's error at any
+    // worker count, before the report that would follow is written.
+    const std::string path = ::testing::TempDir() + "/ih_failed_cells.json";
+    std::remove(path.c_str());
+    const auto bench = [&path] {
+        runBenchCells(4, [](std::size_t i) {
+            if (i % 2 == 1)
+                throw std::runtime_error(strprintf("boom %zu", i));
+        });
+        writeTextFile(path, "{}\n");
+    };
+    for (const char *threads : {"1", "4"}) {
+        SCOPED_TRACE(threads);
+        setenv("IRONHIDE_THREADS", threads, 1);
+        EXPECT_EXIT(bench(), ::testing::ExitedWithCode(1), "cell 1: boom 1");
+    }
+    unsetenv("IRONHIDE_THREADS");
     std::FILE *f = std::fopen(path.c_str(), "r");
     EXPECT_EQ(f, nullptr);
     if (f)

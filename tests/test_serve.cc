@@ -9,7 +9,7 @@
  * host-parallelism knobs invisible), the load ladder's saturation stop
  * provably fires on a deliberately overloaded cell instead of walking
  * the whole rung bound, and a whole ladder is identical, field for
- * field, at any IRONHIDE_THREADS / IRONHIDE_DOMAINS setting. A lone
+ * field, at any IRONHIDE_THREADS setting. A lone
  * session also finishes exactly where a warmup-free InteractiveApp::run
  * completes: serving and runs share one admission order and one
  * interaction loop.
@@ -150,12 +150,10 @@ class ArrivalTest : public ::testing::Test
     void SetUp() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
     }
     void TearDown() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
     }
 };
 
@@ -194,7 +192,6 @@ TEST_F(ArrivalTest, ScheduleIgnoresHostParallelismKnobs)
     const std::vector<Arrival> base = ArrivalProcess(cfg).schedule();
 
     setenv("IRONHIDE_THREADS", "4", 1);
-    setenv("IRONHIDE_DOMAINS", "4", 1);
     EXPECT_TRUE(ArrivalProcess(cfg).schedule() == base);
 }
 
@@ -248,13 +245,11 @@ class ServeTest : public ::testing::Test
     void SetUp() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
         unsetenv("IRONHIDE_MAX_LOAD_STEPS");
     }
     void TearDown() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
         unsetenv("IRONHIDE_MAX_LOAD_STEPS");
     }
 };
@@ -302,7 +297,6 @@ TEST_F(ServeTest, LadderIsByteIdenticalUnderHostParallelismKnobs)
         runLoadLadder(ArchKind::IRONHIDE, cfg, apps, opts);
 
     setenv("IRONHIDE_THREADS", "4", 1);
-    setenv("IRONHIDE_DOMAINS", "4", 1);
     const LoadLadderResult parallel =
         runLoadLadder(ArchKind::IRONHIDE, cfg, apps, opts);
     EXPECT_EQ(base.arch, parallel.arch);
