@@ -18,6 +18,12 @@ Markdown on stdout (progress goes to stderr). Only the wall_s ratio is
 gated; the other medians are reported so memory and host-speed moves
 show.
 
+host.calib_ms measures more than host speed. Its loop calls
+Cache::lookup, Cache::insert and Network::traverse, compiled from each
+side's own src/, so a change to those files moves it too. Compare the
+two sides' calib_ms as a host-speed reading only when neither side
+changed src/mem/cache.* or src/noc/.
+
 Exit codes: 0 pass; 1 when either side reports "correct": false or the
 median ratio exceeds 1.15; 2 on a usage error or a run that printed no
 result.

@@ -53,7 +53,7 @@ Cache::lruVictim(unsigned set) const
 }
 
 Eviction
-Cache::insert(Addr addr, ProcId owner, Domain domain)
+Cache::insert(Addr addr, ProcId proc, Domain domain)
 {
     const Addr la = lineAddrOf(addr);
     const unsigned set = setOf(la);
@@ -92,10 +92,12 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
     line.dirty = false;
     line.writable = false;
     line.sharers = 0;
-    line.ownerProc = owner;
+    line.owner = INVALID_CORE;
+    line.ownerProc = proc;
     line.ownerDomain = domain;
     touch(set, way);
     statFills_.inc();
+    ev.filled = &line;
     return ev;
 }
 

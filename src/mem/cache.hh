@@ -8,6 +8,8 @@
  *  - writable:  M/E permission (L1 only; L2 lines ignore it)
  *  - sharers:   bitmask of cores holding the line (L2 home lines act as
  *               the MSI directory entry for their address)
+ *  - owner:     the core last granted write permission (L2 use): the
+ *               only sharer that can hold the line dirty
  *  - ownerProc / ownerDomain: the process/domain that installed the line,
  *               used by the purge engine and the isolation audits
  *
@@ -19,7 +21,8 @@
  * every validity change (fill, invalidateLine, flushAll), so a flush of
  * an empty cache returns without scanning the tag array. Only this
  * class writes CacheLine::valid; the mutable line pointers it hands out
- * are for coherence metadata (dirty, writable, sharers).
+ * (lookup, findLine, and the filled line insert returns) are for
+ * coherence metadata (dirty, writable, sharers, owner).
  *
  * Replacement is true LRU over per-way timestamps. A flush needs no LRU
  * reset: a victim is chosen only in a set whose ways are all valid, and
@@ -45,21 +48,30 @@
 namespace ih
 {
 
-/** Metadata of one cache line. */
+/** Metadata of one cache line. Wide fields first, so the line packs
+ *  into 32 bytes: two lines per host cache line. */
 struct CacheLine
 {
     Addr lineAddr = 0;    ///< address of the first byte of the line
+    std::uint64_t sharers = 0;        ///< directory bitmask (L2 use)
+    ProcId ownerProc = INVALID_PROC;
+    /** Directory owner (L2 use): the core last granted write
+     *  permission, or INVALID_CORE. Every fill resets it. */
+    CoreId owner = INVALID_CORE;
     bool valid = false;
     bool dirty = false;
     bool writable = false;            ///< M/E permission (L1 use)
-    std::uint64_t sharers = 0;        ///< directory bitmask (L2 use)
-    ProcId ownerProc = INVALID_PROC;
     Domain ownerDomain = Domain::INSECURE;
 };
+static_assert(sizeof(CacheLine) == 32, "CacheLine grew past 32 bytes");
 
-/** Result of an insertion: the victim line, when one was evicted. */
+/** Result of an insertion: the filled line, and the victim line when
+ *  one was evicted. */
 struct Eviction
 {
+    /** The line the insertion filled. It stays this address's line
+     *  until the next fill or invalidation in its cache. */
+    CacheLine *filled = nullptr;
     bool happened = false;
     CacheLine victim;
 };
@@ -151,10 +163,12 @@ class Cache
     }
 
     /**
-     * Insert the line containing @p addr (must not be present).
-     * @return the eviction performed to make room, if any.
+     * Insert the line containing @p addr (must not be present), owned
+     * by process @p proc of @p domain.
+     * @return the filled line, so the caller needs no lookup to reach
+     * it, and the eviction performed to make room, if any.
      */
-    Eviction insert(Addr addr, ProcId owner, Domain domain);
+    Eviction insert(Addr addr, ProcId proc, Domain domain);
 
     /** Invalidate the line containing @p addr if present.
      *  @return the line as it was, when it existed. */

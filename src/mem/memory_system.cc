@@ -171,6 +171,7 @@ MemorySystem::upgradeLine(CoreId core, Addr line_pa, CoreId home,
     if (CacheLine *l2_line = l2s_[home]->findLine(line_pa)) {
         t = invalidateSharers(*l2_line, core, home, t, cluster);
         l2_line->sharers = Directory::bit(core);
+        l2_line->owner = core;
     }
     return net_.traverse(home, core, t, 1, cluster);
 }
@@ -237,41 +238,64 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
         tm += cfg_.hopLatency;
         t = net_.traverse(mc_tile, home, tm, dataFlits_, cluster);
 
+        // The L1 back-invalidations touch no L2 slice, so the filled
+        // line stays put.
         const Eviction ev = l2s_[home]->insert(pa, proc, domain);
         if (ev.happened)
             handleL2Eviction(ev.victim, t);
-        l2_line = l2s_[home]->findLine(pa);
-        IH_ASSERT(l2_line, "L2 line vanished after insert");
+        l2_line = ev.filled;
     } else {
         l2_hit = true;
-        // Another L1 may own the line dirty; fetch/forward it.
+        // Another L1 may own the line dirty; fetch/forward it. Only the
+        // directory owner can: a grant of write permission invalidates
+        // every other sharer, and a forward leaves the owner clean.
         if (l2_line->sharers != 0 &&
             !Directory::soleSharer(l2_line->sharers, core)) {
-            Cycle fwd = t;
-            Directory::forEachSharer(l2_line->sharers, [&](CoreId sharer) {
-                if (sharer == core)
-                    return;
-                CacheLine *sl = l1s_[sharer]->findLine(l2_line->lineAddr);
-                if (sl && sl->dirty) {
+            IH_DEBUG_ASSERT(dirtySharersOwned(*l2_line, core),
+                            "line %#llx: a sharer other than owner %u "
+                            "holds it dirty",
+                            static_cast<unsigned long long>(
+                                l2_line->lineAddr),
+                            l2_line->owner);
+            const CoreId owner = l2_line->owner;
+            l2_line->owner = INVALID_CORE;
+            if (owner != INVALID_CORE && owner != core &&
+                Directory::isSharer(l2_line->sharers, owner)) {
+                CacheLine *ol = l1s_[owner]->findLine(l2_line->lineAddr);
+                if (ol && ol->dirty) {
                     // Home -> owner -> home forwarding round.
-                    fwd = std::max(fwd, net_.roundTrip(home, sharer, t, 1,
-                                                       dataFlits_,
-                                                       cluster));
-                    sl->dirty = false;
-                    sl->writable = false;
+                    t = net_.roundTrip(home, owner, t, 1, dataFlits_,
+                                       cluster);
+                    ol->dirty = false;
+                    ol->writable = false;
                     l2_line->dirty = true;
                     statDirtyForwards_.inc();
                 }
-            });
-            t = fwd;
+            }
         }
     }
 
     // ---- Coherence action for the requested op ----------------------------
-    if (op == MemOp::STORE)
+    if (op == MemOp::STORE) {
         t = invalidateSharers(*l2_line, core, home, t, cluster);
+        l2_line->owner = core;
+    }
     l2_line->sharers = Directory::addSharer(l2_line->sharers, core);
     return t;
+}
+
+bool
+MemorySystem::dirtySharersOwned(const CacheLine &l2_line,
+                                CoreId requester) const
+{
+    bool owned = true;
+    Directory::forEachSharer(l2_line.sharers, [&](CoreId sharer) {
+        const CacheLine *sl = l1s_[sharer]->peek(l2_line.lineAddr);
+        if (sharer != requester && sharer != l2_line.owner && sl &&
+            sl->dirty)
+            owned = false;
+    });
+    return owned;
 }
 
 AccessResult
@@ -287,6 +311,8 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
                      res.l2Hit);
 
     // ---- Fill L1 -----------------------------------------------------------
+    // The victim's bookkeeping touches only L2 slices and controllers,
+    // so the filled line stays put.
     const Eviction l1_ev = l1s_[core]->insert(pa, proc, space.domain());
     if (l1_ev.happened) {
         if (l1_ev.victim.dirty)
@@ -296,8 +322,7 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
         if (CacheLine *vl = l2s_[vhome]->findLine(l1_ev.victim.lineAddr))
             vl->sharers = Directory::removeSharer(vl->sharers, core);
     }
-    CacheLine *l1_line = l1s_[core]->findLine(pa);
-    IH_ASSERT(l1_line, "L1 line vanished after insert");
+    CacheLine *const l1_line = l1_ev.filled;
     l1_line->writable = (op == MemOp::STORE);
     l1_line->dirty = (op == MemOp::STORE);
 

@@ -252,10 +252,24 @@ class MemorySystem
      * request traverse, L2 lookup (controller fetch or dirty forward),
      * store invalidations, sharer-bit update. Sets @p l2_hit on an L2
      * hit and leaves it untouched otherwise.
+     *
+     * The dirty forward looks only at the directory owner's L1, so its
+     * cost does not grow with the sharer count. A STORE makes the
+     * requester the owner; the forward step clears the owner once it
+     * has looked.
      */
     Cycle missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
                        const ClusterRange &cluster, CoreId home,
                        ProcId proc, Domain domain, bool &l2_hit);
+
+    /**
+     * The one-dirty-sharer invariant, by a scan of every sharer's L1:
+     * no sharer of @p l2_line other than @p requester and the
+     * directory owner holds the line dirty. Debug builds check it
+     * before each dirty forward.
+     */
+    bool dirtySharersOwned(const CacheLine &l2_line,
+                           CoreId requester) const;
 
     /**
      * Common L1 stage of access()/accessSlow(): charge the L1 latency
@@ -315,7 +329,8 @@ class MemorySystem
      *  forward-declared here). */
     void noteBlocked(ProcId proc, Cycle t);
 
-    /** Handle an L1 store hit on a non-writable (shared) line. */
+    /** Handle an L1 store hit on a non-writable (shared) line; the
+     *  storing core becomes the line's directory owner. */
     Cycle upgradeLine(CoreId core, Addr line_pa, CoreId home, Cycle when,
                       const ClusterRange &cluster);
 

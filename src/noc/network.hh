@@ -18,6 +18,9 @@
 #ifndef IH_NOC_NETWORK_HH
 #define IH_NOC_NETWORK_HH
 
+#include <cstddef>
+#include <cstdlib>
+#include <initializer_list>
 #include <vector>
 
 #include "noc/routing.hh"
@@ -99,6 +102,15 @@ class Network
         NORTH = 3, ///< y - 1
     };
 
+    /** One straight segment of a route: its hop count, the link each
+     *  hop takes, and the link_free_ stride from one tile to the next. */
+    struct Segment
+    {
+        unsigned hops;
+        unsigned dir;
+        std::ptrdiff_t stride;
+    };
+
     /**
      * One directed leg of a traversal from @p src (at coordinate
      * @p s) to the tile at coordinate @p e (the endpoints differ). The
@@ -107,10 +119,11 @@ class Network
      *
      * Wormhole-ish model: head flit pays hop latency + link wait per
      * hop; body flits stream behind (serialization charged once at the
-     * end). The reservation loop carries the base index of the current
-     * tile's link quad over the raw link_free_ array — one +-4 (X hop)
-     * or +-4*width (Y hop) stride per hop — so the per-hop work is a
-     * compare, two adds and a store.
+     * end). A dimension-ordered route is two straight segments; each
+     * walks a pointer over the raw link_free_ array by one fixed
+     * stride per hop (+-4 on X, +-4*width on Y). Everything the hop
+     * loop updates is a local, so it stays in registers, and the
+     * link-stall cycles are summed over the leg and counted once.
      */
     Cycle
     walkLeg(CoreId src, const Coord &s, const Coord &e, Cycle when,
@@ -120,43 +133,37 @@ class Network
         if (!router_.orderedRouteContained(s, e, order, cluster))
             statIsolationViolations_.inc();
 
-        Cycle *const lf = link_free_.data();
+        const int dx = e.x - s.x;
+        const int dy = e.y - s.y;
+        const std::ptrdiff_t ystride =
+            static_cast<std::ptrdiff_t>(topo_.width()) * 4;
+        const Segment along_x{static_cast<unsigned>(std::abs(dx)),
+                              dx > 0 ? EAST : WEST, dx > 0 ? 4 : -4};
+        const Segment along_y{static_cast<unsigned>(std::abs(dy)),
+                              dy > 0 ? SOUTH : NORTH,
+                              dy > 0 ? ystride : -ystride};
+        const bool xy = order == RouteOrder::XY;
+
         const Cycle hop = cfg_.hopLatency;
-        const std::size_t ystride =
-            static_cast<std::size_t>(topo_.width()) * 4;
-        std::size_t li = static_cast<std::size_t>(src) * 4;
+        Cycle *quad = link_free_.data() + static_cast<std::size_t>(src) * 4;
         Cycle t = when;
-        const auto reserve = [&](std::size_t link) {
-            Cycle &slot = lf[link];
-            if (slot > t) {
-                statLinkStallCycles_.inc(slot - t);
-                t = slot;
+        Cycle stall = 0;
+        for (const Segment &seg : {xy ? along_x : along_y,
+                                   xy ? along_y : along_x}) {
+            const std::ptrdiff_t stride = seg.stride;
+            Cycle *link = quad + seg.dir;
+            for (unsigned n = seg.hops; n != 0; --n, link += stride) {
+                if (*link > t) {
+                    stall += *link - t;
+                    t = *link;
+                }
+                // The link stays busy while all flits stream across it.
+                *link = t + flits;
+                t += hop;
             }
-            // The link stays busy while all flits stream across it.
-            slot = t + flits;
-            t += hop;
-        };
-        int x = s.x;
-        int y = s.y;
-        const auto walk_x = [&]() {
-            for (; x < e.x; ++x, li += 4)
-                reserve(li + EAST);
-            for (; x > e.x; --x, li -= 4)
-                reserve(li + WEST);
-        };
-        const auto walk_y = [&]() {
-            for (; y < e.y; ++y, li += ystride)
-                reserve(li + SOUTH);
-            for (; y > e.y; --y, li -= ystride)
-                reserve(li + NORTH);
-        };
-        if (order == RouteOrder::XY) {
-            walk_x();
-            walk_y();
-        } else {
-            walk_y();
-            walk_x();
+            quad = link - seg.dir; // the turn (or destination) tile
         }
+        statLinkStallCycles_.inc(stall);
         t += flits > 1 ? (flits - 1) : 0; // tail serialization
         statTotalLatency_.inc(t - when);
         return t;

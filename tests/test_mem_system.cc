@@ -11,6 +11,7 @@
 #include "mem/directory.hh"
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -115,6 +116,106 @@ TEST(MemorySystem, DirtyDataForwardedToReader)
     const CacheLine *old_owner = r.mem.l1(0).peek(pa);
     ASSERT_NE(old_owner, nullptr);
     EXPECT_FALSE(old_owner->dirty);
+}
+
+TEST(MemorySystem, PurgedOwnerForwardsNothing)
+{
+    // A purge writes the owner's dirty copy back but leaves its sharer
+    // bit and the directory owner in place. The next reader must find
+    // no copy to forward, and a later owner must forward normally.
+    Rig r;
+    r.acc(0, 0x1000, MemOp::STORE);
+    const Addr pa = r.space.translate(0x1000)->ppage;
+    const CacheLine *l2_line = r.mem.l2(r.mem.homeOfPhys(pa)).peek(pa);
+    ASSERT_NE(l2_line, nullptr);
+    EXPECT_EQ(l2_line->owner, 0u);
+    r.mem.purgePrivate({0}, 1000);
+    EXPECT_TRUE(l2_line->dirty); // the write-back landed in the home
+    EXPECT_EQ(l2_line->sharers, Directory::bit(0)); // a stale bit
+
+    const AccessResult load = r.acc(1, 0x1000, MemOp::LOAD, 10000);
+    EXPECT_TRUE(load.l2Hit);
+    EXPECT_EQ(r.mem.stats().value("dirty_forwards"), 0u);
+    EXPECT_EQ(l2_line->owner, INVALID_CORE); // looked at, then cleared
+
+    r.acc(1, 0x1000, MemOp::STORE, 20000); // upgrade: core 1 owns it
+    EXPECT_EQ(l2_line->owner, 1u);
+    r.acc(2, 0x1000, MemOp::LOAD, 30000);
+    EXPECT_EQ(r.mem.stats().value("dirty_forwards"), 1u);
+    const CacheLine *old_owner = r.mem.l1(1).peek(pa);
+    ASSERT_NE(old_owner, nullptr);
+    EXPECT_FALSE(old_owner->dirty); // the forward came from core 1
+    EXPECT_EQ(l2_line->owner, INVALID_CORE);
+}
+
+TEST(MemorySystem, DirtyCopiesBelongToTheDirectoryOwner)
+{
+    // MSI leaves at most one sharer dirty, and the home line records
+    // which: the dirty forward reads only that core's L1. Drive a
+    // seeded random trace (loads and stores from every core over 48
+    // shared lines that overflow their L1 sets, purges of random core
+    // subsets, and a mid-trace re-homing) and check the invariant over
+    // every home line after every access. Release builds compile out
+    // the forward step's own scan, so this is their check.
+    Rig r;
+    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
+    r.space.setAllowedSlices({0, 1, 2, 3, 4, 5, 6, 7});
+    const unsigned cores = r.topo.numTiles();
+    std::vector<VAddr> lines;
+    for (unsigned i = 0; i < 48; ++i)
+        lines.push_back((i % 6) * r.cfg.pageBytes + (i / 6) * 256);
+
+    // Visit every (home line, sharer) pair whose sharer bit is set and
+    // whose L1 copy is dirty.
+    const auto forEachDirtySharer = [&](auto &&fn) {
+        for (CoreId s = 0; s < cores; ++s) {
+            r.mem.l2(s).forEachLine([&](const CacheLine &home) {
+                Directory::forEachSharer(home.sharers, [&](CoreId c) {
+                    const CacheLine *l1 = r.mem.l1(c).peek(home.lineAddr);
+                    if (l1 && l1->dirty)
+                        fn(home, c);
+                });
+            });
+        }
+    };
+
+    Rng rng(0x0D1C7);
+    Cycle t = 0;
+    unsigned purged_owners = 0;
+    for (unsigned step = 0; step < 2000; ++step) {
+        if (step == 1000) {
+            ASSERT_GT(r.mem.rehomePages(r.space, {0, 1, 2, 3}), 0u);
+        } else if (rng.chance(0.03)) {
+            std::vector<bool> purged(cores);
+            std::vector<CoreId> purge;
+            for (CoreId c = 0; c < cores; ++c) {
+                if (rng.chance(0.25)) {
+                    purged[c] = true;
+                    purge.push_back(c);
+                }
+            }
+            // The previous step's check made every dirty sharer its
+            // line's owner, so this counts live owners being purged.
+            forEachDirtySharer([&](const CacheLine &, CoreId c) {
+                purged_owners += purged[c] ? 1 : 0;
+            });
+            t = r.mem.purgePrivate(purge, t);
+        }
+        const CoreId core = static_cast<CoreId>(rng.nextRange(cores));
+        const VAddr va = lines[rng.nextRange(lines.size())];
+        const MemOp op = rng.chance(0.4) ? MemOp::STORE : MemOp::LOAD;
+        t = r.acc(core, va, op, t).finish;
+
+        unsigned strays = 0;
+        forEachDirtySharer([&](const CacheLine &home, CoreId c) {
+            strays += c != home.owner ? 1 : 0;
+        });
+        ASSERT_EQ(strays, 0u) << "step " << step << ": a dirty L1 copy "
+                              << "is not its directory owner's";
+    }
+    EXPECT_GT(r.mem.stats().value("dirty_forwards"), 0u);
+    EXPECT_GT(purged_owners, 0u) << "no purge caught a live dirty owner";
+    EXPECT_GT(r.mem.stats().value("l1_writebacks"), 0u);
 }
 
 TEST(MemorySystem, UpgradeOnStoreToSharedLine)
