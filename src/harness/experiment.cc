@@ -44,39 +44,8 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
     switch (policy) {
       case SplitPolicy::HEURISTIC:
         return pred.gradientSearch(tiles / 2, probe);
-      case SplitPolicy::OPTIMAL: {
-        // Oracle: sweep even splits, then refine +/-1 around the best.
-        ReallocPredictor::Decision best;
-        double best_f = -1.0;
-        for (unsigned s = 2; s <= tiles - 2; s += 2) {
-            const double f = probe(s);
-            ++best.probes;
-            if (best_f < 0 || f < best_f) {
-                best_f = f;
-                best.secureCores = s;
-            }
-        }
-        // The +1 step starts from the updated best, so once best-1 wins
-        // it lands back on the even winner: a counted probe whose value
-        // is known (and loses), so it is not simulated again.
-        const long even = best.secureCores;
-        const double even_f = best_f;
-        for (int d : {-1, +1}) {
-            const long cand = static_cast<long>(best.secureCores) + d;
-            if (cand >= 2 && cand <= static_cast<long>(tiles) - 2) {
-                const double f = cand == even
-                                     ? even_f
-                                     : probe(static_cast<unsigned>(cand));
-                ++best.probes;
-                if (f < best_f) {
-                    best_f = f;
-                    best.secureCores = static_cast<unsigned>(cand);
-                }
-            }
-        }
-        best.predicted = best_f;
-        return best;
-      }
+      case SplitPolicy::OPTIMAL:
+        return pred.optimalSweep(probe);
       case SplitPolicy::FIXED:
       case SplitPolicy::STATIC_HALF:
         break;
@@ -115,12 +84,6 @@ runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
                 spec, cfg, ihopts.policy, ihopts.probeInteractions);
             target = d.secureCores;
             out.probes = d.probes;
-            if (ihopts.variationPct != 0) {
-                const unsigned tiles = cfg.meshWidth * cfg.meshHeight;
-                ReallocPredictor pred(2, tiles - 2);
-                target = pred.withVariation(target, ihopts.variationPct,
-                                            tiles);
-            }
         }
         opts.reconfigTarget = target;
         out.decidedSplit = target;

@@ -24,7 +24,15 @@ namespace ih
 enum class SplitPolicy : std::uint8_t
 {
     HEURISTIC = 0, ///< gradient search (the paper's predictor)
-    OPTIMAL,       ///< exhaustive oracle sweep, no charged overhead
+    /**
+     * Figure 8's oracle: the split with the lowest probe completion
+     * over every legal split (ReallocPredictor::optimalSweep). Probes
+     * are short runs and can rank splits differently from the full
+     * run, so Optimal can lose to the Heuristic on an app (fig8_heuristic
+     * at default scale: <ALEXNET, VISION> and <AES, QUERY>). Figure 8's
+     * +/-x% rows are FIXED splits offset from this one decision.
+     */
+    OPTIMAL,
     FIXED,         ///< a caller-specified split
     STATIC_HALF,   ///< stay at the initial 32/32 (no reconfiguration)
 };
@@ -34,7 +42,6 @@ struct IronhideOptions
 {
     SplitPolicy policy = SplitPolicy::HEURISTIC;
     unsigned fixedSplit = 0;       ///< used by FIXED
-    int variationPct = 0;          ///< Figure 8's +/-x% perturbation
     std::uint64_t probeInteractions = 4;
 };
 

@@ -552,10 +552,27 @@ TEST(DecideSplit, HeuristicAndOptimalKeepTheirDecisions)
         decideSplit(app, cfg, SplitPolicy::OPTIMAL, 2);
     EXPECT_EQ(o.secureCores, 3u);
     EXPECT_EQ(o.predicted, 43676.0);
-    // Evens 2..14 pick 4; 3 beats it, and the +1 step lands back on
-    // 4: nine counted probes, eight simulations.
-    EXPECT_EQ(o.probes, 9u);
-    EXPECT_EQ(sims, 8u);
+    EXPECT_EQ(o.probes, 13u); // every legal split, 2..14
+    EXPECT_EQ(sims, 13u);
+}
+
+TEST(DecideSplit, OptimalNeverLosesToTheHeuristicOnProbes)
+{
+    // The sweep probes every split the heuristic can, and a probe is a
+    // pure function of its split, so the oracle's probed completion is
+    // never above the heuristic's.
+    const SysConfig cfg = SysConfig::smallTest();
+    for (const AppSpec &app : standardApps(0.05)) {
+        SCOPED_TRACE(app.name);
+        const ReallocPredictor::Decision h =
+            decideSplit(app, cfg, SplitPolicy::HEURISTIC, 2);
+        const ReallocPredictor::Decision o =
+            decideSplit(app, cfg, SplitPolicy::OPTIMAL, 2);
+        EXPECT_EQ(o.probes, 13u);
+        EXPECT_LE(o.predicted, h.predicted)
+            << "optimal " << o.secureCores << " vs heuristic "
+            << h.secureCores;
+    }
 }
 
 TEST(DecideSplit, AThrowingProbeSurfacesItsOwnError)

@@ -345,25 +345,38 @@ TEST(Experiment, StaticHalfSkipsReconfiguration)
     EXPECT_EQ(r.run.secureCores, cfg.numTiles() / 2);
 }
 
-TEST(Experiment, VariationPerturbsDecision)
+TEST(Experiment, FixedSplitReproducesTheDecidedRun)
 {
+    // Figure 8 runs its +/-x% rows as FIXED cells at splits taken from
+    // an OPTIMAL cell's decision, so a FIXED run at the decided split
+    // must be that OPTIMAL run: only the probe count differs.
     const SysConfig cfg = SysConfig::smallTest();
-    IronhideOptions plus;
-    plus.policy = SplitPolicy::OPTIMAL;
-    plus.variationPct = +25;
-    plus.probeInteractions = 2;
-    IronhideOptions minus = plus;
-    minus.variationPct = -25;
-    const ExperimentResult hi =
-        runExperiment(tiny(), ArchKind::IRONHIDE, cfg, plus);
-    const ExperimentResult lo =
-        runExperiment(tiny(), ArchKind::IRONHIDE, cfg, minus);
-    // +/-25% of a 16-tile machine is +/-4 cores around the same oracle
-    // decision, clamped to the legal [2, 14] range.
-    EXPECT_GT(hi.decidedSplit, lo.decidedSplit);
-    EXPECT_LE(hi.decidedSplit - lo.decidedSplit, 8u);
-    EXPECT_GE(lo.decidedSplit, 2u);
-    EXPECT_LE(hi.decidedSplit, cfg.numTiles() - 2);
+    IronhideOptions optimal;
+    optimal.policy = SplitPolicy::OPTIMAL;
+    optimal.probeInteractions = 2;
+    const ExperimentResult o =
+        runExperiment(tiny(), ArchKind::IRONHIDE, cfg, optimal);
+    IronhideOptions fixed;
+    fixed.policy = SplitPolicy::FIXED;
+    fixed.fixedSplit = o.decidedSplit;
+    const ExperimentResult f =
+        runExperiment(tiny(), ArchKind::IRONHIDE, cfg, fixed);
+
+    EXPECT_EQ(o.probes, 13u);
+    EXPECT_EQ(f.probes, 0u);
+    EXPECT_EQ(f.decidedSplit, o.decidedSplit);
+    EXPECT_EQ(f.run.completion, o.run.completion);
+    EXPECT_EQ(f.run.purgeCycles, o.run.purgeCycles);
+    EXPECT_EQ(f.run.transitionCycles, o.run.transitionCycles);
+    EXPECT_EQ(f.run.reconfigCycles, o.run.reconfigCycles);
+    EXPECT_EQ(f.run.transitions, o.run.transitions);
+    EXPECT_EQ(f.run.l1MissRate, o.run.l1MissRate);
+    EXPECT_EQ(f.run.l2MissRate, o.run.l2MissRate);
+    EXPECT_EQ(f.run.interactivityPerSec, o.run.interactivityPerSec);
+    EXPECT_EQ(f.run.secureCores, o.run.secureCores);
+    EXPECT_EQ(f.run.instructions, o.run.instructions);
+    EXPECT_EQ(f.run.isolationViolations, o.run.isolationViolations);
+    EXPECT_EQ(f.run.blockedAccesses, o.run.blockedAccesses);
 }
 
 TEST(Experiment, OptimalNeverWorseThanFixedEndpoints)
