@@ -126,12 +126,12 @@ MemorySystem::invalidateSharers(CacheLine &l2_line, CoreId except,
 }
 
 void
-MemorySystem::writebackVictim(const CacheLine &victim, Cycle when)
+MemorySystem::writebackVictim(const CacheLine &victim, CacheLine *home_line,
+                              Cycle when)
 {
     statL1Writebacks_.inc();
-    const CoreId home = homeOfPhys(victim.lineAddr);
-    if (CacheLine *l2_line = l2s_[home]->findLine(victim.lineAddr)) {
-        l2_line->dirty = true;
+    if (home_line) {
+        home_line->dirty = true;
     } else {
         // Home no longer caches the line (e.g. it was purged/re-homed):
         // the writeback flows through to the controller.
@@ -315,11 +315,11 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
     // so the filled line stays put.
     const Eviction l1_ev = l1s_[core]->insert(pa, proc, space.domain());
     if (l1_ev.happened) {
+        CacheLine *const vl = homeLine(l1_ev.victim.lineAddr);
         if (l1_ev.victim.dirty)
-            writebackVictim(l1_ev.victim, t);
+            writebackVictim(l1_ev.victim, vl, t);
         // Keep the directory honest: drop the victim's sharer bit.
-        const CoreId vhome = homeOfPhys(l1_ev.victim.lineAddr);
-        if (CacheLine *vl = l2s_[vhome]->findLine(l1_ev.victim.lineAddr))
+        if (vl)
             vl->sharers = Directory::removeSharer(vl->sharers, core);
     }
     CacheLine *const l1_line = l1_ev.filled;
@@ -399,7 +399,7 @@ MemorySystem::purgePrivate(const std::vector<CoreId> &cores, Cycle when)
         // Flush-and-invalidate by reading a dummy buffer of L1 size; all
         // dirty lines propagate to their home L2 slice first.
         l1s_[core]->flushAll([&](const CacheLine &line) {
-            writebackVictim(line, when);
+            writebackVictim(line, homeLine(line.lineAddr), when);
         });
         const unsigned tlb_entries = tlbs_[core]->capacity();
         tlbs_[core]->flushAll();

@@ -338,8 +338,18 @@ class MemorySystem
     Cycle invalidateSharers(CacheLine &l2_line, CoreId except, CoreId home,
                             Cycle when, const ClusterRange &cluster);
 
-    /** Write back a dirty L1 victim into its home L2 / controller. */
-    void writebackVictim(const CacheLine &victim, Cycle when);
+    /** The home L2 slice's copy of the line at @p line_pa, if it still
+     *  caches it. */
+    CacheLine *
+    homeLine(Addr line_pa)
+    {
+        return l2s_[homeOfPhys(line_pa)]->findLine(line_pa);
+    }
+
+    /** Write back a dirty L1 victim into @p home_line, its home L2
+     *  slice's copy, or to its controller when that is null. */
+    void writebackVictim(const CacheLine &victim, CacheLine *home_line,
+                         Cycle when);
 
     /** Handle an eviction from an L2 slice (back-invalidation). */
     void handleL2Eviction(const CacheLine &victim, Cycle when);

@@ -10,21 +10,33 @@
  * consistent.
  *
  * The network also owns the isolation bookkeeping: every traversal is
- * checked against the active cluster map and any route that leaves its
- * cluster is counted as an isolation violation (the property tests
- * require this counter to stay zero for IRONHIDE configurations).
+ * checked against the cluster it is routed for, and a route that
+ * leaves that cluster counts as an isolation violation. An IRONHIDE
+ * run whose split never changes counts none; on the 64-tile machine
+ * Integration.IronhideWithoutReconfigurationNeverLeavesItsCluster
+ * checks that for the nine apps. A reconfiguration can count some: it
+ * purges the cores it moves but leaves their sharer bits in the
+ * directory, so a later store sends invalidation round trips from a
+ * home inside the cluster to a moved core outside it, and both legs
+ * count.
+ *
+ * The policy route of a packet depends only on (cluster, src, dst), so
+ * each network derives it once: a route plan per cluster it has routed
+ * under holds every (src, dst) pair's two segments and containment
+ * bit, filled on first use.
  */
 
 #ifndef IH_NOC_NETWORK_HH
 #define IH_NOC_NETWORK_HH
 
+#include <array>
 #include <cstddef>
-#include <cstdlib>
-#include <initializer_list>
+#include <cstdint>
 #include <vector>
 
 #include "noc/routing.hh"
 #include "noc/topology.hh"
+#include "sim/log.hh"
 #include "sim/stats.hh"
 
 namespace ih
@@ -35,6 +47,9 @@ class Network
 {
   public:
     Network(const SysConfig &cfg, const Topology &topo);
+    // The current plan pointer aims into this object's own plans.
+    Network(const Network &) = delete;
+    Network &operator=(const Network &) = delete;
 
     /**
      * Send a packet of @p flits flits from tile @p src to tile @p dst,
@@ -57,15 +72,12 @@ class Network
             return when;
         statPackets_.inc();
         statFlits_.inc(flits);
-        return walkLeg(src, topo_.coordOf(src), topo_.coordOf(dst),
-                       when, flits, cluster);
+        return walkLeg(src, dst, when, flits, cluster);
     }
 
     /**
-     * Round trip: request of @p req_flits then reply of @p rsp_flits.
-     * Fused two-leg walk: each endpoint's coordinate is derived once and
-     * reused for both legs (every invalidation and dirty-forward round
-     * pays this path).
+     * Round trip: request of @p req_flits then reply of @p rsp_flits
+     * (every invalidation and dirty-forward round pays this path).
      */
     Cycle
     roundTrip(CoreId a, CoreId b, Cycle when, unsigned req_flits,
@@ -75,11 +87,8 @@ class Network
             return when; // local round trip, nothing traverses
         statPackets_.inc(2);
         statFlits_.inc(req_flits + rsp_flits);
-        const Coord ca = topo_.coordOf(a);
-        const Coord cb = topo_.coordOf(b);
-        const Cycle arrive = walkLeg(a, ca, cb, when, req_flits,
-                                     cluster);
-        return walkLeg(b, cb, ca, arrive, rsp_flits, cluster);
+        const Cycle arrive = walkLeg(a, b, when, req_flits, cluster);
+        return walkLeg(b, a, arrive, rsp_flits, cluster);
     }
 
     /** Reset all link reservations (used between experiment phases). */
@@ -102,57 +111,95 @@ class Network
         NORTH = 3, ///< y - 1
     };
 
-    /** One straight segment of a route: its hop count, the link each
-     *  hop takes, and the link_free_ stride from one tile to the next. */
-    struct Segment
+    /**
+     * One route plan entry: the policy route from one tile to another
+     * under one cluster, packed into 32 bits. A dimension-ordered route
+     * is two straight segments, stored in walk order; a segment with no
+     * hop has count 0. Whole-byte fields keep the walk's decoding to
+     * plain byte loads. An entry is all zero until it is filled.
+     */
+    struct Route
     {
-        unsigned hops;
-        unsigned dir;
-        std::ptrdiff_t stride;
+        std::uint8_t hops0;
+        std::uint8_t dir0;
+        std::uint8_t hops1;
+        std::uint8_t dir1 : 2;
+        std::uint8_t leaves : 1; ///< some router is outside the cluster
+        std::uint8_t filled : 1;
+
+        bool
+        operator==(const Route &o) const
+        {
+            return hops0 == o.hops0 && dir0 == o.dir0 &&
+                   hops1 == o.hops1 && dir1 == o.dir1 &&
+                   leaves == o.leaves && filled == o.filled;
+        }
+    };
+    static_assert(sizeof(Route) == 4, "a route plan entry is 32 bits");
+
+    /** Every route of one cluster, indexed src * tiles + dst. */
+    struct RoutePlan
+    {
+        ClusterRange cluster;
+        std::vector<Route> routes;
     };
 
     /**
-     * One directed leg of a traversal from @p src (at coordinate
-     * @p s) to the tile at coordinate @p e (the endpoints differ). The
-     * simulation's only route walk; tests/test_noc.cc checks it link by
-     * link against Router::path.
+     * The policy route from @p src to @p dst under @p cluster, derived
+     * with Router::selectOrder and Router::orderedRouteContained: the
+     * plan builder, and Debug builds' cross-check of every entry read.
+     */
+    Route deriveRoute(CoreId src, CoreId dst,
+                      const ClusterRange &cluster) const;
+
+    /** Make @p cluster's plan the current one, creating it empty when
+     *  the network has not routed under that cluster before. */
+    Route *selectPlan(const ClusterRange &cluster);
+
+    /**
+     * One directed leg of a traversal from @p src to @p dst (the
+     * endpoints differ). The simulation's only route walk;
+     * tests/test_noc.cc checks it link by link against Router::path.
      *
      * Wormhole-ish model: head flit pays hop latency + link wait per
      * hop; body flits stream behind (serialization charged once at the
-     * end). A dimension-ordered route is two straight segments; each
-     * walks a pointer over the raw link_free_ array by one fixed
-     * stride per hop (+-4 on X, +-4*width on Y). Everything the hop
-     * loop updates is a local, so it stays in registers, and the
-     * link-stall cycles are summed over the leg and counted once.
+     * end). The leg's two straight segments come from the cluster's
+     * route plan; each walks a pointer over the raw link_free_ array by
+     * one fixed stride per hop (+-4 on X, +-4*width on Y). Everything
+     * the hop loop updates is a local, so it stays in registers, and
+     * the link-stall cycles are summed over the leg and counted once.
      */
     Cycle
-    walkLeg(CoreId src, const Coord &s, const Coord &e, Cycle when,
-            unsigned flits, const ClusterRange &cluster)
+    walkLeg(CoreId src, CoreId dst, Cycle when, unsigned flits,
+            const ClusterRange &cluster)
     {
-        const RouteOrder order = router_.selectOrder(src, s, cluster);
-        if (!router_.orderedRouteContained(s, e, order, cluster))
+        Route *plan = cluster.first == current_.first &&
+                              cluster.count == current_.count
+                          ? currentRoutes_
+                          : selectPlan(cluster);
+        Route &entry = plan[static_cast<std::size_t>(src) * tiles_ + dst];
+        if (!entry.filled)
+            entry = deriveRoute(src, dst, cluster);
+        IH_DEBUG_ASSERT(entry == deriveRoute(src, dst, cluster),
+                        "route plan of cluster [%u, +%u) disagrees with "
+                        "the policy route %u -> %u",
+                        cluster.first, cluster.count, src, dst);
+        const Route r = entry;
+        if (r.leaves)
             statIsolationViolations_.inc();
-
-        const int dx = e.x - s.x;
-        const int dy = e.y - s.y;
-        const std::ptrdiff_t ystride =
-            static_cast<std::ptrdiff_t>(topo_.width()) * 4;
-        const Segment along_x{static_cast<unsigned>(std::abs(dx)),
-                              dx > 0 ? EAST : WEST, dx > 0 ? 4 : -4};
-        const Segment along_y{static_cast<unsigned>(std::abs(dy)),
-                              dy > 0 ? SOUTH : NORTH,
-                              dy > 0 ? ystride : -ystride};
-        const bool xy = order == RouteOrder::XY;
 
         const Cycle hop = cfg_.hopLatency;
         Cycle *quad = link_free_.data() + static_cast<std::size_t>(src) * 4;
         Cycle t = when;
         Cycle stall = 0;
-        for (const Segment &seg : {xy ? along_x : along_y,
-                                   xy ? along_y : along_x}) {
-            const std::ptrdiff_t stride = seg.stride;
-            Cycle *link = quad + seg.dir;
-            for (unsigned n = seg.hops; n != 0; --n, link += stride) {
+        // Two passes over locals, not a loop over a two-segment array:
+        // GCC 12 at -O2 built such an array on the stack for every leg.
+        unsigned hops = r.hops0;
+        unsigned dir = r.dir0;
+        for (bool second = false;; second = true) {
+            const std::ptrdiff_t stride = strides_[dir];
+            Cycle *link = quad + dir;
+            for (unsigned n = hops; n != 0; --n, link += stride) {
                 if (*link > t) {
                     stall += *link - t;
                     t = *link;
@@ -161,7 +208,11 @@ class Network
                 *link = t + flits;
                 t += hop;
             }
-            quad = link - seg.dir; // the turn (or destination) tile
+            if (second)
+                break;
+            quad = link - dir; // the turn tile
+            hops = r.hops1;
+            dir = r.dir1;
         }
         statLinkStallCycles_.inc(stall);
         t += flits > 1 ? (flits - 1) : 0; // tail serialization
@@ -172,8 +223,20 @@ class Network
     const SysConfig &cfg_;
     const Topology &topo_;
     Router router_;
+    const unsigned tiles_;
+    /** link_free_ stride of one hop, per Direction. */
+    const std::array<std::ptrdiff_t, 4> strides_;
     /** next-free-time per directed link: tile * 4 + Direction. */
     std::vector<Cycle> link_free_;
+    /** Route plans of the clusters routed under, tiles^2 * 4 bytes
+     *  each (16 KiB at 64 tiles). A machine routes under the whole
+     *  machine and an IRONHIDE split's two clusters, so it holds at
+     *  most 1 + 2 * (tiles - 1) plans, about 2 MiB at 64 tiles. */
+    std::vector<RoutePlan> plans_;
+    /** The plan the last leg used: its cluster and routes. No cluster
+     *  starts at tile ~0, so no leg matches before the first plan. */
+    ClusterRange current_{~CoreId{0}, 0};
+    Route *currentRoutes_ = nullptr;
     StatGroup stats_;
     // Per-packet counters bound once (StatGroup references are stable).
     Counter &statPackets_;

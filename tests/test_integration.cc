@@ -117,6 +117,31 @@ TEST(Integration, IronhideNeverViolatesClusterIsolation)
     }
 }
 
+// The same property on the 64-tile machine the benches use, for the
+// nine apps at a small, a middle and a large split, each held for the
+// whole run. A reconfiguration would count violations: it purges the
+// cores it moves but leaves their sharer bits, so later stores send
+// invalidation round trips to cores now outside the cluster.
+TEST(Integration, IronhideWithoutReconfigurationNeverLeavesItsCluster)
+{
+    SysConfig cfg;
+    cfg.validate();
+    for (const unsigned split : {7u, 22u, 41u}) {
+        for (const AppSpec &spec : standardApps(0.05)) {
+            System sys(cfg);
+            Ironhide model(sys);
+            model.setInitialSplit(split);
+            InteractiveApp app(sys, model, spec);
+            RunOptions opts;
+            opts.warmup = std::min<std::uint64_t>(8, spec.interactions / 4);
+            const RunResult r = app.run(opts);
+            EXPECT_EQ(r.secureCores, split) << spec.name;
+            EXPECT_EQ(r.isolationViolations, 0u)
+                << spec.name << " at split " << split;
+        }
+    }
+}
+
 TEST(Integration, IronhideSecureLinesStayInSecurePartition)
 {
     const SysConfig cfg = smallCfg();

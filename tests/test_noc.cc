@@ -4,8 +4,8 @@
  * central strong-isolation property — for every legal cluster split,
  * every intra-cluster route (including memory-controller traffic) stays
  * on routers owned by that cluster under the bidirectional X-Y/Y-X
- * policy — and the network's link walk checked against Router::path,
- * the one reference walk.
+ * policy — and the network's link walk and per-cluster route plans
+ * checked against Router::path, the one reference walk.
  */
 
 #include <gtest/gtest.h>
@@ -509,4 +509,78 @@ TEST(Network, TraverseAndRoundTripMatchPathReservationModel)
     // neither counter comparison is vacuous.
     EXPECT_GT(stalls, 0u);
     EXPECT_GT(violations, 0u);
+}
+
+// A network derives each route once into a plan per cluster, so every
+// packet must be walked with its own cluster's plan. The traffic below
+// interleaves packets under ranges that share their first tile but not
+// their size and ranges of one size at different first tiles, and
+// returns to earlier ranges. One ClusterRange object is reassigned in
+// place between packets, as Process::setCluster does when IRONHIDE
+// re-binds a split, and each packet alternates between it and the
+// range it held before. Every arrival and the running isolation count
+// must match the shadow model, which derives each route afresh.
+TEST(Network, RoutePlansFollowEachPacketsCluster)
+{
+    const SysConfig cfg = cfg8x8();
+    const Topology topo(cfg);
+    const Router router(topo);
+    Network net(cfg, topo);
+    ShadowNetwork shadow(cfg, router);
+    const unsigned tiles = topo.numTiles();
+    Rng rng(0x91a45eedULL);
+
+    const std::vector<ClusterRange> ranges = {
+        {0, 64}, {0, 10}, {0, 13}, {0, 8},    // one first tile
+        {5, 20}, {9, 20}, {17, 20}, {44, 20}, // one size
+    };
+    const std::vector<std::size_t> visits = {0, 1, 2, 3, 1, 0, 4, 5,
+                                             6, 7, 5, 2, 7, 4, 3};
+
+    ClusterRange cl = ranges[visits[0]];
+    Cycle when = 0;
+    for (const std::size_t v : visits) {
+        const ClusterRange before = cl;
+        cl = ranges[v];
+        for (unsigned p = 0; p < 32; ++p) {
+            const ClusterRange &on = p % 2 == 0 ? cl : before;
+            // Sources inside the cluster, as its cores send; half the
+            // destinations inside too, half anywhere.
+            const auto inside = [&] {
+                return static_cast<CoreId>(on.first +
+                                           rng.nextRange(on.count));
+            };
+            const CoreId src = inside();
+            const CoreId dst = p % 4 < 2
+                                   ? inside()
+                                   : static_cast<CoreId>(rng.nextRange(tiles));
+            const auto where = [&] {
+                return testing::Message()
+                       << "range " << v << " packet " << p << " src " << src
+                       << " dst " << dst << " cluster [" << on.first << ","
+                       << on.count << ")";
+            };
+            if (p % 3 == 2) {
+                ASSERT_EQ(net.roundTrip(src, dst, when, 1, 5, on),
+                          shadow.roundTrip(src, dst, when, 1, 5, on))
+                    << where();
+            } else {
+                const unsigned flits = 1 + p % 5;
+                ASSERT_EQ(net.traverse(src, dst, when, flits, on),
+                          shadow.traverse(src, dst, when, flits, on))
+                    << where();
+            }
+            ASSERT_EQ(net.isolationViolations(),
+                      shadow.isolation_violations)
+                << where();
+            when += rng.nextRange(3);
+        }
+    }
+    const StatGroup &st = net.stats();
+    EXPECT_EQ(st.value("packets"), shadow.packets);
+    EXPECT_EQ(st.value("flits"), shadow.flits);
+    EXPECT_EQ(st.value("link_stall_cycles"), shadow.link_stall_cycles);
+    EXPECT_EQ(st.value("total_latency"), shadow.total_latency);
+    EXPECT_GT(shadow.link_stall_cycles, 0u);
+    EXPECT_GT(shadow.isolation_violations, 0u);
 }
