@@ -93,6 +93,7 @@ Cache::insert(Addr addr, ProcId proc, Domain domain)
     line.writable = false;
     line.sharers = 0;
     line.owner = INVALID_CORE;
+    line.home = INVALID_CORE;
     line.ownerProc = proc;
     line.ownerDomain = domain;
     touch(set, way);

@@ -10,6 +10,8 @@
  *               the MSI directory entry for their address)
  *  - owner:     the core last granted write permission (L2 use): the
  *               only sharer that can hold the line dirty
+ *  - home:      the L2 slice the line was filled from (L1 use), where
+ *               its write-backs and its eviction's sharer-bit update go
  *  - ownerProc / ownerDomain: the process/domain that installed the line,
  *               used by the purge engine and the isolation audits
  *
@@ -22,7 +24,7 @@
  * an empty cache returns without scanning the tag array. Only this
  * class writes CacheLine::valid; the mutable line pointers it hands out
  * (lookup, findLine, and the filled line insert returns) are for
- * coherence metadata (dirty, writable, sharers, owner).
+ * coherence metadata (dirty, writable, sharers, owner, home).
  *
  * Replacement is true LRU over per-way timestamps. A flush needs no LRU
  * reset: a victim is chosen only in a set whose ways are all valid, and
@@ -58,6 +60,9 @@ struct CacheLine
     /** Directory owner (L2 use): the core last granted write
      *  permission, or INVALID_CORE. Every fill resets it. */
     CoreId owner = INVALID_CORE;
+    /** Home L2 slice (L1 use), set by the miss that fills the line.
+     *  Every fill resets it to INVALID_CORE. */
+    CoreId home = INVALID_CORE;
     bool valid = false;
     bool dirty = false;
     bool writable = false;            ///< M/E permission (L1 use)

@@ -42,7 +42,6 @@ MemorySystem::MemorySystem(const SysConfig &cfg, const Topology &topo,
                                               cfg.tlbEntries,
                                               cfg.pageBytes,
                                               cfg.tlbWays));
-        allSlices_.push_back(t);
     }
     for (McId m = 0; m < cfg.numMcs; ++m)
         mcs_.push_back(std::make_unique<MemController>(m, cfg));
@@ -52,7 +51,6 @@ MemorySystem::MemorySystem(const SysConfig &cfg, const Topology &topo,
         regionMc_[r] = r % cfg.numMcs;
     // 16-byte flits: a 64-byte line is 4 data flits + 1 header.
     dataFlits_ = cfg.lineBytes / 16 + 1;
-    pageShift_ = log2Pow2(cfg.pageBytes);
 }
 
 void
@@ -68,37 +66,6 @@ MemorySystem::regionController(RegionId region) const
 {
     IH_ASSERT(region < regionMc_.size(), "region %u out of range", region);
     return regionMc_[region];
-}
-
-void
-MemorySystem::noteHomeSlow(NotedHome &slot, HomingMode mode,
-                           const PageInfo &info)
-{
-    slot = NotedHome{info.ppage, mode, info.homeSlice};
-    if (mode == HomingMode::LOCAL_HOMING) {
-        // One hash probe; the map is only written when the entry is new
-        // or a re-homing actually moved the page.
-        const auto [it, inserted] =
-            localHomeByPpage_.try_emplace(info.ppage, info.homeSlice);
-        if (!inserted && it->second != info.homeSlice)
-            it->second = info.homeSlice;
-    } else if (!localHomeByPpage_.empty()) {
-        // Hash-homed spaces never populate the map; skipping the erase
-        // when it is empty keeps the (default) hash-homing access path
-        // free of any hash-map traffic.
-        localHomeByPpage_.erase(info.ppage);
-    }
-}
-
-CoreId
-MemorySystem::homeOfPhys(Addr pa) const
-{
-    const Addr ppage = pa & ~static_cast<Addr>(cfg_.pageBytes - 1);
-    auto it = localHomeByPpage_.find(ppage);
-    if (it != localHomeByPpage_.end())
-        return it->second;
-    const Addr line = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    return Homing::hashHome(line, allSlices_);
 }
 
 Cycle
@@ -123,21 +90,6 @@ MemorySystem::invalidateSharers(CacheLine &l2_line, CoreId except,
                           ? 0
                           : (l2_line.sharers & Directory::bit(except));
     return done;
-}
-
-void
-MemorySystem::writebackVictim(const CacheLine &victim, CacheLine *home_line,
-                              Cycle when)
-{
-    statL1Writebacks_.inc();
-    if (home_line) {
-        home_line->dirty = true;
-    } else {
-        // Home no longer caches the line (e.g. it was purged/re-homed):
-        // the writeback flows through to the controller.
-        const RegionId region = regionOf(victim.lineAddr);
-        mcs_[regionMc_[region]]->acceptWrite(victim.lineAddr, when);
-    }
 }
 
 void
@@ -196,16 +148,15 @@ MemorySystem::accessSlow(CoreId core, AddressSpace &space,
     // ---- Hardware region access check ------------------------------------
     // Deliberately *before* the TLB fill: on a fault the hardware
     // discards the walked translation instead of installing it, so a
-    // blocked access never primes the TLB/way predictor (or, below, the
-    // home caches) for a line it was not allowed to touch. The page-walk
-    // latency is still charged — the walk had to complete for the
-    // region of the physical address to be known. Pinned by the
-    // blocked-then-allowed test in tests/test_mem_system.cc.
+    // blocked access never primes the TLB/way predictor for a line it
+    // was not allowed to touch. The page-walk latency is still charged —
+    // the walk had to complete for the region of the physical address
+    // to be known. Pinned by the blocked-then-allowed test in
+    // tests/test_mem_system.cc.
     if (!regionCheck_.allows(space.domain(), regionOf(pa)))
         return blockedResult(proc, tlb_hit, t);
     if (!te)
         tlbs_[core]->insert(va, info.ppage, proc, space.domain());
-    noteHome(space, info);
 
     return accessL1(core, space, info, pa, op, t, cluster, tlb_hit);
 }
@@ -305,24 +256,24 @@ MemorySystem::accessMiss(CoreId core, AddressSpace &space,
 {
     const ProcId proc = space.proc();
     const Addr line_pa = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    const CoreId home = homeFromInfo(space, info, line_pa);
+    const CoreId home = space.lineHome(info, line_pa);
 
     t = missProtocol(core, pa, op, t, cluster, home, proc, space.domain(),
                      res.l2Hit);
 
     // ---- Fill L1 -----------------------------------------------------------
-    // The victim's bookkeeping touches only L2 slices and controllers,
-    // so the filled line stays put.
+    // The victim's bookkeeping touches only its home L2 line, so the
+    // filled line stays put.
     const Eviction l1_ev = l1s_[core]->insert(pa, proc, space.domain());
     if (l1_ev.happened) {
-        CacheLine *const vl = homeLine(l1_ev.victim.lineAddr);
+        CacheLine &vl = homeLine(l1_ev.victim);
         if (l1_ev.victim.dirty)
-            writebackVictim(l1_ev.victim, vl, t);
+            writeBack(vl);
         // Keep the directory honest: drop the victim's sharer bit.
-        if (vl)
-            vl->sharers = Directory::removeSharer(vl->sharers, core);
+        vl.sharers = Directory::removeSharer(vl.sharers, core);
     }
     CacheLine *const l1_line = l1_ev.filled;
+    l1_line->home = home;
     l1_line->writable = (op == MemOp::STORE);
     l1_line->dirty = (op == MemOp::STORE);
 
@@ -368,7 +319,6 @@ MemorySystem::accessReference(CoreId core, AddressSpace &space, VAddr va,
     }
     if (!te)
         tlbs_[core]->insert(va, info.ppage, proc, space.domain());
-    noteHome(space, info);
 
     // ---- L1 ---------------------------------------------------------------
     t += cfg_.l1Latency;
@@ -377,7 +327,7 @@ MemorySystem::accessReference(CoreId core, AddressSpace &space, VAddr va,
         res.l1Hit = true;
         if (op == MemOp::STORE) {
             if (!line->writable) {
-                const CoreId home = homeFromInfo(space, info, line_pa);
+                const CoreId home = space.lineHome(info, line_pa);
                 t = upgradeLine(core, line_pa, home, t, cluster);
                 line->writable = true;
             }
@@ -398,9 +348,8 @@ MemorySystem::purgePrivate(const std::vector<CoreId> &cores, Cycle when)
         IH_ASSERT(core < l1s_.size(), "purge of core %u out of range", core);
         // Flush-and-invalidate by reading a dummy buffer of L1 size; all
         // dirty lines propagate to their home L2 slice first.
-        l1s_[core]->flushAll([&](const CacheLine &line) {
-            writebackVictim(line, homeLine(line.lineAddr), when);
-        });
+        l1s_[core]->flushAll(
+            [&](const CacheLine &line) { writeBack(homeLine(line)); });
         const unsigned tlb_entries = tlbs_[core]->capacity();
         tlbs_[core]->flushAll();
         const Cycle cost =
@@ -450,8 +399,8 @@ MemorySystem::rehomePages(AddressSpace &space,
                 handleL2Eviction(*dropped, 0);
         }
     }
-    // The ppage -> home map refreshes lazily via noteHome on the next
-    // access to each page.
+    // Every L1 copy of a moved page went with its home line, so every
+    // home an L1 line recorded is still its line's home.
     stats_.counter("rehomed_pages").inc(moved);
     return moved;
 }

@@ -23,9 +23,7 @@
 #ifndef IH_MEM_MEMORY_SYSTEM_HH
 #define IH_MEM_MEMORY_SYSTEM_HH
 
-#include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -139,7 +137,6 @@ class MemorySystem
             info.ppage + (va & static_cast<VAddr>(cfg_.pageBytes - 1));
         if (!regionCheck_.allows(space.domain(), regionOf(pa)))
             return blockedResult(space.proc(), /*tlb_hit=*/true, when);
-        noteHome(space, info);
         return accessL1(core, space, info, pa, op, when, cluster,
                         /*tlb_hit=*/true);
     }
@@ -153,7 +150,9 @@ class MemorySystem
      * identical counters on any trace. The miss machinery is shared
      * (accessMiss() was moved, not duplicated). Semantics match
      * access() exactly, including the check-before-TLB-fill rule for
-     * blocked accesses.
+     * blocked accesses; a store upgrade asks the home rule
+     * (AddressSpace::lineHome) where access() reads the home its L1
+     * line recorded, so the two paths also cross-check that record.
      */
     AccessResult accessReference(CoreId core, AddressSpace &space,
                                  VAddr va, MemOp op, Cycle when,
@@ -213,9 +212,6 @@ class MemorySystem
     /** Aggregate stats over all of a domain's traffic. */
     StatGroup &stats() { return stats_; }
 
-    /** Home slice of the *physical* line at @p pa (for writebacks). */
-    CoreId homeOfPhys(Addr pa) const;
-
     /** Count of accesses rejected by the region check. */
     std::uint64_t blockedAccesses() const
     {
@@ -223,8 +219,6 @@ class MemorySystem
     }
 
   private:
-    struct NotedHome; // defined with the data members below
-
     /**
      * Slow half of access(): the way-predictor probe missed, so finish
      * the TLB lookup with the set scan, charge the page walk on a real
@@ -237,9 +231,10 @@ class MemorySystem
 
     /**
      * Miss machinery of access(): L2 home lookup, directory actions
-     * (dirty forwarding, invalidations), DRAM fetch, L1 fill and victim
-     * writeback. @p res carries the flags accumulated so far (tlbHit);
-     * @p t is the time after the L1 lookup.
+     * (dirty forwarding, invalidations), DRAM fetch, L1 fill (which
+     * records the line's home) and victim writeback. @p res carries the
+     * flags accumulated so far (tlbHit); @p t is the time after the L1
+     * lookup.
      */
     AccessResult accessMiss(CoreId core, AddressSpace &space,
                             const PageInfo &info, Addr pa, MemOp op,
@@ -292,8 +287,7 @@ class MemorySystem
                 if (!line->writable) {
                     const Addr line_pa =
                         pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-                    const CoreId home = homeFromInfo(space, info, line_pa);
-                    t = upgradeLine(core, line_pa, home, t, cluster);
+                    t = upgradeLine(core, line_pa, line->home, t, cluster);
                     line->writable = true;
                 }
                 line->dirty = true;
@@ -309,8 +303,7 @@ class MemorySystem
      * Account and build the result of an access rejected by the region
      * check. The request stalls until resolution and is then discarded;
      * the protection fault costs a pipeline-flush-like penalty. No
-     * TLB entry is installed and no home is noted for blocked accesses
-     * (see accessSlow()).
+     * TLB entry is installed for blocked accesses (see accessSlow()).
      */
     AccessResult
     blockedResult(ProcId proc, bool tlb_hit, Cycle t)
@@ -338,85 +331,34 @@ class MemorySystem
     Cycle invalidateSharers(CacheLine &l2_line, CoreId except, CoreId home,
                             Cycle when, const ClusterRange &cluster);
 
-    /** The home L2 slice's copy of the line at @p line_pa, if it still
-     *  caches it. */
-    CacheLine *
-    homeLine(Addr line_pa)
+    /**
+     * The home L2 line of the L1 copy @p l1_line, on the slice its fill
+     * recorded. It is always there: the hierarchy is inclusive (an L2
+     * eviction and a re-homing scrub back-invalidate every sharer's
+     * copy), and a page's home changes only in that re-homing.
+     */
+    CacheLine &
+    homeLine(const CacheLine &l1_line)
     {
-        return l2s_[homeOfPhys(line_pa)]->findLine(line_pa);
+        CacheLine *const line =
+            l2s_[l1_line.home]->findLine(l1_line.lineAddr);
+        IH_ASSERT(line, "L1 copy of line %#llx outlived its home line "
+                        "on slice %u",
+                  static_cast<unsigned long long>(l1_line.lineAddr),
+                  l1_line.home);
+        return *line;
     }
 
-    /** Write back a dirty L1 victim into @p home_line, its home L2
-     *  slice's copy, or to its controller when that is null. */
-    void writebackVictim(const CacheLine &victim, CacheLine *home_line,
-                         Cycle when);
+    /** Write a dirty L1 copy back into its home line @p home_line. */
+    void
+    writeBack(CacheLine &home_line)
+    {
+        statL1Writebacks_.inc();
+        home_line.dirty = true;
+    }
 
     /** Handle an eviction from an L2 slice (back-invalidation). */
     void handleL2Eviction(const CacheLine &victim, Cycle when);
-
-    /**
-     * Record the homing information of @p info's page. Inline — it runs
-     * once per (allowed) access, on the fast path.
-     *
-     * Direct-mapped skip: consecutive accesses stay on a handful of
-     * pages, so most calls would repeat the exact map operation a recent
-     * call already performed (idempotent either way: same-key
-     * try_emplace for local homing, same-key erase for hash homing).
-     * Physical pages are never shared between address spaces, and a
-     * page always lands in the same slot, so a repeat of the same
-     * (mode, ppage, home) triple cannot mask another update.
-     */
-    void
-    noteHome(const AddressSpace &space, const PageInfo &info)
-    {
-        const HomingMode mode = space.homingMode();
-        // Hash-homed pages are never *in* the map; the only bookkeeping
-        // a hash-mode access can owe is erasing a stale local entry, so
-        // with an empty map (the default configuration) there is nothing
-        // to record at all.
-        if (mode == HomingMode::HASH_FOR_HOMING &&
-            localHomeByPpage_.empty()) {
-            return;
-        }
-        NotedHome &slot = noted_[notedSlot(info.ppage)];
-        if (info.ppage == slot.ppage && mode == slot.mode &&
-            info.homeSlice == slot.home) {
-            return;
-        }
-        noteHomeSlow(slot, mode, info);
-    }
-
-    /**
-     * noted_ slot of physical page @p ppage: its page number, with the
-     * DRAM region number in the top three index bits. A space's pages
-     * round-robin over its regions, so pages touched together often
-     * share an in-region ordinal and differ only in their region.
-     */
-    unsigned
-    notedSlot(Addr ppage) const
-    {
-        return static_cast<unsigned>(
-            ((ppage >> pageShift_) ^ (Addr(regionOf(ppage)) << 5)) &
-            (NOTED_SLOTS - 1));
-    }
-
-    /** The map-updating tail of noteHome() (new/changed page). */
-    void noteHomeSlow(NotedHome &slot, HomingMode mode,
-                      const PageInfo &info);
-
-    /**
-     * Home slice of the line at @p line_pa, derived from the PageInfo the
-     * access already fetched — unlike AddressSpace::homeOf(), this never
-     * re-walks the page table.
-     */
-    CoreId
-    homeFromInfo(const AddressSpace &space, const PageInfo &info,
-                 Addr line_pa) const
-    {
-        if (space.homingMode() == HomingMode::LOCAL_HOMING)
-            return info.homeSlice;
-        return Homing::hashHome(line_pa, space.allowedSlices());
-    }
 
     const SysConfig &cfg_;
     const Topology &topo_;
@@ -427,21 +369,6 @@ class MemorySystem
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::vector<std::unique_ptr<MemController>> mcs_;
     std::vector<McId> regionMc_;
-    /** ppage -> (LOCAL home slice) or absent for hash-homed pages. */
-    std::unordered_map<Addr, CoreId> localHomeByPpage_;
-    /** Recent noteHome() operations (direct-mapped skip of idempotent
-     *  repeats). The sentinel ppage is not page-aligned, so an empty
-     *  slot never matches. */
-    struct NotedHome
-    {
-        Addr ppage = ~Addr(0);
-        HomingMode mode = HomingMode::HASH_FOR_HOMING;
-        CoreId home = 0;
-    };
-    static constexpr unsigned NOTED_SLOTS = 256;
-    std::array<NotedHome, NOTED_SLOTS> noted_;
-    unsigned pageShift_ = 0; ///< log2(cfg.pageBytes)
-    std::vector<CoreId> allSlices_;
     RegionCheck regionCheck_;
     AuditLog *audit_ = nullptr;
     StatGroup stats_;

@@ -46,6 +46,15 @@ AddressSpace::AddressSpace(const SysConfig &cfg, PhysAllocator &alloc,
 }
 
 void
+AddressSpace::setHomingMode(HomingMode mode)
+{
+    IH_ASSERT(mode == mode_ || pages_.empty(),
+              "homing mode of process %u changed after it mapped a page",
+              proc_);
+    mode_ = mode;
+}
+
+void
 AddressSpace::setAllowedRegions(std::vector<RegionId> regions)
 {
     IH_ASSERT(!regions.empty(), "process needs at least one DRAM region");
@@ -86,11 +95,8 @@ CoreId
 AddressSpace::homeOf(VAddr va)
 {
     const PageInfo &info = ensureMapped(va);
-    if (mode_ == HomingMode::LOCAL_HOMING)
-        return info.homeSlice;
     const Addr pa = info.ppage + (va & pageMask_);
-    const Addr line = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    return Homing::hashHome(line, slices_);
+    return lineHome(info, pa & ~static_cast<Addr>(cfg_.lineBytes - 1));
 }
 
 std::uint64_t

@@ -105,8 +105,30 @@ class AddressSpace
     /** Home slice of the line at virtual address @p va (maps the page). */
     CoreId homeOf(VAddr va);
 
-    /** Configure the policy and allowed resources (resets nothing). */
-    void setHomingMode(HomingMode mode) { mode_ = mode; }
+    /**
+     * The home rule: the L2 slice of the line at line-aligned physical
+     * address @p line_pa on the page @p info maps. Under local homing
+     * that is the page's slice, else the line's hash over the allowed
+     * slices. homeOf() and the L1 fill both answer with it; an L1 line
+     * records the answer (CacheLine::home).
+     */
+    CoreId
+    lineHome(const PageInfo &info, Addr line_pa) const
+    {
+        if (mode_ == HomingMode::LOCAL_HOMING)
+            return info.homeSlice;
+        return Homing::hashHome(line_pa, slices_);
+    }
+
+    /**
+     * Set the homing policy. A space keeps its mode once it has mapped
+     * a page (setting the same mode again is fine): a flip would file
+     * the page's later fills under a second L2 home while its L1 copies
+     * keep the first.
+     */
+    void setHomingMode(HomingMode mode);
+
+    /** Configure the allowed resources (resets nothing). */
     void setAllowedRegions(std::vector<RegionId> regions);
     void setAllowedSlices(std::vector<CoreId> slices);
 

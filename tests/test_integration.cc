@@ -105,9 +105,7 @@ TEST(Integration, IronhideNeverViolatesClusterIsolation)
          {"<SSSP, GRAPH>", "<AES, QUERY>", "<MEMCACHED, OS>"}) {
         System sys(cfg);
         Ironhide model(sys);
-        InteractiveApp app(sys, model, sys.numTiles() >= 16
-                                           ? smallApp(name)
-                                           : smallApp(name));
+        InteractiveApp app(sys, model, smallApp(name));
         RunOptions opts;
         opts.warmup = 2;
         opts.reconfigTarget = 6;

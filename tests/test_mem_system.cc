@@ -126,7 +126,7 @@ TEST(MemorySystem, PurgedOwnerForwardsNothing)
     Rig r;
     r.acc(0, 0x1000, MemOp::STORE);
     const Addr pa = r.space.translate(0x1000)->ppage;
-    const CacheLine *l2_line = r.mem.l2(r.mem.homeOfPhys(pa)).peek(pa);
+    const CacheLine *l2_line = r.mem.l2(r.space.homeOf(0x1000)).peek(pa);
     ASSERT_NE(l2_line, nullptr);
     EXPECT_EQ(l2_line->owner, 0u);
     r.mem.purgePrivate({0}, 1000);
@@ -148,17 +148,15 @@ TEST(MemorySystem, PurgedOwnerForwardsNothing)
     EXPECT_EQ(l2_line->owner, INVALID_CORE);
 }
 
-TEST(MemorySystem, DirtyCopiesBelongToTheDirectoryOwner)
+namespace
 {
-    // MSI leaves at most one sharer dirty, and the home line records
-    // which: the dirty forward reads only that core's L1. Drive a
-    // seeded random trace (loads and stores from every core over 48
-    // shared lines that overflow their L1 sets, purges of random core
-    // subsets, and a mid-trace re-homing) and check the invariant over
-    // every home line after every access. Release builds compile out
-    // the forward step's own scan, so this is their check.
+
+/** DirtyCopiesBelongToTheDirectoryOwner's trace under @p mode. */
+void
+ownerAndHomeTrace(HomingMode mode)
+{
     Rig r;
-    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
+    r.space.setHomingMode(mode);
     r.space.setAllowedSlices({0, 1, 2, 3, 4, 5, 6, 7});
     const unsigned cores = r.topo.numTiles();
     std::vector<VAddr> lines;
@@ -179,11 +177,42 @@ TEST(MemorySystem, DirtyCopiesBelongToTheDirectoryOwner)
         }
     };
 
+    // Every valid L1 copy is one of the trace's lines: check each one's
+    // recorded home, then that no other copy exists.
+    const auto checkRecordedHomes = [&](unsigned step) {
+        unsigned copies = 0;
+        for (const VAddr va : lines) {
+            const PageInfo *pi = r.space.translate(va);
+            if (!pi)
+                continue;
+            const Addr pa = pi->ppage + (va & (r.cfg.pageBytes - 1));
+            for (CoreId c = 0; c < cores; ++c) {
+                const CacheLine *l1 = r.mem.l1(c).peek(pa);
+                if (!l1)
+                    continue;
+                ++copies;
+                ASSERT_EQ(l1->home, r.space.homeOf(va))
+                    << "step " << step << ": core " << c;
+                const CacheLine *home = r.mem.l2(l1->home).peek(pa);
+                ASSERT_NE(home, nullptr)
+                    << "step " << step << ": core " << c
+                    << "'s copy outlived its home line";
+                ASSERT_TRUE(Directory::isSharer(home->sharers, c))
+                    << "step " << step << ": core " << c
+                    << " holds the line without its sharer bit";
+            }
+        }
+        unsigned valid = 0;
+        for (CoreId c = 0; c < cores; ++c)
+            valid += r.mem.l1(c).occupancy();
+        ASSERT_EQ(copies, valid) << "step " << step;
+    };
+
     Rng rng(0x0D1C7);
     Cycle t = 0;
     unsigned purged_owners = 0;
     for (unsigned step = 0; step < 2000; ++step) {
-        if (step == 1000) {
+        if (mode == HomingMode::LOCAL_HOMING && step == 1000) {
             ASSERT_GT(r.mem.rehomePages(r.space, {0, 1, 2, 3}), 0u);
         } else if (rng.chance(0.03)) {
             std::vector<bool> purged(cores);
@@ -212,10 +241,29 @@ TEST(MemorySystem, DirtyCopiesBelongToTheDirectoryOwner)
         });
         ASSERT_EQ(strays, 0u) << "step " << step << ": a dirty L1 copy "
                               << "is not its directory owner's";
+        ASSERT_NO_FATAL_FAILURE(checkRecordedHomes(step));
     }
     EXPECT_GT(r.mem.stats().value("dirty_forwards"), 0u);
     EXPECT_GT(purged_owners, 0u) << "no purge caught a live dirty owner";
     EXPECT_GT(r.mem.stats().value("l1_writebacks"), 0u);
+}
+
+} // namespace
+
+TEST(MemorySystem, DirtyCopiesBelongToTheDirectoryOwner)
+{
+    // MSI leaves at most one sharer dirty, and the home line records
+    // which: the dirty forward reads only that core's L1. Drive a
+    // seeded random trace (loads and stores from every core over 48
+    // shared lines that overflow their L1 sets, purges of random core
+    // subsets, and under local homing a mid-trace re-homing) and check
+    // the invariant over every home line after every access. Release
+    // builds compile out the forward step's own scan, so this is their
+    // check. After every access every valid L1 copy must also sit under
+    // the home its fill recorded, which write-backs and evictions use:
+    // the home rule's answer, whose L2 line holds the copy's sharer bit.
+    ASSERT_NO_FATAL_FAILURE(ownerAndHomeTrace(HomingMode::LOCAL_HOMING));
+    ASSERT_NO_FATAL_FAILURE(ownerAndHomeTrace(HomingMode::HASH_FOR_HOMING));
 }
 
 TEST(MemorySystem, UpgradeOnStoreToSharedLine)
@@ -259,8 +307,7 @@ TEST(MemorySystem, PurgeErasesPrivateStateAndCharges)
     EXPECT_EQ(done, expected);
     // Dirty data survived into the L2 home (write-back, not loss).
     const Addr pa = r.space.translate(0x1000)->ppage;
-    const CoreId home = r.mem.homeOfPhys(pa);
-    const CacheLine *l2_line = r.mem.l2(home).peek(pa);
+    const CacheLine *l2_line = r.mem.l2(r.space.homeOf(0x1000)).peek(pa);
     ASSERT_NE(l2_line, nullptr);
     EXPECT_TRUE(l2_line->dirty);
 }
@@ -413,55 +460,6 @@ TEST(MemorySystem, RehomeScrubsOldSlicesOnly)
         EXPECT_EQ(r.mem.l2(s).validLines(), 0u);
     // Surviving slices keep their lines.
     EXPECT_GT(r.mem.l2(0).validLines() + r.mem.l2(1).validLines(), 0u);
-}
-
-TEST(MemorySystem, HomeNoteSkipNeverHidesAHomeChange)
-{
-    // noteHome() skips a map update its slot says was already made.
-    // Drive the cases where a too-loose skip would leave the
-    // physical-page home map stale: pages that round-robin over all
-    // four DRAM regions with equal in-region ordinals (so they differ
-    // only in their region bits), accesses interleaved across them, a
-    // hash-mode access that erases a page's entry, and a re-homing.
-    Rig r;
-    ASSERT_EQ(r.cfg.numRegions, 4u);
-    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
-    const VAddr page = r.cfg.pageBytes;
-    Cycle t = 0;
-    unsigned n = 0;
-    const auto access = [&](unsigned pg, unsigned line) {
-        const VAddr va = pg * page + line * 64;
-        t = r.acc(n % 4, va, n % 3 ? MemOp::LOAD : MemOp::STORE, t).finish;
-        ++n;
-        const Addr pa =
-            r.space.translate(va)->ppage + (va & (page - 1));
-        EXPECT_EQ(r.mem.homeOfPhys(pa), r.space.homeOf(va))
-            << "access " << n << " page " << pg;
-    };
-    // Map 16 pages: page 4k + j is the k-th page of region j.
-    for (unsigned pg = 0; pg < 16; ++pg) {
-        access(pg, 0);
-        const Addr pp = r.space.translate(pg * page)->ppage;
-        ASSERT_EQ(regionOf(pp), pg % 4);
-        ASSERT_EQ(pp % REGION_BYTES, (pg / 4) * page);
-    }
-    const auto interleave = [&] {
-        for (unsigned round = 0; round < 3; ++round)
-            for (unsigned k = 0; k < 4; ++k)
-                for (unsigned j = 0; j < 4; ++j)
-                    access(4 * k + j, round * 5 + j);
-    };
-    interleave();
-    // A hash-mode access erases page 5's entry; the next local-mode
-    // access to it must put the entry back.
-    r.space.setHomingMode(HomingMode::HASH_FOR_HOMING);
-    access(5, 7);
-    access(1, 7);
-    r.space.setHomingMode(HomingMode::LOCAL_HOMING);
-    interleave();
-    // Re-homing moves most pages; every next access must see the move.
-    EXPECT_GT(r.mem.rehomePages(r.space, {0, 1}), 0u);
-    interleave();
 }
 
 TEST(MemorySystem, L1EvictionWritesBackDirtyLine)

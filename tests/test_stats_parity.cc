@@ -3,9 +3,9 @@
  * Stats-parity regression test: a small fixed workload is driven through
  * MemorySystem::access() and the *complete* counter maps of the touched
  * components (names and values) are compared against a golden snapshot.
- * Hot-path refactors (bound counters, allocation-free routing, cheap
- * noteHome, ...) must keep every counter byte-identical; this test turns
- * any silent semantic change into a loud diff.
+ * Hot-path refactors (bound counters, allocation-free routing, homes
+ * recorded in L1 lines, ...) must keep every counter byte-identical; this
+ * test turns any silent semantic change into a loud diff.
  *
  * Regenerating the golden after an *intentional* semantic change:
  *
@@ -77,8 +77,8 @@ runFixedWorkload(Machine &m)
                 .finish;
     }
 
-    // A locally homed space confined to two L2 slices: noteHome map
-    // traffic, slice capacity pressure (L2 evictions, back-
+    // A locally homed space confined to two L2 slices: L1 write-backs
+    // to per-page homes, slice capacity pressure (L2 evictions, back-
     // invalidations, controller writebacks).
     m.localSpace.setAllowedSlices({0, 1});
     for (unsigned i = 0; i < 1024; ++i) {

@@ -328,6 +328,23 @@ TEST(AddressSpace, HashHomingIsLineGranularAndInRange)
         EXPECT_LT(h, c.numTiles());
 }
 
+TEST(AddressSpaceDeathTest, HomingModeIsFixedOnceAPageIsMapped)
+{
+    // Setting the mode again is legal at any time (IRONHIDE does it on
+    // every reconfiguration); a flip is legal only before the first
+    // mapping, since L1 lines keep the home their fill recorded.
+    const SysConfig c = cfg();
+    PhysAllocator alloc(c);
+    AddressSpace as(c, alloc, 1, Domain::SECURE);
+    as.setHomingMode(HomingMode::LOCAL_HOMING);
+    as.setHomingMode(HomingMode::HASH_FOR_HOMING);
+    as.ensureMapped(0x1000);
+    as.setHomingMode(HomingMode::HASH_FOR_HOMING);
+    EXPECT_EQ(as.homingMode(), HomingMode::HASH_FOR_HOMING);
+    EXPECT_DEATH(as.setHomingMode(HomingMode::LOCAL_HOMING),
+                 "homing mode of process 1 changed after it mapped a page");
+}
+
 TEST(AddressSpace, RehomeMovesOnlyLostSlices)
 {
     const SysConfig c = cfg();
